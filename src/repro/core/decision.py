@@ -27,7 +27,10 @@ from repro.errors import PolicyError
 # they carry the same immutable, keyword-constructed, attribute-read
 # semantics, but allocate as plain tuples -- decide_swaps creates several
 # per epoch on the sweep hot path, where the frozen-dataclass
-# ``object.__setattr__``-per-field protocol measurably dominates.
+# ``object.__setattr__``-per-field protocol measurably dominates.  On that
+# path they are built with ``tuple.__new__`` directly (every field given),
+# which skips the generated ``__new__``'s argument binding.
+_new = tuple.__new__
 
 
 class ReconfigurationCheck(NamedTuple):
@@ -135,26 +138,19 @@ def evaluate_reconfiguration(old_iteration_time: float,
     payback = iterations_to_break_even(cost, old_iteration_time,
                                        new_iteration_time)
     if app_improvement <= 0.0:
-        return ReconfigurationCheck(False, app_improvement, payback,
-                                    "no application improvement")
+        return _new(ReconfigurationCheck, (False, app_improvement, payback,
+                                           "no application improvement"))
     if app_improvement < params.min_app_improvement:
-        return ReconfigurationCheck(
+        return _new(ReconfigurationCheck, (
             False, app_improvement, payback,
             f"application improvement {app_improvement:.2%} below "
-            f"threshold {params.min_app_improvement:.2%}")
+            f"threshold {params.min_app_improvement:.2%}"))
     if payback > params.payback_threshold:
-        return ReconfigurationCheck(
+        return _new(ReconfigurationCheck, (
             False, app_improvement, payback,
             f"payback {payback:.2f} iterations exceeds threshold "
-            f"{params.payback_threshold:g}")
-    return ReconfigurationCheck(True, app_improvement, payback, "")
-
-
-def _iteration_time(active: "list[int]", rates: Mapping[int, float],
-                    chunk_flops: Mapping[int, float],
-                    comm_time: float) -> float:
-    """Predicted BSP iteration time: slowest compute plus communication."""
-    return max(chunk_flops[h] / rates[h] for h in active) + comm_time
+            f"{params.payback_threshold:g}"))
+    return _new(ReconfigurationCheck, (True, app_improvement, payback, ""))
 
 
 def decide_swaps(active: "list[int]",
@@ -175,7 +171,14 @@ def decide_swaps(active: "list[int]",
     rates:
         Predicted effective compute rate (flop/s) of every host in
         ``active + spares``, already filtered through the policy's history
-        window by the caller.
+        window by the caller.  Either a plain mapping, validated up front
+        and scanned in full, or a *bounded rate source*: a mapping that
+        computes rates on read, raises :class:`PolicyError` for a missing
+        or non-positive rate, and offers ``ranked(candidates)``: an
+        iterator over the candidates in exactly the order repeated
+        ``max(rest, key=rates.__getitem__)`` picks them, free to skip
+        evaluating those that provably cannot come next (see
+        :class:`repro.load.kernels.RateView`).
     chunk_flops:
         Compute work per iteration of the process on each active host.  A
         swapped-in host inherits the outgoing host's chunk (the paper
@@ -194,14 +197,22 @@ def decide_swaps(active: "list[int]",
     """
     if not active:
         raise PolicyError("active set is empty")
-    has_rate = rates.__contains__
-    if not (all(map(has_rate, active)) and all(map(has_rate, spares))):
-        missing = [h for h in list(active) + list(spares) if h not in rates]
-        raise PolicyError(f"no predicted rate for hosts {missing}")
-    if min(rates.values()) <= 0:
-        for host, rate in rates.items():
-            if rate <= 0:
-                raise PolicyError(f"non-positive rate {rate} for host {host}")
+    ranked = getattr(rates, "ranked", None)
+    if ranked is None:
+        has_rate = rates.__contains__
+        if not (all(map(has_rate, active)) and all(map(has_rate, spares))):
+            missing = [h for h in list(active) + list(spares)
+                       if h not in rates]
+            raise PolicyError(f"no predicted rate for hosts {missing}")
+        if min(rates.values()) <= 0:
+            for host, rate in rates.items():
+                if rate <= 0:
+                    raise PolicyError(
+                        f"non-positive rate {rate} for host {host}")
+    else:
+        # ``available`` only ever loses the proposal just taken from
+        # this ranking, so its next item is ``max(available, ...)``.
+        fastest_first = ranked(spares)
 
     # Copy-on-write: the working sets are only duplicated once a move is
     # actually applied -- the common no-swap epoch touches nothing.
@@ -209,7 +220,8 @@ def decide_swaps(active: "list[int]",
     chunks = chunk_flops
     available = spares
     rate_of = rates.__getitem__
-    original_iter = None
+    max_swaps = params.max_swaps_per_decision
+    min_process_improvement = params.min_process_improvement
     rejected_reason = ""
 
     # Build a *batch* of tentative moves (slowest active <-> fastest
@@ -223,43 +235,50 @@ def decide_swaps(active: "list[int]",
     gates: list[GateOutcome] = []
     committed = 0
 
+    # Slowest active processor = largest predicted compute time (ties
+    # resolve to the first maximum, like a stable descending sort).  One
+    # fused scan yields both the next victim and the predicted iteration
+    # time (slowest compute plus communication); it reruns only after a
+    # tentative move changes the active set.
+    victim = current[0]
+    worst = chunks[victim] / rates[victim]
+    for h in current:
+        v = chunks[h] / rates[h]
+        if v > worst:
+            worst = v
+            victim = h
+    original_iter = committed_iter = worst + comm_time
+
     # ``rejected_reason`` tracks the first rejection since the last
     # *committed* move: that is the gate that stopped the accepted prefix
     # from growing.  It resets on every acceptance, so when the epoch
     # ends it either names the gate that ended the batch or stays ""
     # (spare pool exhausted / per-decision cap with nothing rejected).
     while available:
-        if (params.max_swaps_per_decision is not None
-                and len(candidates) >= params.max_swaps_per_decision):
+        if max_swaps is not None and len(candidates) >= max_swaps:
             break
-        # Slowest active processor = largest predicted compute time (ties
-        # resolve to the first maximum, like a stable descending sort);
-        # one fused scan yields both the victim and the iteration time.
-        out_host = current[0]
-        worst = chunks[out_host] / rates[out_host]
-        for h in current:
-            v = chunks[h] / rates[h]
-            if v > worst:
-                worst = v
-                out_host = h
-        if original_iter is None:
-            original_iter = worst + comm_time
-        in_host = max(available, key=rate_of)
+        out_host = victim
+        if ranked is None:
+            in_host = max(available, key=rate_of)
+        else:
+            in_host = next(fastest_first)
 
         process_improvement = rates[in_host] / rates[out_host] - 1.0
         if process_improvement <= 0.0:
             reason = "fastest spare is no faster than slowest active"
-            gates.append(GateOutcome(out_host, in_host, "process", False,
-                                     reason, process_improvement))
+            gates.append(_new(GateOutcome, (
+                out_host, in_host, "process", False, reason,
+                process_improvement, None, None)))
             if not rejected_reason:
                 rejected_reason = reason
             break
-        if process_improvement < params.min_process_improvement:
+        if process_improvement < min_process_improvement:
             reason = (
                 f"process improvement {process_improvement:.2%} below "
-                f"threshold {params.min_process_improvement:.2%}")
-            gates.append(GateOutcome(out_host, in_host, "process", False,
-                                     reason, process_improvement))
+                f"threshold {min_process_improvement:.2%}")
+            gates.append(_new(GateOutcome, (
+                out_host, in_host, "process", False, reason,
+                process_improvement, None, None)))
             if not rejected_reason:
                 rejected_reason = reason
             break
@@ -271,17 +290,25 @@ def decide_swaps(active: "list[int]",
         current[current.index(out_host)] = in_host
         chunks[in_host] = chunks.pop(out_host)
         available.remove(in_host)
-        new_iter = _iteration_time(current, rates, chunks, comm_time)
+        victim = current[0]
+        worst = chunks[victim] / rates[victim]
+        for h in current:
+            v = chunks[h] / rates[h]
+            if v > worst:
+                worst = v
+                victim = h
+        new_iter = worst + comm_time
         cumulative_cost = swap_cost * (len(candidates) + 1)
         check = evaluate_reconfiguration(original_iter, new_iter,
                                          cumulative_cost, params)
-        candidates.append(SwapMove(out_host, in_host, process_improvement,
-                                   check.app_improvement, check.payback))
-        gates.append(GateOutcome(
+        candidates.append(_new(SwapMove, (
+            out_host, in_host, process_improvement,
+            check.app_improvement, check.payback)))
+        gates.append(_new(GateOutcome, (
             out_host, in_host,
             "accepted" if check.accepted else "application",
             check.accepted, check.reason, process_improvement,
-            check.app_improvement, check.payback))
+            check.app_improvement, check.payback)))
         if check.accepted:
             committed = len(candidates)
             committed_iter = new_iter
@@ -289,12 +316,6 @@ def decide_swaps(active: "list[int]",
         elif not rejected_reason:
             rejected_reason = check.reason
 
-    if original_iter is None:
-        # Empty spare pool (or a zero-move cap): no proposal was ever
-        # scanned, so compute the baseline prediction directly.
-        original_iter = _iteration_time(active, rates, chunk_flops,
-                                        comm_time)
-    if not committed:
-        committed_iter = original_iter
-    return SwapDecision(tuple(candidates[:committed]), original_iter,
-                        committed_iter, rejected_reason, tuple(gates))
+    return _new(SwapDecision, (tuple(candidates[:committed]), original_iter,
+                               committed_iter, rejected_reason,
+                               tuple(gates)))

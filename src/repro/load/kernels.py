@@ -47,11 +47,12 @@ can report kernel throughput for the analytic simulators.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Mapping, Sequence
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import LoadModelError
+from repro.errors import LoadModelError, PolicyError
 from repro.load.base import _MUTATIONS
 from repro.simkernel.engine import count_kernel_events
 
@@ -184,8 +185,10 @@ def extend_kernel(old: TraceKernel, epoch: int, times: Sequence[float],
     need recomputing.  The accumulation resumes from the last shared
     prefix-sum entry with the same left-to-right float64 additions a
     full recompute performs, so the result is bit-identical to
-    :func:`compile_trace` on the grown trace -- at O(tail) cost instead
-    of O(trace).
+    :func:`compile_trace` on the grown trace.  The arithmetic is O(tail),
+    but the three prefix lists are still copied whole (C-level list
+    copies, O(trace)) on every extension, so the old kernel -- which a
+    batch's kernel table may still hold -- stays an intact snapshot.
     """
     n_old = len(old.den_list)
     kernel = TraceKernel.__new__(TraceKernel)
@@ -315,6 +318,7 @@ class HostBatch:
 
     __slots__ = ("traces", "speeds", "_rate_lo", "_rate_hi",
                  "_adv_t0", "_adv_cum", "_hzn", "_kern", "_mut_seen",
+                 "_nseg", "_by_speed", "_eager_epochs",
                  "_inst_rates", "_inst_idx", "_inst_starts", "_inst_ends",
                  "_inst_min_end", "_inst_max_start")
 
@@ -322,6 +326,10 @@ class HostBatch:
         self.traces = [host.trace for host in hosts]
         self.speeds = [host.spec.speed for host in hosts]
         n = len(self.traces)
+        #: ``(host, speed)`` by descending unloaded speed (ties by index),
+        #: then a ``(-1, -inf)`` sentinel: the walk of
+        #: :meth:`RateView.ranked`, built with the run's first view.
+        self._by_speed: "list[tuple[int, float]] | None" = None
         self._rate_lo = [0] * n
         self._rate_hi = [0] * n
         self._adv_t0 = [0] * n
@@ -335,6 +343,10 @@ class HostBatch:
         #: still matches its trace's epoch).
         self._kern: "list[TraceKernel]" = [None] * n  # type: ignore[list-item]
         self._mut_seen = -1
+        #: Longest kernel in the table (segments), refreshed with it.
+        self._nseg = 0
+        #: Window-averaged epochs :meth:`rate_view` still serves eagerly.
+        self._eager_epochs = 0
         self._inst_rates: "dict[int, float] | None" = None
         self._inst_idx = [0] * n
         self._inst_starts = [0.0] * n
@@ -366,11 +378,15 @@ class HostBatch:
         seen = _MUTATIONS[0]
         kerns = self._kern
         if self._mut_seen != seen:
+            nseg = 0
             for i, trace in enumerate(self.traces):
                 kernel = trace._kernel
                 if kernel is None or kernel.epoch != trace._epoch:
                     kernel = trace.kernel()
                 kerns[i] = kernel
+                if len(kernel.den_list) > nseg:
+                    nseg = len(kernel.den_list)
+            self._nseg = nseg
             self._mut_seen = seen
         return kerns
 
@@ -404,6 +420,68 @@ class HostBatch:
                 if t >= trace._horizon:
                     trace._ensure(t)
         return self._rates_loop(t, t0, indices)
+
+    def rate_view(self, t: float, window: float,
+                  active: "Sequence[int]") -> "dict[int, float]":
+        """:meth:`rates_map` for one decision epoch, lazy where that pays.
+
+        Instantaneous rates (``window == 0``, or ``t == 0``) are
+        piecewise constant: the full map stays cached across epochs and
+        only hosts that crossed a segment boundary are re-resolved, which
+        measured faster than any lazy walk -- so that map is returned as
+        it is.  Window averages change every epoch for every host;
+        for them this returns a :class:`RateView` with the active hosts'
+        rates computed up front (a decision reads every one of them) and
+        every other rate computed only when read or ranked.  The view
+        raises :class:`~repro.errors.PolicyError` on reads outside the
+        platform and on non-positive rates.  After a walk that did not
+        prune (see ``_WALK_BUDGET``), the next ``_EAGER_EPOCHS`` window
+        epochs get the full map as well.
+        """
+        t0 = max(0.0, t - window)
+        if t0 == t:
+            return self.rates_map(t)
+        if self._eager_epochs:
+            self._eager_epochs -= 1
+            return self.rates_map(t, window)
+        if t >= self._hzn:
+            self._ensure_all(t)
+        if self._mut_seen != _MUTATIONS[0]:
+            self._kernels()
+        if self._by_speed is None:
+            self._by_speed = sorted(enumerate(self.speeds),
+                                    key=lambda pair: pair[1], reverse=True)
+            self._by_speed.append((-1, float("-inf")))
+        n = len(self.speeds)
+        if active and (min(active) < 0 or max(active) >= n):
+            raise PolicyError(f"no predicted rate for hosts "
+                              f"{[h for h in active if not 0 <= h < n]}")
+        view = RateView(self._rates_loop(t, t0, active))
+        if view and min(view.values()) <= 0.0:
+            for host, rate in view.items():
+                if rate <= 0.0:
+                    raise PolicyError(
+                        f"non-positive rate {rate} for host {host}")
+        view.batch = self
+        view.t = t
+        view.t0 = t0
+        # The bound ``speed * scale >= rate`` of RateView.ranked.  The
+        # exact availability integral over [t0, t] is at most the span
+        # (availability <= 1).  The computed ``(upper - lower) / span``
+        # errs by at most about ``(k + 8) * u * t / span + 5 * u``
+        # relative (u = 2**-53): each of the ``k`` prefix-sum additions
+        # between the window's two end segments rounds at a magnitude of
+        # at most ``t``, as do the two partial terms, the two lookups and
+        # the subtraction; the divisions and the speed product add one
+        # ``u`` each.  ``k`` is below the longest kernel's segment count,
+        # and 8u per unit of ``(nseg + 16) * (t / span + 1)`` covers all
+        # of it several times over: a loose bound only costs pruning
+        # (for instantaneous rates the bound would be exact: ``den = 1.0
+        # + n >= 1`` and monotone rounding keep ``speed * (1.0 / den)``
+        # at most ``speed``).
+        view.scale = 1.0 + ((self._nseg + 16) * (t / (t - t0) + 1.0)
+                            * 2.0 ** -50)
+        return view
 
     def _inst_refresh(self, t: float) -> "dict[int, float]":
         """Bring the instantaneous rate map up to date at ``t``.
@@ -569,6 +647,134 @@ class HostBatch:
                 best = finish
         count_kernel_events(len(chunks))
         return best
+
+
+#: A :meth:`RateView.ranked` walk that evaluates more candidates than
+#: this before its first answer did not prune: the load is chaotic
+#: enough that every fast host is loaded.  The batch then serves the
+#: next ``_EAGER_EPOCHS`` window-averaged decision epochs with full maps
+#: (cheaper than a walk that reaches every host) before it tries again.
+_WALK_BUDGET = 4
+_EAGER_EPOCHS = 32
+
+
+class RateView(dict):
+    """Window-averaged host-index -> rate map of one decision epoch,
+    computed lazily.
+
+    Built by :meth:`HostBatch.rate_view`.  Each rate is exactly the
+    value :meth:`HostBatch.rates_map` returns for the same ``(t,
+    window)`` -- same algebra, same cursor hints -- but a host's rate is
+    only computed when read.  Membership (``in``, ``len``, iteration)
+    therefore reports only the rates computed so far.
+
+    This is a *bounded rate source* for
+    :func:`~repro.core.decision.decide_swaps`: :meth:`ranked` answers
+    the decision's "fastest inactive processor" questions while skipping
+    every spare whose unloaded speed bound proves it cannot be next.
+    Later batch queries do not stale a view: every trace is materialized
+    past ``t`` when it is built, growth never changes a materialized
+    segment, and cursor hints fall back to bisection when moved past.
+    """
+
+    __slots__ = ("batch", "t", "t0", "scale")
+
+    def __missing__(self, host: int) -> float:
+        batch = self.batch
+        if not 0 <= host < len(batch.speeds):
+            raise PolicyError(f"no predicted rate for hosts [{host}]")
+        rate = batch._rates_loop(self.t, self.t0, (host,))[host]
+        if rate <= 0.0:
+            raise PolicyError(f"non-positive rate {rate} for host {host}")
+        self[host] = rate
+        return rate
+
+    def ranked(self, candidates: "Sequence[int]") -> "Iterator[int]":
+        """The (distinct) candidates, fastest first, evaluated lazily.
+
+        Yields exactly the order in which repeatedly taking ``max(rest,
+        key=self.__getitem__)`` and removing it picks them: rate
+        descending, an exact tie going to the candidate earlier in
+        ``candidates``.  Walks hosts in descending unloaded speed and
+        yields the best evaluated candidate once its rate is *strictly*
+        above the next host's bound ``speed * scale``: no rate exceeds
+        its bound (see :meth:`HostBatch.rate_view`) and the walk order
+        makes every later bound smaller still, while a bound equal to
+        the best rate could still hide a tie that sorts first.  So a
+        candidate is evaluated only when it could come next.  The cursor
+        code of :meth:`HostBatch._rates_loop` is inlined: in chaotic
+        epochs this loop reaches most hosts.
+        """
+        batch = self.batch
+        n = len(batch.speeds)
+        if candidates and (min(candidates) < 0 or max(candidates) >= n):
+            raise PolicyError(f"no predicted rate for hosts "
+                              f"{[h for h in candidates if not 0 <= h < n]}")
+        pos = dict(zip(candidates, range(len(candidates))))
+        t = self.t
+        t0 = self.t0
+        span = t - t0
+        scale = self.scale
+        kerns = batch._kern
+        if batch._mut_seen != _MUTATIONS[0]:
+            kerns = batch._kernels()
+        cur_hi = batch._rate_hi
+        cur_lo = batch._rate_lo
+        # Evaluated candidates as (-rate, position) -- a ranking heap, not
+        # an event queue; ``top`` is their best rate (0.0 when none: every
+        # bound is positive).  The walk ends on a sentinel of bound -inf
+        # that releases whatever is left.
+        heap: "list[tuple[float, int]]" = []
+        top = 0.0
+        computed = 0
+        first = True
+        for i, speed in batch._by_speed:
+            bound = speed * scale
+            if top > bound:
+                if first:
+                    first = False
+                    if computed > _WALK_BUDGET:
+                        batch._eager_epochs = _EAGER_EPOCHS
+                count_kernel_events(computed)
+                computed = 0
+                while heap and -heap[0][0] > bound:
+                    rate, k = heappop(heap)  # simlint: disable=SL003
+                    rate = -rate
+                    if rate <= 0.0:
+                        raise PolicyError(f"non-positive rate {rate} for "
+                                          f"host {candidates[k]}")
+                    host = candidates[k]
+                    self[host] = rate
+                    yield host
+                top = -heap[0][0] if heap else 0.0
+            k = pos.get(i)
+            if k is None:
+                continue
+            kernel = kerns[i]
+            times = kernel.times_list
+            dens = kernel.den_list
+            cum = kernel.cum_list
+            c = cur_hi[i]
+            if times[c] > t:
+                c = bisect_right(times, t) - 1
+            else:
+                while times[c + 1] <= t:
+                    c += 1
+            cur_hi[i] = c
+            upper = cum[c] + (t - times[c]) / dens[c]
+            c = cur_lo[i]
+            if times[c] > t0:
+                c = bisect_right(times, t0) - 1
+            else:
+                while times[c + 1] <= t0:
+                    c += 1
+            cur_lo[i] = c
+            lower = cum[c] + (t0 - times[c]) / dens[c]
+            rate = speed * ((upper - lower) / span)
+            computed += 1
+            heappush(heap, (-rate, k))  # simlint: disable=SL003
+            if rate > top:
+                top = rate
 
 
 # -- batch entry points ------------------------------------------------------

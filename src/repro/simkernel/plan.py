@@ -198,6 +198,8 @@ class SimPlan:
 
     * :meth:`predicted_rates` -- the rate map fed to swap/rebalance
       decisions;
+    * :meth:`decision_rates` -- the rate source fed to
+      :func:`~repro.core.decision.decide_swaps`;
     * :meth:`iteration` -- one fault-free BSP compute + communication
       phase;
     * :attr:`obs_on` -- gate for per-iteration trace emission;
@@ -205,7 +207,8 @@ class SimPlan:
     """
 
     __slots__ = ("platform", "fault_free", "obs_on", "lowered", "passes",
-                 "_dens", "_batch", "iteration", "predicted_rates")
+                 "_dens", "_batch", "iteration", "predicted_rates",
+                 "decision_rates")
 
     def __init__(self, ctx: PlanContext, lowered: bool) -> None:
         self.platform = ctx.platform
@@ -223,7 +226,11 @@ class SimPlan:
         # iter_end)`` runs one fault-free BSP phase pair;
         # ``predicted_rates(t, window=0.0, indices=None)`` is the
         # host-index -> flop/s map -- the lowered equivalent of
-        # ``Platform.effective_rates``.
+        # ``Platform.effective_rates``; ``decision_rates(t, window,
+        # active)`` is the same map for one decision epoch: a bounded
+        # lazy view on batch plans (HostBatch.rate_view), the full map
+        # on the closed-form and generic ones.
+        self.decision_rates = self._decision_rates_eager
         if self._dens is not None:
             self.iteration = self._iteration_constant
             self.predicted_rates = self._rates_constant
@@ -239,6 +246,7 @@ class SimPlan:
 
             self.iteration = iteration
             self.predicted_rates = batch.rates_map
+            self.decision_rates = batch.rate_view
         else:
             self.iteration = self._iteration_generic
             self.predicted_rates = self._rates_generic
@@ -278,6 +286,9 @@ class SimPlan:
         span = t - t0
         return {i: hosts[i].spec.speed * ((t / dens[i] - t0 / dens[i]) / span)
                 for i in indices}
+
+    def _decision_rates_eager(self, t, window, active):
+        return self.predicted_rates(t, window)
 
     # -- generic (unlowered) reference ----------------------------------
 

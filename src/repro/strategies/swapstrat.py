@@ -76,7 +76,7 @@ class SwapStrategy(Strategy):
         obs_on = splan.obs_on
         policy = self.policy
         history_window = policy.history_window
-        predicted_rates = splan.predicted_rates
+        decision_rates = splan.decision_rates
         iterations = app.iterations
 
         # ``tuple(active)`` cached on the list's identity: every path
@@ -136,7 +136,7 @@ class SwapStrategy(Strategy):
                 if plan is not None:
                     # A revoked spare is not a viable swap-in candidate.
                     spares = [h for h in spares if not plan.is_revoked(h, t)]
-                rates = predicted_rates(t, history_window)
+                rates = decision_rates(t, history_window, active)
                 decision = decide_swaps(active, spares, rates, chunks,
                                         comm_time, swap_cost_one, policy)
                 if obs_on and obs.active() is not None:
@@ -144,7 +144,7 @@ class SwapStrategy(Strategy):
                                       policy=self.policy.name,
                                       decision=decision,
                                       active=active, spares=spares)
-                if decision.should_swap:
+                if decision.moves:
                     if plan is None:
                         moves = decision.moves
                         n_moves = len(moves)
@@ -169,14 +169,13 @@ class SwapStrategy(Strategy):
                         result.overhead_time += overhead
                         t += overhead
                         progress_record(t, i, "swap", detail)
-                        for move in moves:
-                            obs.emit("swap", t, source=self.name, iteration=i,
-                                     out_host=move.out_host,
-                                     in_host=move.in_host,
-                                     process_improvement=move.process_improvement,
-                                     app_improvement=move.app_improvement,
-                                     payback=move.payback,
-                                     start=iter_end, end=t)
+                        for move in moves if obs_on else ():
+                            obs.emit(
+                                "swap", t, source=self.name, iteration=i,
+                                out_host=move.out_host, in_host=move.in_host,
+                                process_improvement=move.process_improvement,
+                                app_improvement=move.app_improvement,
+                                payback=move.payback, start=iter_end, end=t)
                     elif overhead > 0.0:
                         # Every accepted move failed its transfer; the
                         # pause was still paid.

@@ -388,3 +388,104 @@ def test_stricter_policy_swaps_no_more_than_greedy(rates_list):
     greedy = decide_swaps(params=greedy_policy(), **kwargs)
     strict = decide_swaps(params=safe_policy(), **kwargs)
     assert len(strict.moves) <= len(greedy.moves)
+
+
+# -- bounded rate sources ----------------------------------------------------------
+#
+# A bounded source (repro.load.kernels.RateView) computes rates lazily and
+# skips spares whose unloaded speed proves they cannot be the fastest.
+# Decisions over it must equal the eager full-map decisions exactly:
+# moves, predictions, reason strings and the whole gate trail.
+
+def _host_batch(speeds, segment_lists):
+    from repro.load.base import LoadTrace
+    from repro.load.kernels import HostBatch
+    from repro.platform.host import Host, HostSpec
+
+    hosts = []
+    for i, (speed, segments) in enumerate(zip(speeds, segment_lists)):
+        host = Host(HostSpec(name=f"h{i}", speed=speed), rng=None, index=i)
+        times, values = [0.0], []
+        for duration, value in segments:
+            times.append(times[-1] + duration)
+            values.append(value)
+        host.trace = LoadTrace(times, values, beyond_horizon="hold")
+        hosts.append(host)
+    return HostBatch(hosts)
+
+
+_segments = st.lists(st.tuples(st.sampled_from([1.0, 7.5, 20.0, 45.0]),
+                               st.integers(min_value=0, max_value=3)),
+                     min_size=1, max_size=6)
+
+
+@st.composite
+def bounded_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    # Few distinct speeds and (optionally) one shared trace: exact rate
+    # ties between hosts are common, not a measure-zero accident.
+    speeds = draw(st.lists(st.sampled_from([1e8, 2e8, 2.5e8, 3e8]),
+                           min_size=n, max_size=n))
+    if draw(st.booleans()):
+        segment_lists = [draw(_segments)] * n
+    else:
+        segment_lists = draw(st.lists(_segments, min_size=n, max_size=n))
+    hosts = draw(st.permutations(range(n)))
+    n_active = draw(st.integers(min_value=1, max_value=min(4, n)))
+    active = list(hosts[:n_active])
+    rest = list(hosts[n_active:])
+    spares = rest[:draw(st.integers(min_value=0, max_value=len(rest)))]
+    params = PolicyParams(
+        name="drawn",
+        payback_threshold=draw(st.sampled_from([float("inf"), 0.5, 5.0])),
+        min_process_improvement=draw(st.sampled_from([0.0, 0.2])),
+        min_app_improvement=draw(st.sampled_from([0.0, 0.02])),
+        max_swaps_per_decision=draw(st.sampled_from([None, 1, 2])))
+    chunks = {h: draw(st.sampled_from([1e8, 3e8])) for h in active}
+    return dict(
+        speeds=speeds, segment_lists=segment_lists, active=active,
+        spares=spares, params=params, chunks=chunks,
+        t=draw(st.sampled_from([1.0, 12.5, 60.0, 133.0, 300.0])),
+        window=draw(st.sampled_from([2.0, 30.0, 60.0, 500.0])),
+        comm_time=draw(st.sampled_from([0.0, 1.0])),
+        swap_cost=draw(st.sampled_from([0.01, 10.0])))
+
+
+@given(bounded_cases())
+@settings(max_examples=300, deadline=None)
+def test_bounded_decision_equals_eager_decision(case):
+    from repro.load.kernels import RateView
+
+    def decide(rates):
+        return decide_swaps(case["active"], case["spares"], rates,
+                            case["chunks"], case["comm_time"],
+                            case["swap_cost"], case["params"])
+
+    eager = _host_batch(case["speeds"], case["segment_lists"]).rates_map(
+        case["t"], case["window"])
+    view = _host_batch(case["speeds"], case["segment_lists"]).rate_view(
+        case["t"], case["window"], case["active"])
+    assert type(view) is RateView
+    assert decide(view) == decide(eager)
+
+
+def test_bounded_tie_goes_to_the_spare_earlier_in_the_pool():
+    batch = _host_batch([3e8] * 5, [[(100.0, 0)]] * 5)
+    args = ({0: 1e9, 1: 1e9}, 0.0, 0.01, greedy_policy())
+    decision = decide_swaps([0, 1], [4, 2, 3],
+                            batch.rate_view(50.0, 20.0, [0, 1]), *args)
+    eager = decide_swaps([0, 1], [4, 2, 3], batch.rates_map(50.0, 20.0),
+                         *args)
+    assert decision == eager
+    assert decision.gates[0].in_host == 4
+
+
+def test_bounded_source_rejects_out_of_range_spare():
+    batch = _host_batch([1e8, 2e8, 3e8], [[(100.0, 1)]] * 3)
+    view = batch.rate_view(50.0, 20.0, [0])
+    with pytest.raises(PolicyError):
+        decide_swaps([0], [1, 3], view, {0: 1e9}, 0.0, 0.01,
+                     greedy_policy())
+    with pytest.raises(PolicyError):
+        decide_swaps([0], [-1], view, {0: 1e9}, 0.0, 0.01,
+                     greedy_policy())

@@ -294,3 +294,145 @@ def test_constant_extender_merge_keeps_one_segment():
     assert trace.n_segments == 1
     kernel = trace.kernel()
     assert kernel.cum_list[-1] == trace._times[-1] / 3.0
+
+
+# -- bounded decision views (HostBatch.rate_view / RateView) -----------------
+
+def _hosts(speeds, traces):
+    hosts = []
+    for i, (speed, trace) in enumerate(zip(speeds, traces)):
+        host = Host(HostSpec(name=f"h{i}", speed=speed), rng=None, index=i)
+        host.trace = trace
+        hosts.append(host)
+    return hosts
+
+
+def _dense_trace(rng, t, window, n_dense, max_value):
+    """A long quiet prefix, then ``n_dense`` short segments straddling
+    ``[t - window, t]``: the window spans hundreds of prefix-sum terms
+    far from the origin, where the rate formula's rounding is largest."""
+    times = [0.0]
+    values = []
+    start = max(0.0, t - 2.0 * window)
+    if start > 0.0:
+        times.append(start)
+        values.append(rng.randint(0, max_value))
+    step = 3.0 * window / n_dense
+    for _ in range(n_dense):
+        times.append(times[-1] + step * rng.uniform(0.2, 1.8))
+        values.append(rng.randint(0, max_value))
+    times.append(max(times[-1], t) + 1.0)
+    values.append(0)
+    return LoadTrace(times, values, beyond_horizon="hold")
+
+
+@given(st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([1e3, 5e4, 1e6]),
+       st.sampled_from([1e-3, 0.1, 2.0]),
+       st.integers(min_value=100, max_value=400),
+       st.sampled_from([0, 1, 3]))
+@settings(max_examples=40, deadline=None)
+def test_rate_view_bound_is_sound_for_dense_windows(seed, t, window,
+                                                    n_dense, max_value):
+    """No rate exceeds its bound ``speed * scale``, so no spare the walk
+    pruned could have won: a window far smaller than ``t``, hundreds of
+    segments inside it, and (max_value 0) unloaded hosts whose rates sit
+    within rounding of their speeds, in both directions."""
+    import random
+
+    rng = random.Random(seed)
+    n = 8
+    # Equal or ulp-close speeds make every bound a near-tie.
+    speeds = [3e8 * (1.0 + rng.choice([0.0, 0.0, 1e-15, 1e-12]))
+              for _ in range(n)]
+    traces = [_dense_trace(rng, t, window, n_dense, max_value)
+              for _ in range(n)]
+    twins = [LoadTrace(trace._times, trace._values, beyond_horizon="hold")
+             for trace in traces]
+    exact = HostBatch(_hosts(speeds, twins)).rates_map(t, window)
+    view = HostBatch(_hosts(speeds, traces)).rate_view(t, window, [])
+    for host, rate in exact.items():
+        assert rate <= speeds[host] * view.scale
+    candidates = list(range(n))
+    rng.shuffle(candidates)
+    ranking = view.ranked(candidates)
+    first = next(ranking)
+    assert first == max(candidates, key=exact.__getitem__)
+    # Every candidate left unevaluated loses to the answer outright or
+    # ties with it from a later position.
+    order = candidates.index
+    for host in candidates:
+        if host not in view:
+            assert (exact[host] < exact[first]
+                    or (exact[host] == exact[first]
+                        and order(host) > order(first)))
+    assert [first, *ranking] == sorted(candidates, key=exact.__getitem__,
+                                       reverse=True)
+    assert all(view[h] == exact[h] for h in candidates)
+
+
+@given(st.lists(segment_lists, min_size=2, max_size=6),
+       st.floats(min_value=0.5, max_value=300.0),
+       st.sampled_from([0.0, 1.0, 30.0, 1000.0]))
+@settings(max_examples=80, deadline=None)
+def test_rate_view_reads_equal_rates_map(trace_segments, t, window):
+    """Lazy reads (seeded actives, ``__missing__``, ranked spares) are
+    exactly the eager map's values; instantaneous epochs get the eager
+    map itself."""
+    speeds = [1e6 * (1 + i % 3) for i in range(len(trace_segments))]
+    def build():
+        return HostBatch(_hosts(speeds, [
+            make_trace(segs, beyond_horizon="hold")
+            for segs in trace_segments]))
+
+    exact = build().rates_map(t, window)
+    view = build().rate_view(t, window, [0])
+    if window == 0.0:
+        assert type(view) is dict and view == exact
+        return
+    assert set(view) == {0}
+    others = list(range(1, len(speeds)))
+    assert list(view.ranked(others)) == sorted(
+        others, key=exact.__getitem__, reverse=True)
+    for host in range(len(speeds)):
+        assert view[host] == exact[host]
+
+
+def test_rate_view_out_of_range_reads_raise_policy_error():
+    from repro.errors import PolicyError
+
+    traces = [make_trace([(50.0, 1)], beyond_horizon="hold")
+              for _ in range(3)]
+    batch = HostBatch(_hosts([1e6, 2e6, 3e6], traces))
+    with pytest.raises(PolicyError):
+        batch.rate_view(20.0, 5.0, [0, 3])
+    with pytest.raises(PolicyError):
+        batch.rate_view(20.0, 5.0, [-1])
+    view = batch.rate_view(20.0, 5.0, [0])
+    for host in (3, -1, 99):
+        with pytest.raises(PolicyError):
+            view[host]
+    with pytest.raises(PolicyError):
+        list(view.ranked([1, 3]))
+
+
+def test_rate_view_non_positive_rates_raise_policy_error():
+    from types import SimpleNamespace
+
+    from repro.errors import PolicyError
+
+    def batch():
+        # HostSpec rejects speed <= 0; a duck-typed host slips it past to
+        # exercise the view's own guard.
+        hosts = [SimpleNamespace(
+                     trace=make_trace([(50.0, 0)], beyond_horizon="hold"),
+                     spec=SimpleNamespace(speed=speed))
+                 for speed in (2e6, 0.0)]
+        return HostBatch(hosts)
+
+    with pytest.raises(PolicyError):
+        batch().rate_view(20.0, 5.0, [1])
+    with pytest.raises(PolicyError):
+        batch().rate_view(20.0, 5.0, [0])[1]
+    with pytest.raises(PolicyError):
+        list(batch().rate_view(20.0, 5.0, [0]).ranked([1]))

@@ -4,9 +4,10 @@ import pytest
 
 from repro import obs
 from repro.app.iterative import ApplicationSpec
-from repro.core.policy import greedy_policy
+from repro.core.policy import friendly_policy, greedy_policy, safe_policy
 from repro.errors import StrategyError
 from repro.load.base import ConstantExtender, ConstantLoadModel, LoadTrace
+from repro.load.kernels import RateView
 from repro.load.onoff import OnOffLoadModel
 from repro.platform.cluster import make_platform
 from repro.simkernel.plan import (
@@ -145,6 +146,8 @@ def test_plan_bindings_match_generic_path_stochastic():
 @pytest.mark.parametrize("strategy_factory", [
     lambda: NothingStrategy(),
     lambda: SwapStrategy(greedy_policy()),
+    lambda: SwapStrategy(safe_policy()),
+    lambda: SwapStrategy(friendly_policy()),
 ])
 def test_strategy_makespans_identical_lowered_vs_unlowered(strategy_factory):
     """The regression oracle: full runs are float-identical whichever
@@ -157,6 +160,27 @@ def test_strategy_makespans_identical_lowered_vs_unlowered(strategy_factory):
     assert lowered_result.makespan == generic_result.makespan
     assert ([r.end for r in lowered_result.records]
             == [r.end for r in generic_result.records])
+
+
+def test_decision_rates_bounded_only_on_batch_plans():
+    """Batch plans hand decisions a lazy view for window averages and the
+    cached full map for instantaneous rates; every other plan -- above
+    all the disable_lowering() oracle -- hands them the full map."""
+    lowered = lower(onoff_platform())
+    with disable_lowering():
+        generic = lower(onoff_platform())
+    full = generic.predicted_rates(40.0, 30.0)
+    view = lowered.decision_rates(40.0, 30.0, [1, 4])
+    assert type(view) is RateView
+    assert set(view) == {1, 4}
+    assert {h: view[h] for h in full} == full
+    assert lowered.decision_rates(40.0, 0.0, [1]) == \
+        generic.predicted_rates(40.0, 0.0)
+    oracle = generic.decision_rates(40.0, 30.0, [1, 4])
+    assert type(oracle) is dict and oracle == full
+    constant = lower(constant_platform(n_competing=1))
+    rates = constant.decision_rates(40.0, 30.0, [0])
+    assert type(rates) is dict and set(rates) == {0, 1, 2, 3}
 
 
 def test_strategy_makespans_identical_on_constant_load():
