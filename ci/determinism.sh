@@ -1,0 +1,219 @@
+#!/usr/bin/env bash
+# Determinism matrix: every way of scheduling a sweep must give the
+# serial reference's bytes.
+#
+# Run from the repository root:
+#
+#     PYTHONPATH=src bash ci/determinism.sh [OUT_DIR]
+#
+# Sweep artifacts land in OUT_DIR (default: ci-out/).  The script exits
+# non-zero at the first `cmp`, `grep` or assert that fails.
+#
+# Sections:
+#   1. lowered == disable_lowering() on the perf-gate scenarios, and
+#      the fig4/fig7 goldens;
+#   2. fig7 over a scheduler x transport x {plain, obs, telemetry,
+#      chaos} matrix: result JSON, trace and sim metrics must `cmp`
+#      equal to the serial run's;
+#   3. warm-cache resume, a remote TCP worker joining mid-run, and the
+#      handshake gate refusing wrong tokens and fingerprints;
+#   4. the runtime telemetry plane's exports (timeline, Prometheus,
+#      summary, tail);
+#   5. reruns, trace lint and report byte-stability on fig4, fig7 and
+#      ext-faults.
+set -euo pipefail
+
+OUT=${1:-ci-out}
+rm -rf "$OUT"
+mkdir -p "$OUT"
+
+# sweep NAME SCENARIO FLAGS...: one --seeds 2 sweep, result JSON in
+# $OUT/NAME.json and stdout in $OUT/NAME.log.
+sweep() {
+  local name=$1 scenario=$2
+  shift 2
+  echo "== $name: $scenario $*"
+  python -m repro.experiments "$scenario" --seeds 2 --no-bench \
+    --json "$OUT/$name.json" "$@" > "$OUT/$name.log"
+}
+
+# traced NAME SCENARIO FLAGS...: sweep with the obs session on.
+traced() {
+  local name=$1 scenario=$2
+  shift 2
+  sweep "$name" "$scenario" --trace "$OUT/$name.jsonl" \
+    --metrics-json "$OUT/$name-metrics.json" "$@"
+}
+
+# same_obs REF NAME: result, trace and sim metrics all byte-equal.
+same_obs() {
+  cmp "$OUT/$1.json" "$OUT/$2.json"
+  cmp "$OUT/$1.jsonl" "$OUT/$2.jsonl"
+  cmp "$OUT/$1-metrics.json" "$OUT/$2-metrics.json"
+}
+
+echo "## 1. lowering oracle and goldens"
+python - <<'EOF'
+import json
+from repro.experiments.executor import execute_sweep
+from repro.experiments.scenarios import get_scenario
+from repro.simkernel.plan import disable_lowering
+# fig8, fig9 and ablation-history run the windowed and
+# hyperexponential policies the bounded decision scan serves.
+for name in ("fig4", "fig7", "fig8", "fig9", "ablation-history"):
+    spec = get_scenario(name)
+    fast, timing = execute_sweep(spec, seeds=2)
+    with disable_lowering():
+        ref, _ = execute_sweep(spec, seeds=2)
+    dumped = json.dumps(fast.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert dumped == json.dumps(ref.to_dict(), sort_keys=True,
+                                indent=2) + "\n", f"{name}: lowered != scalar"
+    if name in ("fig4", "fig7"):
+        golden = open(f"tests/experiments/goldens/{name}-seeds2.json").read()
+        assert dumped == golden, f"{name}: drifted from committed golden"
+    assert timing.engine_events > 0, f"{name}: engine events not counted"
+    print(f"{name}: byte-identical, "
+          f"{timing.iterations_per_sec:.0f} it/s, "
+          f"{timing.engine_events} kernel events")
+EOF
+
+echo "## 2. fig7 scheduler x transport matrix"
+sweep serial fig7 --no-cache --jobs 1
+traced serial-obs fig7 --no-cache --jobs 1
+cmp "$OUT/serial.json" "$OUT/serial-obs.json"
+
+# name|flags|chaos spec ("-" where the scheduler has no workers to lose)
+MATRIX=(
+  "pool|--jobs 4|-"
+  "thread|--fabric --jobs 2 --fabric-transport thread|crash:0:2"
+  "process|--fabric --jobs 4|kill:0:2"
+  "tcp|--fabric --jobs 2 --fabric-transport tcp|kill:0:2"
+)
+for row in "${MATRIX[@]}"; do
+  IFS='|' read -r name flags chaos <<< "$row"
+  read -r -a argv <<< "$flags"
+  sweep "$name" fig7 --no-cache "${argv[@]}"
+  cmp "$OUT/serial.json" "$OUT/$name.json"
+  traced "$name-obs" fig7 --no-cache "${argv[@]}"
+  same_obs serial-obs "$name-obs"
+  # The wall-clock plane must not touch a single sim-time byte.
+  traced "$name-telemetry" fig7 --no-cache "${argv[@]}" \
+    --runtime-telemetry "$OUT/rt-$name" --progress
+  same_obs serial-obs "$name-telemetry"
+  if [[ $chaos != - ]]; then
+    sweep "$name-chaos" fig7 --no-cache "${argv[@]}" --fabric-chaos "$chaos"
+    cmp "$OUT/serial.json" "$OUT/$name-chaos.json"
+    grep -q " 1 worker(s) lost" "$OUT/$name-chaos.log"
+  fi
+done
+
+echo "## 3. warm resume, remote join, handshake gate"
+sweep fabric-cold fig7 --cache-dir "$OUT/fabric-cache" --fabric --jobs 4
+sweep fabric-warm fig7 --cache-dir "$OUT/fabric-cache" --fabric --jobs 4
+grep -q "0/20 cells computed" "$OUT/fabric-warm.log"
+cmp "$OUT/fabric-cold.json" "$OUT/fabric-warm.json"
+cmp "$OUT/serial.json" "$OUT/fabric-warm.json"
+
+python -m repro.experiments.fabric worker 127.0.0.1:39218 \
+  --token ci-secret --retry-for 60 &
+WORKER=$!
+sweep tcp-join fig7 --no-cache --fabric --jobs 1 --fabric-transport tcp \
+  --listen 127.0.0.1:39218 --fabric-token ci-secret
+wait $WORKER
+cmp "$OUT/serial.json" "$OUT/tcp-join.json"
+
+python - <<'EOF'
+import subprocess, sys, time
+from repro.experiments.fabric import (COORDINATOR, WELCOME,
+                                      Envelope, HandshakeInfo,
+                                      TcpTransport,
+                                      welcome_payload)
+from repro.experiments.scenarios import get_scenario
+
+def refuse(info, token, expect, pump_welcome=False):
+    transport = TcpTransport(info, listen="127.0.0.1:0")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.fabric",
+         "worker", transport.address, "--token", token],
+        stderr=subprocess.PIPE, text=True)
+    while proc.poll() is None:
+        for channel, _hello in transport.poll_peers():
+            if pump_welcome:
+                channel.send(Envelope(
+                    kind=WELCOME, sender=COORDINATOR,
+                    payload=welcome_payload(info, "w0")))
+        time.sleep(0.02)
+    err = proc.stderr.read()
+    transport.close()
+    assert proc.returncode == 2, (proc.returncode, err)
+    assert expect in err, err
+    assert "Traceback" not in err, err
+    print(f"refused cleanly: {expect!r}")
+
+fig7 = get_scenario("fig7")
+good = HandshakeInfo(token="s3cret", scenario="fig7",
+                     fingerprint=fig7.fingerprint())
+refuse(good, "wrong-token", "bad token")
+diverged = HandshakeInfo(token="s3cret", scenario="fig7",
+                         fingerprint="0" * 64)
+refuse(diverged, "s3cret", "fingerprint mismatch",
+       pump_welcome=True)
+EOF
+
+echo "## 4. runtime telemetry exports"
+python -m repro.obs timeline "$OUT/rt-process" --out "$OUT/fleet.trace.json"
+FLEET="$OUT/fleet.trace.json" python - <<'EOF'
+import json, os
+doc = json.load(open(os.environ["FLEET"]))
+events = doc["traceEvents"]
+assert events, "empty fleet timeline"
+names = {e["args"]["name"] for e in events if e["ph"] == "M"
+         and e["name"] == "process_name"}
+assert "coordinator" in names, names
+assert any(n.startswith("worker ") for n in names), names
+EOF
+python -m repro.obs runtime-metrics "$OUT/rt-process" --out "$OUT/metrics.prom"
+grep -q "^repro_runtime_cells_done" "$OUT/metrics.prom"
+python -m repro.obs runtime-summary "$OUT/rt-process"
+python -m repro.obs tail "$OUT/rt-process"
+
+echo "## 5. reruns, trace lint, report byte-stability"
+traced fig4-1 fig4 --no-cache
+traced fig4-2 fig4 --no-cache
+cmp "$OUT/fig4-1.jsonl" "$OUT/fig4-2.jsonl"
+cmp "$OUT/fig4-1-metrics.json" "$OUT/fig4-2-metrics.json"
+sweep fig4-chrome fig4 --no-cache --trace "$OUT/fig4-chrome.json" \
+  --trace-format chrome
+CHROME="$OUT/fig4-chrome.json" python -c "import json, os; d = json.load(open(os.environ['CHROME'])); assert d['traceEvents'], 'empty trace'"
+
+python -m repro.obs lint "$OUT/serial-obs.jsonl" \
+  --metrics "$OUT/serial-obs-metrics.json"
+for i in 1 2; do
+  python -m repro.obs report "$OUT/serial-obs.jsonl" \
+    --metrics "$OUT/serial-obs-metrics.json" --out "$OUT/report-$i" --strict
+done
+cmp "$OUT/report-1/report.md" "$OUT/report-2/report.md"
+cmp "$OUT/report-1/gantt.svg" "$OUT/report-2/gantt.svg"
+for jobs in 1 4; do
+  sweep "report-j$jobs" fig7 --cache-dir "$OUT/report-cache" --jobs "$jobs" \
+    --report "$OUT/report-j$jobs"
+done
+cmp "$OUT/report-j1/report.md" "$OUT/report-j4/report.md"
+cmp "$OUT/report-j1/gantt.svg" "$OUT/report-j4/gantt.svg"
+
+traced faults-1 ext-faults --no-cache
+traced faults-2 ext-faults --no-cache
+cmp "$OUT/faults-1.jsonl" "$OUT/faults-2.jsonl"
+cmp "$OUT/faults-1-metrics.json" "$OUT/faults-2-metrics.json"
+for jobs in 1 4; do
+  sweep "faults-j$jobs" ext-faults --cache-dir "$OUT/fault-cache" \
+    --jobs "$jobs" --trace "$OUT/faults-j$jobs.jsonl"
+done
+cmp "$OUT/faults-j1.jsonl" "$OUT/faults-j4.jsonl"
+cmp "$OUT/faults-1.jsonl" "$OUT/faults-j1.jsonl"
+# TL001-TL007, including TL007 on the fault records.
+python -m repro.obs lint "$OUT/faults-1.jsonl" \
+  --metrics "$OUT/faults-1-metrics.json"
+python -m repro.analysis src/repro/obs
+
+echo "determinism matrix: all comparisons byte-identical"

@@ -7,6 +7,7 @@ Examples
 
     python -m repro.experiments fig4
     python -m repro.experiments fig4 --jobs 4
+    python -m repro.experiments fig4 --fabric --jobs 4
     python -m repro.experiments fig7 --seeds 10 --chart
     python -m repro.experiments --list
 
@@ -41,23 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of replicated seeds (default: "
                              "scenario-specific)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep cells "
-                             "(default: 1, serial reference path)")
+                        help="worker processes for sweep cells, or fabric "
+                             "workers with --fabric (default: 1, serial "
+                             "reference path)")
     parser.add_argument("--fabric", action="store_true",
                         help="run on the coordinator/worker sweep fabric "
                              "instead of the process pool (see "
                              "docs/FABRIC.md); result stays byte-identical")
-    parser.add_argument("--workers", type=int, default=4, metavar="N",
-                        help="fabric worker count (default: 4; only with "
-                             "--fabric)")
     parser.add_argument("--fabric-transport",
-                        choices=("thread", "process", "socket", "tcp"),
-                        default="process",
+                        choices=("thread", "process", "tcp"), default=None,
                         help="fabric transport (default: process; 'tcp' "
                              "binds --listen and accepts remote workers "
                              "mid-run)")
-    parser.add_argument("--listen", metavar="HOST:PORT",
-                        default="127.0.0.1:0",
+    parser.add_argument("--listen", metavar="HOST:PORT", default=None,
                         help="tcp transport only: the coordinator's bind "
                              "address (default: 127.0.0.1:0, an ephemeral "
                              "loopback port; the bound address is printed "
@@ -190,10 +187,12 @@ def _execute(args, spec, session):
     """
     cache_dir = None if args.no_cache else args.cache_dir
     if not args.fabric:
-        if args.fabric_chaos is not None:
-            raise SystemExit("--fabric-chaos needs --fabric")
-        if args.fabric_token is not None:
-            raise SystemExit("--fabric-token needs --fabric")
+        for flag, value in (("--fabric-transport", args.fabric_transport),
+                            ("--listen", args.listen),
+                            ("--fabric-token", args.fabric_token),
+                            ("--fabric-chaos", args.fabric_chaos)):
+            if value is not None:
+                raise SystemExit(f"{flag} needs --fabric")
         result, timing = execute_sweep(spec, seeds=args.seeds,
                                        jobs=args.jobs, cache_dir=cache_dir,
                                        obs_session=session,
@@ -205,9 +204,12 @@ def _execute(args, spec, session):
 
     chaos = (WorkerChaos.parse(args.fabric_chaos)
              if args.fabric_chaos is not None else None)
-    config = FabricConfig(workers=args.workers,
-                          transport=args.fabric_transport, chaos=chaos,
-                          listen=args.listen, token=args.fabric_token)
+    # Unset transport/listen keep FabricConfig's defaults.
+    overrides = {name: value for name, value in
+                 (("transport", args.fabric_transport),
+                  ("listen", args.listen)) if value is not None}
+    config = FabricConfig(workers=args.jobs, chaos=chaos,
+                          token=args.fabric_token, **overrides)
     return execute_sweep_fabric(spec, seeds=args.seeds, config=config,
                                 cache_dir=cache_dir, obs_session=session,
                                 runtime_dir=args.runtime_telemetry,

@@ -22,7 +22,6 @@ from repro.experiments.fabric.core import (  # noqa: F401
     FabricConfig,
     FabricStats,
     ProcessTransport,
-    SocketTransport,
     TcpTransport,
     ThreadTransport,
     WorkerChaos,
@@ -76,7 +75,6 @@ __all__ = [
     "ProcessTransport",
     "REQUEST_WORK",
     "SHUTDOWN",
-    "SocketTransport",
     "TcpTransport",
     "ThreadTransport",
     "WELCOME",

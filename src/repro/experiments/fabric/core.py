@@ -2,11 +2,10 @@
 
 The :mod:`~repro.experiments.executor` fans cells over a single
 machine's ``ProcessPoolExecutor``; this module is the scale-out story
-(ROADMAP item 1, in the style of panda-yoda's Yoda/Droid split): a
-**coordinator** streams ``(x, seed)`` cells through a work queue with
-batched *leases*, **workers** pull cells and push results, and every
-conversation is a typed, versioned :class:`Envelope` carried by a
-pluggable transport:
+(in the style of panda-yoda's Yoda/Droid split): a **coordinator**
+streams ``(x, seed)`` cells through a work queue with batched *leases*,
+**workers** pull cells and push results, and every conversation is a
+typed, versioned :class:`Envelope` carried by a pluggable transport:
 
 * ``thread``   -- in-process queues; workers are daemon threads.  Cell
   computation is serialized by a lock (the simulation uses per-process
@@ -15,10 +14,6 @@ pluggable transport:
   message protocol deterministically in tests, not for speedup.
 * ``process``  -- one ``multiprocessing.Process`` per worker over a
   duplex ``Pipe``.  The real same-machine backend.
-* ``socket``   -- workers connect to the coordinator over a Unix-domain
-  socket carrying length-prefixed pickled envelopes.  The worker side
-  only needs the address, so the same protocol extends to remote
-  launchers.
 * ``tcp``      -- the cross-host story: the coordinator binds a TCP
   listener (``FabricConfig.listen``), launches its local fleet over
   loopback, and *additionally* accepts remote workers bootstrapped with
@@ -61,7 +56,6 @@ import secrets
 import signal
 import socket
 import sys
-import tempfile
 import threading
 import time
 from collections import deque
@@ -186,10 +180,10 @@ class FabricConfig:
             raise FabricError(f"workers must be >= 1, got {self.workers}")
         if self.lease_size < 1:
             raise FabricError(f"lease_size must be >= 1, got {self.lease_size}")
-        if self.transport not in ("thread", "process", "socket", "tcp"):
+        if self.transport not in ("thread", "process", "tcp"):
             raise FabricError(
                 f"unknown transport {self.transport!r}; pick from "
-                f"('thread', 'process', 'socket', 'tcp')")
+                f"('thread', 'process', 'tcp')")
         if self.handshake_timeout <= 0:
             raise FabricError(
                 f"handshake_timeout must be > 0, got {self.handshake_timeout}")
@@ -389,12 +383,6 @@ def _process_worker_entry(conn, spec, instrument, config):  # pragma: no cover -
     worker_main(_PipeChannel(conn), spec, instrument, config)
 
 
-def _socket_worker_entry(address, spec, instrument, config):  # pragma: no cover - child process
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.connect(address)
-    worker_main(_SocketChannel(sock), spec, instrument, config)
-
-
 def _tcp_worker_entry(address, token, spec, instrument, config,
                       nonce=None):  # pragma: no cover - child process
     """Locally-launched TCP worker: same host, same checkout, so the
@@ -561,61 +549,6 @@ class ProcessTransport:
         pass
 
 
-class SocketTransport:
-    """Workers connect back over a Unix-domain socket.
-
-    The launcher here spawns local processes for the test/benchmark
-    story, but the worker side (:func:`_socket_worker_entry`) needs only
-    the address -- the same protocol serves remote launchers.
-    """
-
-    name = "socket"
-
-    def __init__(self) -> None:
-        self._dir = tempfile.mkdtemp(prefix="repro-fabric-")
-        self.address = os.path.join(self._dir, "fabric.sock")
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(self.address)
-        self._listener.listen()
-
-    def launch(self, spec, instrument, config: WorkerConfig) -> WorkerHandle:
-        import multiprocessing
-
-        process = multiprocessing.Process(
-            target=_socket_worker_entry,
-            args=(self.address, spec, instrument, config),
-            name=f"fabric-{config.worker_id}", daemon=True)
-        process.start()
-        self._listener.settimeout(10.0)
-        try:
-            conn, _ = self._listener.accept()
-        except TimeoutError as exc:
-            process.kill()
-            raise FabricError(
-                f"worker {config.worker_id} never connected") from exc
-
-        def kill() -> None:
-            if process.is_alive():
-                process.kill()
-
-        return WorkerHandle(
-            worker_id=config.worker_id, channel=_SocketChannel(conn),
-            is_alive=process.is_alive, kill=kill,
-            join=lambda timeout: process.join(timeout),
-            started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
-
-    def poll_peers(self) -> "list[tuple[object, Envelope]]":
-        return []  # the UNIX listener accepts only workers it launched
-
-    def close(self) -> None:
-        try:
-            self._listener.close()
-            os.unlink(self.address)
-            os.rmdir(self._dir)
-        except OSError:
-            pass
-
-
 def _parse_listen(text: str) -> "tuple[str, int]":
     """Split ``HOST:PORT`` (IPv6 hosts may be bracketed or bare)."""
     host, sep, port = text.rpartition(":")
@@ -634,8 +567,8 @@ class TcpTransport:
     """The cross-host transport: a TCP listener plus the admission gate.
 
     Two populations share the listener.  ``launch()`` spawns *local*
-    loopback workers -- the coordinator's own fleet, the same
-    process-per-worker story as :class:`SocketTransport` -- and
+    loopback workers -- the coordinator's own fleet, one process per
+    worker as in :class:`ProcessTransport` -- and
     :meth:`poll_peers` admits *remote* workers bootstrapped out-of-band
     with ``python -m repro.experiments.fabric worker HOST:PORT --token
     T``.  Both arrive as anonymous TCP connections and both pass the
@@ -811,8 +744,6 @@ def make_transport(name: str, *,
         return ThreadTransport()
     if name == "process":
         return ProcessTransport()
-    if name == "socket":
-        return SocketTransport()
     if name == "tcp":
         if handshake is None:
             raise FabricError(
@@ -997,6 +928,7 @@ class Coordinator:
         self._tel_count("runtime.workers_lost_total")
         if worker.lease is not None:
             self.stats.revoked_leases += 1
+            self._tel_count("runtime.leases_revoked_total")
             requeued = 0
             for key in sorted(worker.lease.outstanding):
                 if key not in self.cells:
@@ -1069,9 +1001,12 @@ class Coordinator:
         if not payload.get("ok", False):
             # A failing cell is a sweep failure, with full coordinates --
             # record it, then drain the fleet before raising.
+            # The worker's "Type: message" text becomes the cause, as the
+            # serial and pool paths chain the original exception.
             exc = FabricError(str(payload.get("error", "unknown error")))
             self._failure = cell_failure(self.spec, payload["x"],
                                          payload["seed"], exc)
+            self._failure.__cause__ = exc
             return
         if worker.lease is not None:
             worker.lease.outstanding.discard(key)
@@ -1101,6 +1036,7 @@ class Coordinator:
         worker.last_seen = now
         if env.kind == REQUEST_WORK:
             self.stats.work_requests += 1
+            self._tel_count("runtime.work_requests_total")
             if self._failure is None:
                 self._assign(worker)
             else:
@@ -1301,7 +1237,6 @@ def execute_sweep_fabric(spec: ExperimentSpec,
     result = merge_cells(spec, seed_list, cells)
     if obs_session is not None:
         fold_obs(obs_session, spec, seed_list, cells)
-        _fold_fabric_metrics(obs_session, coordinator.stats)
 
     wall = time.perf_counter() - started  # simlint: disable=SL001 (perf record of the host run, not simulated time)
     computed_keys = sorted(coordinator._cell_specs)
@@ -1328,33 +1263,13 @@ def execute_sweep_fabric(spec: ExperimentSpec,
             coordinator.stats.duplicate_results)
         metrics.counter("runtime.heartbeats_total").inc(
             coordinator.stats.heartbeats)
+        lifetimes = coordinator.stats.worker_lifetimes
+        for worker_id in sorted(lifetimes):
+            metrics.histogram("runtime.worker_lifetime_seconds",
+                              LIFETIME_BUCKETS).observe(lifetimes[worker_id])
         telemetry.finalize(done=len(cells))
     return result, timing, coordinator.stats
 
 
 #: Worker-lifetime histogram buckets (seconds of host wall time).
 LIFETIME_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
-
-
-def _fold_fabric_metrics(session: "obs.ObsSession", stats: FabricStats,
-                         ) -> None:
-    """Record the fabric's operational counters into the obs registry.
-
-    These are host-side, wall-clock-flavored metrics (``fabric.*``) --
-    deliberately separate from the deterministic simulation metrics, and
-    excluded from any byte-identity comparison.
-    """
-    metrics = session.metrics
-    metrics.counter("fabric.leases_total").inc(stats.leases)
-    metrics.counter("fabric.cells_requeued_total").inc(stats.requeued_cells)
-    metrics.counter("fabric.leases_revoked_total").inc(stats.revoked_leases)
-    metrics.counter("fabric.heartbeats_total").inc(stats.heartbeats)
-    metrics.counter("fabric.work_requests_total").inc(stats.work_requests)
-    metrics.counter("fabric.workers_started_total").inc(stats.workers_started)
-    metrics.counter("fabric.workers_lost_total").inc(stats.workers_lost)
-    metrics.counter("fabric.duplicate_results_total").inc(
-        stats.duplicate_results)
-    for worker_id in sorted(stats.worker_lifetimes):
-        metrics.histogram("fabric.worker_lifetime_seconds",
-                          LIFETIME_BUCKETS).observe(
-            stats.worker_lifetimes[worker_id])

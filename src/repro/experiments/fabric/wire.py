@@ -97,7 +97,7 @@ class Envelope:
             raise FabricError(f"unknown message kind {self.kind!r}")
 
     def to_wire(self) -> dict:
-        """Plain-dict spelling (what the socket transport pickles)."""
+        """Plain-dict spelling (what the TCP transport pickles)."""
         return {"kind": self.kind, "sender": self.sender,
                 "payload": self.payload, "version": self.version}
 
@@ -217,11 +217,11 @@ class _PipeChannel:
 
 
 class _SocketChannel:
-    """Socket-transport channel half: length-prefixed pickled envelopes.
+    """TCP-transport channel half: length-prefixed pickled envelopes.
 
     Frames are ``struct('>I')`` length + ``pickle(envelope.to_wire())``.
-    The class is transport-agnostic over the socket family -- the UNIX
-    transport and the TCP transport wrap the same byte-stream framing.
+    The framing needs only a byte stream, so it works over any socket
+    family (the wire tests also drive it over a UNIX socketpair).
     Inbound frames pass three gates before anything trusts them: the
     announced length must not exceed ``max_frame_bytes``, the body must
     decode under :func:`restricted_loads` (no importable globals), and

@@ -6,7 +6,7 @@ Renders the :mod:`repro.obs.analyze` analytics as two artifacts:
   inventory, decision outcomes, rejection breakdown, payback
   distribution, per-series adaptation summary, lint verdict).  No wall
   clock, no environment data: identical traces render identical bytes,
-  which is what the ``trace-report`` CI job ``cmp``-checks.
+  which is what ``ci/determinism.sh`` ``cmp``-checks.
 * :func:`render_gantt_svg` -- one sweep cell as a Gantt timeline (one
   row per series: iteration slices in the series color, swap/checkpoint
   slices in accent colors, rebalance ticks), reusing the axis/format

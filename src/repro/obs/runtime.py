@@ -11,8 +11,8 @@ planes"):
   wall-clock telemetry of the sweep machinery itself: where host time
   goes, which fabric worker is straggling, why a lease expired.  Nothing
   here may ever feed back into a simulation result; the sim-time plane
-  stays digest-identical whether runtime telemetry is on or off (the
-  ``telemetry-isolation`` CI job enforces exactly that).
+  stays digest-identical whether runtime telemetry is on or off
+  (``ci/determinism.sh`` enforces exactly that).
 
 The plane has four parts:
 

@@ -60,6 +60,8 @@ def test_parser_defaults():
     assert args.seeds is None
     assert args.baseline == "nothing"
     assert args.jobs == 1
+    assert args.fabric_transport is None
+    assert args.listen is None
     assert args.cache_dir == ".sweep-cache"
     assert not args.no_cache
     assert args.bench_json == "BENCH_sweeps.json"
@@ -69,6 +71,26 @@ def test_parser_defaults():
 def test_jobs_flag_runs_parallel(capsys):
     assert main(["fig4", "--seeds", "1", "--jobs", "2", *QUIET]) == 0
     out = capsys.readouterr().out
+    assert "2 job(s)" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--fabric-transport", "tcp"],
+    ["--listen", "0.0.0.0:7777"],
+    ["--fabric-token", "secret"],
+    ["--fabric-chaos", "crash:0:1"],
+])
+def test_fabric_only_flags_need_fabric(flags):
+    # Without --fabric these would be silently dropped by a serial run.
+    with pytest.raises(SystemExit, match=f"{flags[0]} needs --fabric"):
+        main(["fig4", "--seeds", "1", *flags, *QUIET])
+
+
+def test_jobs_sets_fabric_fleet_size(capsys):
+    assert main(["fig4", "--seeds", "1", "--fabric", "--jobs", "2",
+                 "--fabric-transport", "thread", *QUIET]) == 0
+    out = capsys.readouterr().out
+    assert "[fabric: 2 thread worker(s)" in out
     assert "2 job(s)" in out
 
 

@@ -39,7 +39,7 @@ from repro.strategies.swapstrat import SwapStrategy
 
 
 def _tiny_build(x, seed):
-    # Module-level so the spec pickles into process/socket workers.
+    # Module-level so the spec pickles into process/tcp workers.
     platform = make_platform(3, ConstantLoadModel(int(x)), seed=seed,
                              speed_range=(100e6, 200e6))
     app = ApplicationSpec(n_processes=2, iterations=3,
@@ -136,7 +136,7 @@ def test_config_validation():
 # -- byte-identity across transports ----------------------------------------
 
 
-@pytest.mark.parametrize("transport", ["thread", "process", "socket", "tcp"])
+@pytest.mark.parametrize("transport", ["thread", "process", "tcp"])
 def test_fabric_matches_serial_byte_identical(transport):
     result, timing, stats = execute_sweep_fabric(
         TINY, seeds=2, workers=3, transport=transport)
@@ -184,16 +184,21 @@ def test_fabric_and_pool_share_one_cache(tmp_path):
 # -- recovery semantics ------------------------------------------------------
 
 
-def test_worker_crash_mid_lease_requeues_and_stays_identical():
+def test_worker_crash_mid_lease_requeues_and_stays_identical(tmp_path):
+    from repro.obs.runtime import load_metrics_series
+
     config = FabricConfig(
         workers=2, transport="thread", lease_size=2,
         chaos=WorkerChaos(mode="crash", worker="w0", after_cells=1))
     result, _timing, stats = execute_sweep_fabric(TINY, seeds=2,
-                                                  config=config)
+                                                  config=config,
+                                                  runtime_dir=tmp_path)
     assert _canon(result) == SERIAL
     assert stats.workers_lost == 1
     assert stats.requeued_cells >= 1
     assert stats.revoked_leases >= 1
+    counters = load_metrics_series(tmp_path)[-1]["metrics"]["counters"]
+    assert counters["runtime.leases_revoked_total"] == stats.revoked_leases
 
 
 def test_hard_process_kill_requeues_and_stays_identical():
@@ -301,33 +306,45 @@ def test_failing_cell_surfaces_with_coordinates():
 
 
 def test_failing_cell_on_process_transport():
-    with pytest.raises(ExperimentError, match="poisoned-fabric"):
+    with pytest.raises(ExperimentError, match="poisoned-fabric") as info:
         execute_sweep_fabric(POISONED, seeds=1, workers=2,
                              transport="process")
+    # The worker's original exception rides along as the cause, as it
+    # does on the serial and pool paths.
+    cause = info.value.__cause__
+    assert isinstance(cause, FabricError)
+    assert str(cause) == "ValueError: deliberately poisoned cell"
 
 
 # -- observability -----------------------------------------------------------
 
 
-def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics():
+def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics(tmp_path):
     from repro import obs
+    from repro.obs.runtime import load_metrics_series
 
-    pool_session = obs.ObsSession()
-    execute_sweep(TINY, seeds=2, obs_session=pool_session)
+    serial_session = obs.ObsSession()
+    execute_sweep(TINY, seeds=2, obs_session=serial_session)
 
     fabric_session = obs.ObsSession()
+    run_dir = tmp_path / "rt"
     _result, _timing, stats = execute_sweep_fabric(
         TINY, seeds=2, workers=2, transport="thread",
-        obs_session=fabric_session)
+        obs_session=fabric_session, runtime_dir=run_dir)
 
-    # The simulation trace is merged in grid order: byte-identical.
-    assert fabric_session.trace.records == pool_session.trace.records
-    counters = fabric_session.metrics.to_dict()["counters"]
-    assert counters["fabric.leases_total"] == stats.leases
-    assert counters["fabric.workers_started_total"] == 2
-    assert counters["fabric.heartbeats_total"] >= 1
-    lifetimes = fabric_session.metrics.to_dict()["histograms"][
-        "fabric.worker_lifetime_seconds"]
+    # The simulation trace is merged in grid order, and the sim metrics
+    # registry carries no fabric counters: both byte-identical.
+    assert fabric_session.trace.records == serial_session.trace.records
+    assert (json.dumps(fabric_session.metrics.to_dict(), sort_keys=True)
+            == json.dumps(serial_session.metrics.to_dict(), sort_keys=True))
+    # The fabric's operational counters live on the runtime plane.
+    runtime = load_metrics_series(run_dir)[-1]["metrics"]
+    counters = runtime["counters"]
+    assert counters["runtime.leases_total"] == stats.leases
+    assert counters["runtime.workers_started_total"] == 2
+    assert counters["runtime.work_requests_total"] == stats.work_requests
+    assert counters["runtime.heartbeats_total"] >= 1
+    lifetimes = runtime["histograms"]["runtime.worker_lifetime_seconds"]
     assert lifetimes["count"] == 2
 
 

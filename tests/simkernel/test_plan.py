@@ -1,4 +1,4 @@
-"""Tests for the scenario-lowering pass (repro.simkernel.plan)."""
+"""Tests for scenario lowering (repro.simkernel.plan)."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.platform.cluster import make_platform
 from repro.simkernel.plan import (
     disable_lowering,
     lower,
-    lower_spec,
     lowering_enabled,
 )
 from repro.strategies.nothing import NothingStrategy
@@ -34,23 +33,17 @@ def onoff_platform(n=6, seed=0):
     return make_platform(n, OnOffLoadModel(p=0.3, q=0.3), seed=seed)
 
 
-# -- pass firing -------------------------------------------------------------
+# -- the lowering decisions --------------------------------------------------
 
 def test_all_passes_fire_on_quiet_constant_platform():
     plan = lower(constant_platform())
-    assert plan.lowered
-    assert plan.passes == ("fault-elim", "obs-elim", "constant-load",
-                           "batch-kernel")
+    assert plan.kind == "closed-form"
     assert plan.fault_free
     assert not plan.obs_on
-    assert plan.describe()["constant_load"]
 
 
 def test_constant_load_pass_declines_stochastic_traces():
-    plan = lower(onoff_platform())
-    assert "constant-load" not in plan.passes
-    assert "batch-kernel" in plan.passes
-    assert not plan.describe()["constant_load"]
+    assert lower(onoff_platform()).kind == "batch-kernel"
 
 
 def test_constant_load_proof_inspects_traces_not_specs():
@@ -59,8 +52,7 @@ def test_constant_load_proof_inspects_traces_not_specs():
     platform = constant_platform()
     platform.hosts[1].trace = LoadTrace([0.0, 5.0, 1e9], [0, 2],
                                         beyond_horizon="hold")
-    plan = lower(platform)
-    assert "constant-load" not in plan.passes
+    assert lower(platform).kind == "batch-kernel"
 
 
 def test_constant_load_proof_requires_matching_extender():
@@ -68,20 +60,22 @@ def test_constant_load_proof_requires_matching_extender():
     platform = constant_platform()
     platform.hosts[0].trace = LoadTrace([0.0, 1e3], [0],
                                         extender=ConstantExtender(2))
-    assert "constant-load" not in lower(platform).passes
-    # ...but a matching extender keeps the proof.
+    assert lower(platform).kind == "batch-kernel"
+
+
+def test_constant_proof_accepts_matching_extender():
+    platform = constant_platform()
     platform.hosts[0].trace = LoadTrace([0.0, 1e3], [2],
                                         extender=ConstantExtender(2))
     platform.hosts[1].trace = LoadTrace([0.0, 1e3], [0],
                                         extender=ConstantExtender(0))
-    assert "constant-load" in lower(platform).passes
+    assert lower(platform).kind == "closed-form"
 
 
 def test_obs_pass_keeps_emission_under_active_session():
     with obs.observing(obs.ObsSession()):
         plan = lower(constant_platform())
     assert plan.obs_on
-    assert "obs-elim" not in plan.passes
 
 
 def test_fault_pass_keeps_hooks_with_fault_plan():
@@ -90,9 +84,7 @@ def test_fault_pass_keeps_hooks_with_fault_plan():
     platform = make_platform(4, ConstantLoadModel(0), seed=0,
                              fault_model=FaultModel(revocation_rate=8.0,
                                                     mean_downtime=300.0))
-    plan = lower(platform)
-    assert not plan.fault_free
-    assert "fault-elim" not in plan.passes
+    assert not lower(platform).fault_free
 
 
 # -- disable_lowering --------------------------------------------------------
@@ -106,9 +98,8 @@ def test_disable_lowering_suspends_pipeline():
             assert not lowering_enabled()
         assert not lowering_enabled()
     assert lowering_enabled()
-    assert not plan.lowered
-    assert plan.passes == ()
-    assert plan.describe()["constant_load"] is False
+    assert plan.kind == "generic"
+    assert plan.obs_on
 
 
 # -- float identity: lowered == generic --------------------------------------
@@ -204,14 +195,3 @@ def test_iteration_rejects_empty_chunks_every_binding():
         plan = lower(constant_platform())
     with pytest.raises(StrategyError):
         plan.iteration({}, 0.0, 1.0)
-
-
-def test_lower_spec_reports_per_variant_passes():
-    from repro.experiments.scenarios import get_scenario
-
-    report = lower_spec(get_scenario("fig4"))
-    assert report["scenario"] == "fig4"
-    assert report["variants"]
-    for described in report["variants"].values():
-        assert described["lowered"]
-        assert "batch-kernel" in described["passes"]
