@@ -1,8 +1,8 @@
 """Benchmarks of the sweep executor itself (not a paper figure).
 
 Tracks the three execution modes of :mod:`repro.experiments.executor` on
-the fig4 sweep: the serial reference path, the process-pool fan-out, and
-a warm content-addressed cache.  On a multi-core runner the parallel
+the fig4 sweep: the serial reference path, the fan-out over fabric
+worker processes, and a warm content-addressed cache.  On a multi-core runner the parallel
 bench should approach ``1/jobs`` of the serial wall time; the warm-cache
 bench must compute zero cells regardless of core count.  All three land
 in ``benchmarks/BENCH_sweeps.json`` via the conftest session hook.

@@ -12,9 +12,9 @@
 # Sections:
 #   1. lowered == disable_lowering() on the perf-gate scenarios, and
 #      the fig4/fig7 goldens;
-#   2. fig7 over a scheduler x transport x {plain, obs, telemetry,
-#      chaos} matrix: result JSON, trace and sim metrics must `cmp`
-#      equal to the serial run's;
+#   2. fig7 over a transport x {plain, obs, telemetry, chaos} matrix:
+#      result JSON, trace and sim metrics must `cmp` equal to the
+#      serial run's;
 #   3. warm-cache resume, a remote TCP worker joining mid-run, and the
 #      handshake gate refusing wrong tokens and fingerprints;
 #   4. the runtime telemetry plane's exports (timeline, Prometheus,
@@ -77,17 +77,16 @@ for name in ("fig4", "fig7", "fig8", "fig9", "ablation-history"):
           f"{timing.engine_events} kernel events")
 EOF
 
-echo "## 2. fig7 scheduler x transport matrix"
+echo "## 2. fig7 transport matrix"
 sweep serial fig7 --no-cache --jobs 1
 traced serial-obs fig7 --no-cache --jobs 1
 cmp "$OUT/serial.json" "$OUT/serial-obs.json"
 
-# name|flags|chaos spec ("-" where the scheduler has no workers to lose)
+# name|flags|chaos spec
 MATRIX=(
-  "pool|--jobs 4|-"
-  "thread|--fabric --jobs 2 --fabric-transport thread|crash:0:2"
-  "process|--fabric --jobs 4|kill:0:2"
-  "tcp|--fabric --jobs 2 --fabric-transport tcp|kill:0:2"
+  "thread|--jobs 2 --fabric-transport thread|crash:0:2"
+  "process|--jobs 4|kill:0:2"
+  "tcp|--jobs 2 --fabric-transport tcp|kill:0:2"
 )
 for row in "${MATRIX[@]}"; do
   IFS='|' read -r name flags chaos <<< "$row"
@@ -100,16 +99,14 @@ for row in "${MATRIX[@]}"; do
   traced "$name-telemetry" fig7 --no-cache "${argv[@]}" \
     --runtime-telemetry "$OUT/rt-$name" --progress
   same_obs serial-obs "$name-telemetry"
-  if [[ $chaos != - ]]; then
-    sweep "$name-chaos" fig7 --no-cache "${argv[@]}" --fabric-chaos "$chaos"
-    cmp "$OUT/serial.json" "$OUT/$name-chaos.json"
-    grep -q " 1 worker(s) lost" "$OUT/$name-chaos.log"
-  fi
+  sweep "$name-chaos" fig7 --no-cache "${argv[@]}" --fabric-chaos "$chaos"
+  cmp "$OUT/serial.json" "$OUT/$name-chaos.json"
+  grep -q " 1 worker(s) lost" "$OUT/$name-chaos.log"
 done
 
 echo "## 3. warm resume, remote join, handshake gate"
-sweep fabric-cold fig7 --cache-dir "$OUT/fabric-cache" --fabric --jobs 4
-sweep fabric-warm fig7 --cache-dir "$OUT/fabric-cache" --fabric --jobs 4
+sweep fabric-cold fig7 --cache-dir "$OUT/fabric-cache" --jobs 4
+sweep fabric-warm fig7 --cache-dir "$OUT/fabric-cache" --jobs 4
 grep -q "0/20 cells computed" "$OUT/fabric-warm.log"
 cmp "$OUT/fabric-cold.json" "$OUT/fabric-warm.json"
 cmp "$OUT/serial.json" "$OUT/fabric-warm.json"
@@ -117,7 +114,7 @@ cmp "$OUT/serial.json" "$OUT/fabric-warm.json"
 python -m repro.experiments.fabric worker 127.0.0.1:39218 \
   --token ci-secret --retry-for 60 &
 WORKER=$!
-sweep tcp-join fig7 --no-cache --fabric --jobs 1 --fabric-transport tcp \
+sweep tcp-join fig7 --no-cache --jobs 1 --fabric-transport tcp \
   --listen 127.0.0.1:39218 --fabric-token ci-secret
 wait $WORKER
 cmp "$OUT/serial.json" "$OUT/tcp-join.json"

@@ -7,7 +7,7 @@ Examples
 
     python -m repro.experiments fig4
     python -m repro.experiments fig4 --jobs 4
-    python -m repro.experiments fig4 --fabric --jobs 4
+    python -m repro.experiments fig4 --fabric-transport tcp --jobs 2
     python -m repro.experiments fig7 --seeds 10 --chart
     python -m repro.experiments --list
 
@@ -42,18 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of replicated seeds (default: "
                              "scenario-specific)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep cells, or fabric "
-                             "workers with --fabric (default: 1, serial "
-                             "reference path)")
-    parser.add_argument("--fabric", action="store_true",
-                        help="run on the coordinator/worker sweep fabric "
-                             "instead of the process pool (see "
-                             "docs/FABRIC.md); result stays byte-identical")
+                        help="sweep workers; N > 1 runs the coordinator/"
+                             "worker fabric (see docs/FABRIC.md), result "
+                             "byte-identical (default: 1, the in-process "
+                             "serial reference)")
     parser.add_argument("--fabric-transport",
                         choices=("thread", "process", "tcp"), default=None,
-                        help="fabric transport (default: process; 'tcp' "
-                             "binds --listen and accepts remote workers "
-                             "mid-run)")
+                        help="run on the fabric over this transport, at "
+                             "any --jobs (default with --jobs N > 1: "
+                             "process; 'tcp' binds --listen and accepts "
+                             "remote workers mid-run)")
     parser.add_argument("--listen", metavar="HOST:PORT", default=None,
                         help="tcp transport only: the coordinator's bind "
                              "address (default: 127.0.0.1:0, an ephemeral "
@@ -180,19 +178,22 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def _execute(args, spec, session):
-    """Run one sweep on whichever backend the flags picked.
+    """Run one sweep: in-process at ``--jobs 1``, on the fabric when
+    ``--jobs N > 1`` or ``--fabric-transport`` asks for it.
 
     Returns ``(result, timing, fabric_stats)`` with ``fabric_stats``
-    None on the pool path.
+    None on the in-process path.
     """
     cache_dir = None if args.no_cache else args.cache_dir
-    if not args.fabric:
-        for flag, value in (("--fabric-transport", args.fabric_transport),
-                            ("--listen", args.listen),
-                            ("--fabric-token", args.fabric_token),
-                            ("--fabric-chaos", args.fabric_chaos)):
+    if args.fabric_transport != "tcp":
+        for flag, value in (("--listen", args.listen),
+                            ("--fabric-token", args.fabric_token)):
             if value is not None:
-                raise SystemExit(f"{flag} needs --fabric")
+                raise SystemExit(f"{flag} needs --fabric-transport tcp")
+    if args.jobs <= 1 and args.fabric_transport is None:
+        if args.fabric_chaos is not None:
+            raise SystemExit("--fabric-chaos needs a fabric run "
+                             "(--jobs N > 1 or --fabric-transport)")
         result, timing = execute_sweep(spec, seeds=args.seeds,
                                        jobs=args.jobs, cache_dir=cache_dir,
                                        obs_session=session,

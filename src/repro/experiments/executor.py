@@ -1,16 +1,18 @@
-"""Parallel sweep execution with a content-addressed cell cache.
+"""Sweep execution with a content-addressed cell cache.
 
 A sweep is a grid of independent *cells*: one ``(x value, seed)`` pair,
 inside which every variant runs back-to-back on one shared platform (the
 paper's identical-environments methodology lives entirely *inside* a
 cell).  Cells never communicate, so the executor can
 
-* fan them out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``jobs > 1``) while keeping the merged :class:`~repro.experiments.
-  runner.SweepResult` **bit-identical** to the serial reference: results
-  are keyed by grid coordinates and merged in ``(x, seed)`` order, so
-  completion order is irrelevant, and floats cross process boundaries via
-  pickle (exact) or JSON ``repr`` round-trips (also exact);
+* fan them out over worker processes (``jobs > 1``): that is a run of
+  the coordinator/worker fabric (:mod:`repro.experiments.fabric`) over
+  its ``process`` transport, with ``jobs`` workers.  The merged
+  :class:`~repro.experiments.runner.SweepResult` stays **bit-identical**
+  to the serial reference: results are keyed by grid coordinates and
+  merged in ``(x, seed)`` order, so completion order is irrelevant, and
+  floats cross process boundaries via pickle (exact) or JSON ``repr``
+  round-trips (also exact);
 * skip cells whose results are already on disk: the cache key is a
   SHA-256 over the scenario name, the spec fingerprint (declarative
   fields plus builder source), the cell coordinates, and the package
@@ -20,7 +22,9 @@ cell).  Cells never communicate, so the executor can
 
 ``jobs=1`` executes the same ``compute_cell`` function in-process, in
 grid order -- that path is the reference implementation the equivalence
-tests compare against.
+tests compare against.  The fabric shares this module's planning, cache,
+merge and obs-fold functions, so both paths address and fold cells the
+same way.
 
 Every execution also produces a :class:`SweepTiming` -- wall time, cells
 computed vs. cache hits, simulated iterations, and kernel events per
@@ -34,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -144,22 +147,6 @@ def compute_cell(spec: ExperimentSpec, x: float, seed: int, *,
                                     if session is not None else []),
                       metrics=(session.metrics.to_dict()
                                if session is not None else {}))
-
-
-def compute_cell_timed(spec: ExperimentSpec, x: float, seed: int, *,
-                       instrument: bool = False,
-                       ) -> "tuple[CellResult, float]":
-    """:func:`compute_cell` plus its wall-clock compute time in seconds.
-
-    The wall time is measured *inside* the computing process (pool
-    worker or fabric worker), feeds the per-cell percentile columns of
-    :class:`SweepTiming` and the runtime telemetry plane
-    (:mod:`repro.obs.runtime`), and never touches the deterministic
-    :class:`CellResult` itself.
-    """
-    started = time.perf_counter()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
-    cell = compute_cell(spec, x, seed, instrument=instrument)
-    return cell, time.perf_counter() - started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
 
 
 # -- content addressing -----------------------------------------------------
@@ -272,8 +259,9 @@ class SweepTiming:
     x_points: int
     seeds: int
     mode: str = "pool"
-    """Execution backend: ``"pool"`` (in-process / ProcessPoolExecutor)
-    or ``"fabric"`` (coordinator + workers, :mod:`.fabric`)."""
+    """Execution backend: ``"pool"`` (the in-process ``jobs=1`` run; the
+    name predates the fabric) or ``"fabric"`` (coordinator + workers,
+    :mod:`.fabric`, every ``jobs > 1`` run)."""
     cell_wall_p50: float = 0.0
     """Median wall seconds per *computed* cell (0.0 when every cell was
     a cache hit).  Measured inside the computing process."""
@@ -389,7 +377,7 @@ def plan_cells(spec: ExperimentSpec, seed_list: "list[int]",
                cache: "CellCache | None", *, instrument: bool = False,
                on_point: "Callable[[float, int], None] | None" = None,
                ) -> "tuple[dict[tuple[int, int], CellResult], list[PendingCell]]":
-    """Grid-order cache scan shared by the pool executor and the fabric.
+    """Grid-order cache scan shared by the serial executor and the fabric.
 
     Returns ``(cells, pending)``: the cache hits keyed by ``(xi, si)``
     and the grid-ordered list of cells still to compute (with the digest
@@ -502,8 +490,10 @@ def execute_sweep(spec: ExperimentSpec,
         (``range(spec.default_seeds)``).
     jobs:
         Worker processes.  ``1`` (the default) runs every cell in-process
-        in grid order -- the reference implementation.  ``jobs > 1``
-        requires the spec's builder to be picklable (a module-level
+        in grid order -- the reference implementation.  ``jobs > 1`` is
+        a fabric run (:func:`~repro.experiments.fabric.
+        execute_sweep_fabric`) over ``jobs`` process-transport workers,
+        and requires the spec's builder to be picklable (a module-level
         function, as all registered scenarios are).
     cache_dir:
         Root of the content-addressed cell cache, or None to disable
@@ -537,6 +527,14 @@ def execute_sweep(spec: ExperimentSpec,
 
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1:
+        from repro.experiments.fabric import execute_sweep_fabric
+
+        result, timing, _stats = execute_sweep_fabric(
+            spec, seeds, workers=jobs, transport="process",
+            cache_dir=cache_dir, on_point=on_point, obs_session=obs_session,
+            runtime_dir=runtime_dir, progress=progress)
+        return result, timing
     seed_list = _normalize_seeds(spec, seeds)
     instrument = obs_session is not None
     cells_total = len(spec.x_values) * len(seed_list)
@@ -551,7 +549,6 @@ def execute_sweep(spec: ExperimentSpec,
         cells, pending = plan_cells(spec, seed_list, cache,
                                     instrument=instrument, on_point=on_point)
         walls: "list[float]" = []
-        pool_workers = min(jobs, len(pending)) if pending else 0
         if telemetry is not None:
             telemetry.progress.cache_hits = cells_total - len(pending)
             telemetry.event("run.start", scenario=spec.name, jobs=jobs,
@@ -559,7 +556,15 @@ def execute_sweep(spec: ExperimentSpec,
                             cache_hits=cells_total - len(pending))
             telemetry.tick(len(cells), force=True)
 
-        def _arrived(xi, si, x, seed, digest, cell, wall):
+        for xi, si, x, seed, digest in pending:
+            # Wall time feeds the per-cell percentiles of SweepTiming and
+            # the runtime plane, never the deterministic CellResult.
+            cell_started = time.perf_counter()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+            try:
+                cell = compute_cell(spec, x, seed, instrument=instrument)
+            except Exception as exc:
+                raise cell_failure(spec, x, seed, exc) from exc
+            wall = time.perf_counter() - cell_started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
             walls.append(wall)
             cells[(xi, si)] = cell
             if telemetry is not None:
@@ -568,41 +573,7 @@ def execute_sweep(spec: ExperimentSpec,
             if cache is not None:
                 cache.store(digest, cell, scenario=spec.name, x=x, seed=seed)
             if telemetry is not None:
-                telemetry.tick(len(cells), active_workers=pool_workers)
-
-        if pending and jobs == 1:
-            for xi, si, x, seed, digest in pending:
-                try:
-                    cell, wall = compute_cell_timed(spec, x, seed,
-                                                    instrument=instrument)
-                except Exception as exc:
-                    raise cell_failure(spec, x, seed, exc) from exc
-                _arrived(xi, si, x, seed, digest, cell, wall)
-        elif pending:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending))) as pool:
-                futures = {
-                    pool.submit(compute_cell_timed, spec, x, seed,
-                                instrument=instrument):
-                        (xi, si, x, seed, digest)
-                    for xi, si, x, seed, digest in pending}
-                try:
-                    for future in as_completed(futures):
-                        xi, si, x, seed, digest = futures[future]
-                        try:
-                            cell, wall = future.result()
-                        except Exception as exc:
-                            raise cell_failure(spec, x, seed, exc) from exc
-                        _arrived(xi, si, x, seed, digest, cell, wall)
-                except BaseException:
-                    # One cell failed (or the caller interrupted): cancel
-                    # everything not yet started and drain the cells already
-                    # running, so no orphaned worker outlives the sweep and
-                    # the raised error is the first failure, not a pile-up.
-                    for other in futures:
-                        other.cancel()
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
+                telemetry.tick(len(cells), active_workers=1)
 
         result = merge_cells(spec, seed_list, cells)
         if obs_session is not None:

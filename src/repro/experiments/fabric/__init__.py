@@ -38,7 +38,6 @@ from repro.experiments.fabric.wire import (  # noqa: F401
     ASSIGN_CELLS,
     CELL_RESULT,
     COORDINATOR,
-    DRAIN,
     HEARTBEAT,
     HELLO,
     MAX_FRAME_BYTES,
@@ -62,7 +61,6 @@ __all__ = [
     "COORDINATOR",
     "ChannelClosed",
     "Coordinator",
-    "DRAIN",
     "Envelope",
     "FabricConfig",
     "FabricStats",

@@ -1,17 +1,18 @@
-"""Distributed sweep fabric: one coordinator, N workers, typed messages.
+"""The sweep fabric: one coordinator, N workers, typed messages.
 
-The :mod:`~repro.experiments.executor` fans cells over a single
-machine's ``ProcessPoolExecutor``; this module is the scale-out story
-(in the style of panda-yoda's Yoda/Droid split): a **coordinator**
-streams ``(x, seed)`` cells through a work queue with batched *leases*,
+Every parallel sweep runs here: :func:`~repro.experiments.executor.
+execute_sweep` with ``jobs > 1`` is a fabric run over the ``process``
+transport, and ``jobs == 1`` stays the in-process serial reference.  In
+the style of panda-yoda's Yoda/Droid split, a **coordinator** streams
+``(x, seed)`` cells through a work queue with batched *leases*,
 **workers** pull cells and push results, and every conversation is a
 typed, versioned :class:`Envelope` carried by a pluggable transport:
 
-* ``thread``   -- in-process queues; workers are daemon threads.  Cell
-  computation is serialized by a lock (the simulation uses per-process
-  ambient state -- the obs session, the kernel event tally -- that
-  threads would trample), so this transport exists to exercise the full
-  message protocol deterministically in tests, not for speedup.
+* ``thread``   -- daemon threads over ``multiprocessing.Pipe`` pairs.
+  Cell computation is serialized by a lock (the simulation uses
+  per-process ambient state -- the obs session, the kernel event tally
+  -- that threads would trample), so this transport exists to exercise
+  the full message protocol in tests, not for speedup.
 * ``process``  -- one ``multiprocessing.Process`` per worker over a
   duplex ``Pipe``.  The real same-machine backend.
 * ``tcp``      -- the cross-host story: the coordinator binds a TCP
@@ -26,14 +27,20 @@ Protocol (see docs/FABRIC.md for the full schema):
 
 * worker -> coordinator: ``REQUEST_WORK``, ``CELL_RESULT``, ``HEARTBEAT``
   (and, for TCP peers, the ``HELLO`` that opens the handshake)
-* coordinator -> worker: ``ASSIGN_CELLS`` (a lease), ``DRAIN`` (idle,
-  ask again), ``SHUTDOWN`` (exit now), ``WELCOME`` (handshake verdict)
+* coordinator -> worker: ``ASSIGN_CELLS`` (a lease), ``SHUTDOWN`` (exit
+  now), ``WELCOME`` (handshake verdict)
 
-Every message from a worker refreshes its liveness; a worker whose
-process died, or that has been silent longer than
-:attr:`FabricConfig.lease_timeout`, has its leased cells *requeued* and
-(budget permitting) a replacement worker launched.  Results are keyed by
-grid coordinates and merged by the executor's
+Like the Yoda loop, the coordinator blocks on every worker's pipe or
+socket at once (``multiprocessing.connection.wait``), so a message or a
+worker's death (EOF) wakes it.  A ``REQUEST_WORK`` that finds nothing
+to lease is left unanswered: the worker *parks* until a revoked lease
+requeues cells or ``SHUTDOWN`` arrives.
+
+Only a worker holding a lease can lose it: one whose process died, or
+that has been silent longer than :attr:`FabricConfig.lease_timeout`
+since the later of the assignment and its last message, has its leased
+cells *requeued* and (budget permitting) a replacement worker launched.
+Results are keyed by grid coordinates and merged by the executor's
 :func:`~repro.experiments.executor.merge_cells`, so a fabric run is
 **byte-identical** to the ``jobs=1`` serial reference no matter how
 cells were distributed, re-leased, or recomputed (duplicate results of a
@@ -50,8 +57,8 @@ heartbeat-expiry path).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import queue
 import secrets
 import signal
 import socket
@@ -60,20 +67,22 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Callable, Sequence
 
 from repro import obs
 from repro.errors import ExperimentError, FabricError
 from repro.experiments.executor import (CellCache, CellResult, SweepTiming,
-                                        cell_failure, compute_cell, fold_obs,
-                                        merge_cells, plan_cells)
+                                        _normalize_seeds, cell_failure,
+                                        compute_cell, fold_obs, merge_cells,
+                                        plan_cells)
 from repro.experiments.fabric.wire import (COORDINATOR, WELCOME,
                                            ChannelClosed, Envelope,
                                            HandshakeInfo, _PipeChannel,
-                                           _QueuePair, _SocketChannel,
+                                           _SocketChannel,
                                            check_hello, client_handshake,
                                            welcome_payload)
-from repro.experiments.fabric.wire import (ASSIGN_CELLS, CELL_RESULT, DRAIN,  # noqa: F401  (re-exported protocol surface)
+from repro.experiments.fabric.wire import (ASSIGN_CELLS, CELL_RESULT,  # noqa: F401  (re-exported protocol surface)
                                            HEARTBEAT, HELLO, MAX_FRAME_BYTES,
                                            MESSAGE_KINDS, PROTOCOL_VERSION,
                                            REQUEST_WORK, SHUTDOWN)
@@ -148,15 +157,14 @@ class FabricConfig:
     workers: int = 2
     transport: str = "process"
     lease_size: int = 4
-    """Cells per ``ASSIGN_CELLS`` batch."""
+    """Most cells per ``ASSIGN_CELLS`` batch; near the end of the queue
+    a lease shrinks to the worker's fair share of the cells left."""
     lease_timeout: float = 30.0
     """Seconds of worker silence before its lease is revoked.  Must
     exceed the worst single-cell compute time (workers heartbeat between
-    cells, not during one)."""
-    poll_interval: float = 0.005
-    """Coordinator sleep when no messages are waiting (seconds)."""
-    drain_pause: float = 0.02
-    """Worker pause after a ``DRAIN`` before re-requesting work."""
+    cells, not during one).  The clock starts at the later of the
+    assignment and the worker's last message, and only runs while the
+    worker holds a lease: a parked worker is never revoked."""
     max_worker_restarts: int = 4
     """Replacement workers the coordinator may launch before it starts
     shrinking the fleet instead."""
@@ -245,7 +253,6 @@ class WorkerConfig:
     """Per-worker knobs shipped to the worker side of the channel."""
 
     worker_id: str
-    drain_pause: float = 0.02
     serialize_compute: bool = False
     """Thread transport only: hold the module compute lock around
     :func:`compute_cell` (ambient obs/session state is per-process)."""
@@ -292,7 +299,9 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
     Pull-based: request work, compute each leased cell, push a
     ``CELL_RESULT`` per cell (success or failure -- a failing cell is
     reported with its coordinates, not swallowed), heartbeat between
-    cells, and repeat until ``SHUTDOWN``.
+    cells, and repeat until ``SHUTDOWN``.  A request the coordinator
+    cannot serve yet goes unanswered; the parked worker heartbeats once
+    a second until a lease or ``SHUTDOWN`` arrives.
 
     Every result carries ``wall_s`` -- the wall-clock seconds the cell
     took *in this worker* -- feeding the coordinator's per-cell wall
@@ -328,10 +337,6 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
             if env.kind == SHUTDOWN:
                 log("worker.shutdown", cells_done=cells_done)
                 return
-            if env.kind == DRAIN:
-                time.sleep(config.drain_pause)
-                send(REQUEST_WORK)
-                continue
             if env.kind != ASSIGN_CELLS:
                 raise FabricError(
                     f"worker {me} got unexpected {env.kind}")
@@ -458,7 +463,6 @@ def run_remote_worker(address: str, token: str, *,
     chaos = welcome.get("chaos")
     config = WorkerConfig(
         worker_id=assigned,
-        drain_pause=float(welcome.get("drain_pause", 0.02)),
         chaos=WorkerChaos.from_wire(chaos) if chaos else None,
         runtime_dir=welcome.get("runtime_dir"))
     worker_main(channel, spec, bool(welcome.get("instrument", False)),
@@ -475,6 +479,9 @@ class WorkerHandle:
 
     worker_id: str
     channel: object
+    waitable: object
+    """The pipe or socket under ``channel``, for the coordinator's wait
+    (a wrapped ``channel`` need only send/poll/recv/close)."""
     is_alive: "Callable[[], bool]"
     kill: "Callable[[], None]"
     join: "Callable[[float], None]"
@@ -488,42 +495,45 @@ class WorkerHandle:
     through process state."""
 
 
-class ThreadTransport:
-    """Daemon threads + in-process queues (protocol tests)."""
-
-    name = "thread"
-
-    def launch(self, spec, instrument, config: WorkerConfig) -> WorkerHandle:
-        to_worker: "queue.SimpleQueue" = queue.SimpleQueue()
-        to_coord: "queue.SimpleQueue" = queue.SimpleQueue()
-        worker_channel = _QueuePair(inbox=to_worker, outbox=to_coord)
-        coord_channel = _QueuePair(inbox=to_coord, outbox=to_worker)
-        config = replace(config, serialize_compute=True)
-        thread = threading.Thread(
-            target=worker_main, args=(worker_channel, spec, instrument, config),
-            name=f"fabric-{config.worker_id}", daemon=True)
-        thread.start()
-        return WorkerHandle(
-            worker_id=config.worker_id, channel=coord_channel,
-            is_alive=thread.is_alive, kill=lambda: None,
-            join=lambda timeout: thread.join(timeout),
-            started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
+class _LocalTransport:
+    """Workers this process launches itself: no listener, no strangers."""
 
     def poll_peers(self) -> "list[tuple[object, Envelope]]":
-        return []  # in-process transport: nobody can walk up and join
+        return []  # channels are created pairwise at launch
+
+    def waitables(self) -> list:
+        return []
 
     def close(self) -> None:
         pass
 
 
-class ProcessTransport:
+class ThreadTransport(_LocalTransport):
+    """Daemon threads over in-process pipes (protocol tests)."""
+
+    name = "thread"
+
+    def launch(self, spec, instrument, config: WorkerConfig) -> WorkerHandle:
+        coord_conn, worker_conn = multiprocessing.Pipe(duplex=True)
+        config = replace(config, serialize_compute=True)
+        thread = threading.Thread(
+            target=worker_main,
+            args=(_PipeChannel(worker_conn), spec, instrument, config),
+            name=f"fabric-{config.worker_id}", daemon=True)
+        thread.start()
+        return WorkerHandle(
+            worker_id=config.worker_id, channel=_PipeChannel(coord_conn),
+            waitable=coord_conn, is_alive=thread.is_alive, kill=lambda: None,
+            join=lambda timeout: thread.join(timeout),
+            started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
+
+
+class ProcessTransport(_LocalTransport):
     """One ``multiprocessing.Process`` per worker over a duplex pipe."""
 
     name = "process"
 
     def launch(self, spec, instrument, config: WorkerConfig) -> WorkerHandle:
-        import multiprocessing
-
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(
             target=_process_worker_entry,
@@ -538,15 +548,9 @@ class ProcessTransport:
 
         return WorkerHandle(
             worker_id=config.worker_id, channel=_PipeChannel(parent_conn),
-            is_alive=process.is_alive, kill=kill,
+            waitable=parent_conn, is_alive=process.is_alive, kill=kill,
             join=lambda timeout: process.join(timeout),
             started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
-
-    def poll_peers(self) -> "list[tuple[object, Envelope]]":
-        return []  # pipes are created pairwise at launch; no listener
-
-    def close(self) -> None:
-        pass
 
 
 def _parse_listen(text: str) -> "tuple[str, int]":
@@ -611,8 +615,6 @@ class TcpTransport:
         self.rejected = 0
 
     def launch(self, spec, instrument, config: WorkerConfig) -> WorkerHandle:
-        import multiprocessing
-
         # The child proves it is *this* launch by echoing a per-launch
         # nonce that travels only through the process args -- a remote
         # token-holder claiming the same worker id cannot steal the
@@ -634,7 +636,7 @@ class TcpTransport:
                 else:  # a stranger mid-launch: keep it for the poll cycle
                     self._backlog.append((peer, hello))
             if channel is None:
-                time.sleep(0.01)
+                wait(self.waitables(), 0.05)
         if channel is None:
             process.kill()
             raise FabricError(
@@ -648,7 +650,7 @@ class TcpTransport:
                 process.kill()
 
         return WorkerHandle(
-            worker_id=config.worker_id, channel=channel,
+            worker_id=config.worker_id, channel=channel, waitable=channel,
             is_alive=process.is_alive, kill=kill,
             join=lambda timeout: process.join(timeout),
             started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
@@ -711,6 +713,11 @@ class TcpTransport:
         self._pending = still_pending
         return admitted
 
+    def waitables(self) -> list:
+        """The listener and every connection still in the handshake:
+        what :meth:`poll_peers` would act on once readable."""
+        return [self._listener] + [channel for channel, _ in self._pending]
+
     def _reject(self, channel: "_SocketChannel", reason: str, *,
                 respond: bool = True) -> None:
         self.rejected += 1
@@ -755,12 +762,20 @@ def make_transport(name: str, *,
 
 # -- the coordinator --------------------------------------------------------
 
+#: Longest the coordinator blocks in ``wait`` (seconds).  Messages and
+#: worker deaths wake it at once; this bound only sets how late the
+#: lease-expiry, ``is_alive`` and handshake-deadline checks run while
+#: every worker is silent.
+WAIT_TIMEOUT = 0.1
+
 
 @dataclass
 class _Lease:
     lease_id: int
     worker_id: str
     outstanding: "set[tuple[int, int]]"
+    granted: float = 0.0
+    """Coordinator clock at assignment."""
 
 
 @dataclass
@@ -768,6 +783,14 @@ class _Worker:
     handle: WorkerHandle
     last_seen: float
     lease: "_Lease | None" = None
+    parked: bool = False
+    """Asked for work when none was left; waits for requeued cells."""
+
+    def lease_silence(self, now: float) -> "float | None":
+        """Seconds the lease clock has run, or None without a lease."""
+        if self.lease is None:
+            return None
+        return now - max(self.last_seen, self.lease.granted)
 
 
 class Coordinator:
@@ -820,7 +843,6 @@ class Coordinator:
             scenario=self.spec.name,
             fingerprint=self.spec.fingerprint(),
             instrument=self.instrument,
-            drain_pause=self.config.drain_pause,
             runtime_dir=runtime_dir,
             chaos=(self.config.chaos.to_wire()
                    if self.config.chaos is not None else None))
@@ -863,7 +885,7 @@ class Coordinator:
             self._transport.rejected += 1
             return
         handle = WorkerHandle(
-            worker_id=worker_id, channel=channel,
+            worker_id=worker_id, channel=channel, waitable=channel,
             is_alive=lambda: True,  # only the channel/lease can tell
             kill=lambda: None, join=lambda timeout: None,
             started=now, remote=True)
@@ -893,7 +915,6 @@ class Coordinator:
         if self.telemetry is not None and self.telemetry.run_dir is not None:
             runtime_dir = str(self.telemetry.run_dir)
         config = WorkerConfig(worker_id=worker_id,
-                              drain_pause=self.config.drain_pause,
                               chaos=self.config.chaos,
                               runtime_dir=runtime_dir)
         with self._tel_span("worker.launch", worker_id=worker_id):
@@ -939,6 +960,7 @@ class Coordinator:
                             lease=worker.lease.lease_id, requeued=requeued)
         worker.handle.kill()
         worker.handle.channel.close()
+        self._serve_parked(now)
         incomplete = len(self.cells) < len(self._cell_specs)
         if incomplete and self._failure is None:
             if self._restarts < self.config.max_worker_restarts:
@@ -970,20 +992,27 @@ class Coordinator:
 
     # -- message handling ---------------------------------------------------
 
-    def _assign(self, worker: _Worker) -> None:
+    def _assign(self, worker: _Worker, now: float) -> None:
+        """Lease the next batch to ``worker``, or park it when the queue
+        holds nothing left to compute (no reply: it waits)."""
+        # Never more than a fair share of what is left, so the sweep's
+        # last cells spread over the fleet instead of queueing behind
+        # one worker's full lease while the others park.
+        size = min(self.config.lease_size,
+                   -(-len(self.queue) // len(self._workers)))
         batch = []
-        while self.queue and len(batch) < self.config.lease_size:
+        while self.queue and len(batch) < size:
             cell = self.queue.popleft()
             if (cell["xi"], cell["si"]) in self.cells:
                 continue  # completed by a revoked-but-live worker meanwhile
             batch.append(cell)
+        worker.parked = not batch
         if not batch:
-            worker.handle.channel.send(
-                Envelope(kind=DRAIN, sender=COORDINATOR))
             return
         lease = _Lease(lease_id=self._next_lease,
                        worker_id=worker.handle.worker_id,
-                       outstanding={(c["xi"], c["si"]) for c in batch})
+                       outstanding={(c["xi"], c["si"]) for c in batch},
+                       granted=now)
         self._next_lease += 1
         worker.lease = lease
         self.stats.leases += 1
@@ -995,14 +1024,25 @@ class Coordinator:
             kind=ASSIGN_CELLS, sender=COORDINATOR,
             payload={"lease": lease.lease_id, "cells": batch}))
 
+    def _serve_parked(self, now: float) -> None:
+        """Lease requeued cells to parked workers, in registry order."""
+        for worker_id, worker in list(self._workers.items()):
+            if (worker.parked and self.queue and self._failure is None
+                    and self._workers.get(worker_id) is worker):
+                try:
+                    self._assign(worker, now)
+                except ChannelClosed:
+                    self._lose_worker(worker_id, now,
+                                      reason="channel-closed")
+
     def _on_result(self, worker: _Worker, env: Envelope) -> None:
         payload = env.payload
         key = (int(payload["xi"]), int(payload["si"]))
         if not payload.get("ok", False):
             # A failing cell is a sweep failure, with full coordinates --
-            # record it, then drain the fleet before raising.
+            # record it, then shut the fleet down before raising.
             # The worker's "Type: message" text becomes the cause, as the
-            # serial and pool paths chain the original exception.
+            # serial path chains the original exception.
             exc = FabricError(str(payload.get("error", "unknown error")))
             self._failure = cell_failure(self.spec, payload["x"],
                                          payload["seed"], exc)
@@ -1038,10 +1078,9 @@ class Coordinator:
             self.stats.work_requests += 1
             self._tel_count("runtime.work_requests_total")
             if self._failure is None:
-                self._assign(worker)
+                self._assign(worker, now)
             else:
-                worker.handle.channel.send(
-                    Envelope(kind=DRAIN, sender=COORDINATOR))
+                worker.parked = True
         elif env.kind == HEARTBEAT:
             self.stats.heartbeats += 1
             # Heartbeat latency: how long this worker had been silent
@@ -1072,6 +1111,8 @@ class Coordinator:
             self.queue.append(record)
             self._cell_specs[(xi, si)] = record
         total = len(self.spec.x_values) * len(self.seed_list)
+        # No more workers than cells: a spare would only park.
+        self.stats.workers = min(self.config.workers, len(pending))
         if self.telemetry is not None:
             self.telemetry.progress.cache_hits = len(self.cells)
             self._tel_event("run.start", total=total,
@@ -1083,11 +1124,11 @@ class Coordinator:
 
         self._transport = self._make_transport()
         try:
-            for _ in range(self.config.workers):
+            for _ in range(self.stats.workers):
                 self._launch_worker()
             while len(self.cells) < total and self._failure is None:
-                if not self._drive():
-                    time.sleep(self.config.poll_interval)
+                wait(self._waitables(), WAIT_TIMEOUT)
+                self._drive()
             if self._failure is not None:
                 raise self._failure
             return self.cells
@@ -1097,22 +1138,27 @@ class Coordinator:
                 self._transport, "rejected", 0)
             self._transport.close()
 
+    def _waitables(self) -> list:
+        """Every pipe or socket whose readiness means work for
+        :meth:`_drive`: the workers' and, for tcp, the gate's."""
+        return ([worker.handle.waitable for worker in self._workers.values()]
+                + self._transport.waitables())
+
     def _stragglers(self, now: float) -> int:
-        """Workers silent for more than a quarter of the lease timeout --
-        not yet revocable, but visibly behind the fleet's cadence."""
+        """Leased workers silent for more than a quarter of the lease
+        timeout -- not yet revocable, but visibly behind the fleet's
+        cadence."""
         cutoff = self.config.lease_timeout / 4.0
         return sum(1 for worker in self._workers.values()
-                   if now - worker.last_seen > cutoff)
+                   if (worker.lease_silence(now) or 0.0) > cutoff)
 
-    def _drive(self) -> bool:
-        """One poll round: pump messages, expire leases.  True if any
-        message was handled (the caller sleeps otherwise)."""
-        progressed = False
+    def _drive(self) -> None:
+        """One round after a wake-up: admit peers, pump messages, expire
+        leases."""
         now = self._clock()
         if self._transport is not None:  # boundary tests drive bare
             for channel, hello in self._transport.poll_peers():
                 self._adopt_remote(channel, hello, now)
-                progressed = True
         for worker_id in list(self._workers):
             worker = self._workers.get(worker_id)
             if worker is None:
@@ -1123,7 +1169,6 @@ class Coordinator:
                     if env is None:
                         break
                     self._handle(worker, env, now)
-                    progressed = True
             except ChannelClosed:
                 self._lose_worker(worker_id, now, reason="channel-closed")
                 continue
@@ -1134,18 +1179,19 @@ class Coordinator:
                 # coordinator down with it.
                 self._lose_worker(worker_id, now, reason="protocol-error")
                 continue
+            silent_for = worker.lease_silence(now)
             if not worker.handle.is_alive():
                 self._lose_worker(worker_id, now, reason="dead")
-            elif now - worker.last_seen > self.config.lease_timeout:
+            elif silent_for is not None \
+                    and silent_for > self.config.lease_timeout:
                 self._tel_event("lease.expired", worker_id=worker_id,
-                                silent_for=now - worker.last_seen,
+                                silent_for=silent_for,
                                 timeout=self.config.lease_timeout)
                 self._lose_worker(worker_id, now, reason="lease-expired")
         if self.telemetry is not None:
             self.telemetry.tick(len(self.cells),
                                 active_workers=len(self._workers),
                                 stragglers=self._stragglers(now))
-        return progressed
 
     def _shutdown_fleet(self) -> None:
         now = self._clock()
@@ -1185,8 +1231,9 @@ def execute_sweep_fabric(spec: ExperimentSpec,
                          ) -> "tuple[SweepResult, SweepTiming, FabricStats]":
     """Run a sweep on the coordinator/worker fabric.
 
-    Drop-in sibling of :func:`~repro.experiments.executor.execute_sweep`:
-    the merged :class:`SweepResult` is **byte-identical** to the serial
+    :func:`~repro.experiments.executor.execute_sweep` delegates here for
+    ``jobs > 1`` (``workers=jobs`` over the ``process`` transport).  The
+    merged :class:`SweepResult` is **byte-identical** to the serial
     reference for any worker count, transport, injected worker loss, or
     cache state.  Returns ``(result, timing, stats)``; ``stats`` carries
     the fabric's operational counters (leases, requeues, heartbeats,
@@ -1202,8 +1249,6 @@ def execute_sweep_fabric(spec: ExperimentSpec,
     textfile land there.  ``progress`` prints a live ticker.  Neither
     affects the deterministic result, traces, or metrics in any way.
     """
-    from repro.experiments.executor import _normalize_seeds
-
     if config is None:
         config = FabricConfig()
     if workers is not None:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import hmac
 import io
 import pickle
-import queue
 import select
 import socket
 import struct
@@ -51,7 +50,7 @@ from repro.errors import FabricError
 
 #: Version stamped into every envelope; receivers reject mismatches
 #: instead of guessing, so mixed-version fleets fail loudly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # -- message kinds ----------------------------------------------------------
 
@@ -59,7 +58,6 @@ REQUEST_WORK = "REQUEST_WORK"
 ASSIGN_CELLS = "ASSIGN_CELLS"
 CELL_RESULT = "CELL_RESULT"
 HEARTBEAT = "HEARTBEAT"
-DRAIN = "DRAIN"
 SHUTDOWN = "SHUTDOWN"
 #: First message of a connecting TCP peer: token + optional fingerprint.
 HELLO = "HELLO"
@@ -68,7 +66,7 @@ HELLO = "HELLO"
 WELCOME = "WELCOME"
 
 MESSAGE_KINDS = frozenset({REQUEST_WORK, ASSIGN_CELLS, CELL_RESULT,
-                           HEARTBEAT, DRAIN, SHUTDOWN, HELLO, WELCOME})
+                           HEARTBEAT, SHUTDOWN, HELLO, WELCOME})
 
 #: Sender id of the coordinator end of every channel.
 COORDINATOR = "coordinator"
@@ -150,7 +148,8 @@ def restricted_loads(frame: bytes):
 #
 # A channel is one duplex coordinator<->worker conversation.  The
 # coordinator side needs non-blocking poll/recv (it multiplexes many
-# workers); the worker side needs a blocking recv with timeout.
+# workers, blocking in ``multiprocessing.connection.wait`` on their
+# pipes and sockets); the worker side needs a blocking recv with timeout.
 
 
 class ChannelClosed(FabricError):
@@ -159,32 +158,9 @@ class ChannelClosed(FabricError):
     bytes), which the receiver treats exactly like a death."""
 
 
-class _QueuePair:
-    """Thread-transport channel half: two in-process queues."""
-
-    def __init__(self, inbox: "queue.SimpleQueue", outbox: "queue.SimpleQueue",
-                 ) -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send(self, env: Envelope) -> None:
-        self._outbox.put(env)
-
-    def poll(self) -> bool:
-        return not self._inbox.empty()
-
-    def recv(self, timeout: "float | None" = None) -> "Envelope | None":
-        try:
-            return self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def close(self) -> None:  # queues are garbage-collected with the run
-        pass
-
-
 class _PipeChannel:
-    """Process-transport channel half: one end of ``multiprocessing.Pipe``."""
+    """Thread- and process-transport channel half: one end of a
+    ``multiprocessing.Pipe``."""
 
     def __init__(self, conn) -> None:
         self._conn = conn
@@ -305,22 +281,17 @@ class _SocketChannel:
         return Envelope.from_wire(data)
 
     def poll(self) -> bool:
-        env = self._take_frame()
-        if env is not None:
-            self._pending = env
-            return True
-        self._pump(0.0)
-        env = self._take_frame()
-        if env is not None:
-            self._pending = env
-            return True
-        return False
+        if self._pending is None:
+            self._pending = self._take_frame()
+        if self._pending is None:
+            self._pump(0.0)
+            self._pending = self._take_frame()
+        return self._pending is not None
 
     def recv(self, timeout: "float | None" = None) -> "Envelope | None":
-        pending = getattr(self, "_pending", None)
-        if pending is not None:
-            self._pending = None
-            return pending
+        if self._pending is not None:
+            env, self._pending = self._pending, None
+            return env
         env = self._take_frame()
         if env is not None:
             return env
@@ -335,6 +306,13 @@ class _SocketChannel:
             env = self._take_frame()
             if env is not None:
                 return env
+
+    def fileno(self) -> int:
+        """The socket's descriptor, so ``multiprocessing.connection.wait``
+        can block on the channel.  Once :meth:`poll` has returned False
+        the buffer holds at most part of a frame, so nothing is ready
+        until the socket turns readable again."""
+        return self._sock.fileno()
 
     def close(self) -> None:
         try:
@@ -363,7 +341,6 @@ class HandshakeInfo:
     scenario: str
     fingerprint: str
     instrument: bool = False
-    drain_pause: float = 0.02
     runtime_dir: "str | None" = None
     chaos: "dict | None" = None
     """The run's ``WorkerChaos`` spelled as plain data (wire-safe), or
@@ -399,7 +376,6 @@ def welcome_payload(info: HandshakeInfo, worker_id: str) -> dict:
     """The admission WELCOME: identity plus worker-side run config."""
     return {"ok": True, "worker_id": worker_id, "scenario": info.scenario,
             "fingerprint": info.fingerprint, "instrument": info.instrument,
-            "drain_pause": info.drain_pause,
             "runtime_dir": info.runtime_dir, "chaos": info.chaos}
 
 

@@ -154,8 +154,9 @@ def run_sweep(spec: ExperimentSpec,
         Optional progress callback invoked as ``on_point(x, seed)`` once
         per (x, seed) cell (used by the CLI for progress output).
     jobs:
-        Worker processes for cell execution (``>1`` fans cells out over a
-        process pool; the spec's builder must then be picklable).
+        Worker processes for cell execution (``>1`` fans cells out over
+        fabric worker processes; the spec's builder must then be
+        picklable).
     cache_dir:
         Root directory of the content-addressed cell cache, or None (the
         default) to disable caching.

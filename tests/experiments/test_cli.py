@@ -74,24 +74,42 @@ def test_jobs_flag_runs_parallel(capsys):
     assert "2 job(s)" in out
 
 
+#: Why each fabric flag is refused when the run cannot use it.
+REFUSALS = {"--listen": "--listen needs --fabric-transport tcp",
+            "--fabric-token": "--fabric-token needs --fabric-transport tcp",
+            "--fabric-chaos": "--fabric-chaos needs a fabric run"}
+
+
 @pytest.mark.parametrize("flags", [
-    ["--fabric-transport", "tcp"],
     ["--listen", "0.0.0.0:7777"],
     ["--fabric-token", "secret"],
     ["--fabric-chaos", "crash:0:1"],
+    ["--listen", "0.0.0.0:7777", "--jobs", "2"],
+    ["--listen", "127.0.0.1:39999", "--fabric-token", "abc", "--jobs", "2"],
+    ["--fabric-token", "secret", "--fabric-transport", "thread"],
+    ["--listen", "0.0.0.0:7777", "--jobs", "1", "--fabric-transport",
+     "process"],
 ])
 def test_fabric_only_flags_need_fabric(flags):
-    # Without --fabric these would be silently dropped by a serial run.
-    with pytest.raises(SystemExit, match=f"{flags[0]} needs --fabric"):
+    # A serial run cannot lose a worker, and only the tcp transport
+    # binds a listener or checks a token: these flags would otherwise
+    # be silently dropped.
+    with pytest.raises(SystemExit, match=REFUSALS[flags[0]]):
         main(["fig4", "--seeds", "1", *flags, *QUIET])
 
 
 def test_jobs_sets_fabric_fleet_size(capsys):
-    assert main(["fig4", "--seeds", "1", "--fabric", "--jobs", "2",
+    assert main(["fig4", "--seeds", "1", "--jobs", "2",
                  "--fabric-transport", "thread", *QUIET]) == 0
     out = capsys.readouterr().out
     assert "[fabric: 2 thread worker(s)" in out
     assert "2 job(s)" in out
+
+
+def test_fabric_transport_selects_the_fabric_at_one_job(capsys):
+    assert main(["fig4", "--seeds", "1", "--fabric-transport", "thread",
+                 *QUIET]) == 0
+    assert "[fabric: 1 thread worker(s)" in capsys.readouterr().out
 
 
 def test_cache_and_bench_threading(tmp_path, capsys):

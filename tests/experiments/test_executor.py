@@ -62,6 +62,7 @@ def test_parallel_matches_serial_byte_identical(scenario):
     assert _canon(serial) == _canon(parallel)
     assert serial_timing.cells_total == parallel_timing.cells_total
     assert parallel_timing.jobs == 4
+    assert (serial_timing.mode, parallel_timing.mode) == ("pool", "fabric")
 
 
 def test_run_sweep_jobs_parameter_delegates():
@@ -210,7 +211,9 @@ def test_append_bench_record_merges_by_scenario_and_jobs(tmp_path):
     doc = append_bench_record(path, timing)
     assert len(doc["records"]) == 2  # (scenario, jobs=1) overwritten
     on_disk = json.loads(path.read_text())
-    assert [r["jobs"] for r in on_disk["records"]] == [1, 2]
+    # jobs=2 is a fabric run, so it is keyed (and sorted) by that mode.
+    assert [(r["mode"], r["jobs"]) for r in on_disk["records"]] == [
+        ("fabric", 2), ("pool", 1)]
 
 
 def test_append_bench_record_survives_corrupt_file(tmp_path):

@@ -102,7 +102,7 @@ def test_envelope_rejects_malformed_wire():
 
 def test_message_kinds_cover_the_protocol():
     assert MESSAGE_KINDS == {"REQUEST_WORK", "ASSIGN_CELLS", "CELL_RESULT",
-                             "HEARTBEAT", "DRAIN", "SHUTDOWN",
+                             "HEARTBEAT", "SHUTDOWN",
                              "HELLO", "WELCOME"}
 
 
@@ -171,14 +171,36 @@ def test_fabric_populates_and_reuses_cache(tmp_path):
     assert _canon(cold) == _canon(warm) == SERIAL
 
 
-def test_fabric_and_pool_share_one_cache(tmp_path):
-    execute_sweep(TINY, seeds=2, jobs=2, cache_dir=tmp_path)
+def test_fabric_and_serial_share_one_cache(tmp_path):
+    execute_sweep(TINY, seeds=2, jobs=1, cache_dir=tmp_path)
     _result, timing, _ = execute_sweep_fabric(
         TINY, seeds=2, workers=2, transport="thread", cache_dir=tmp_path)
     assert timing.cells_computed == 0  # same content addresses
 
-    _result, pool_timing = execute_sweep(TINY, seeds=2, cache_dir=tmp_path)
-    assert pool_timing.cells_computed == 0
+    # And the other way round: fabric-written cells serve a serial run.
+    fresh = tmp_path / "fresh"
+    execute_sweep_fabric(TINY, seeds=2, workers=2, transport="thread",
+                         cache_dir=fresh)
+    _result, serial_timing = execute_sweep(TINY, seeds=2, cache_dir=fresh)
+    assert serial_timing.cells_computed == 0
+
+
+def test_fleet_never_outnumbers_the_pending_cells():
+    # Three x values, one seed, four workers asked for: one worker per
+    # pending cell, not a spare that would only park.
+    _result, timing, stats = execute_sweep_fabric(
+        TINY, seeds=1, workers=4, transport="thread")
+    assert timing.cells_computed == 3
+    assert stats.workers_started == 3
+    assert stats.workers == 3
+
+    one_x = ExperimentSpec(name="tiny-one-x", title="one x", xlabel="n",
+                           x_values=(0.0,), build=_tiny_build,
+                           paper_claim="toy", default_seeds=1)
+    _result, timing, stats = execute_sweep_fabric(
+        one_x, seeds=1, workers=4, transport="process")
+    assert timing.cells_computed == 1
+    assert stats.workers_started == 1
 
 
 # -- recovery semantics ------------------------------------------------------
@@ -309,8 +331,8 @@ def test_failing_cell_on_process_transport():
     with pytest.raises(ExperimentError, match="poisoned-fabric") as info:
         execute_sweep_fabric(POISONED, seeds=1, workers=2,
                              transport="process")
-    # The worker's original exception rides along as the cause, as it
-    # does on the serial and pool paths.
+    # The worker's "Type: message" rides along as the cause, standing in
+    # for the exception object the serial path chains.
     cause = info.value.__cause__
     assert isinstance(cause, FabricError)
     assert str(cause) == "ValueError: deliberately poisoned cell"

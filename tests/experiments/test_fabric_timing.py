@@ -1,8 +1,11 @@
 """Boundary timing of the coordinator's liveness clock, on a fake clock.
 
-The fabric's lease-expiry rule is ``now - last_seen > lease_timeout``
-(strictly greater): a heartbeat landing *exactly* at the timeout keeps
-the worker.  These tests drive :class:`Coordinator` internals directly
+The fabric's lease-expiry rule is ``now - max(last_seen, granted) >
+lease_timeout`` (strictly greater), and it only applies to a worker
+holding a lease: a heartbeat landing *exactly* at the timeout keeps the
+worker, and a parked worker -- one whose ``REQUEST_WORK`` found the
+queue empty -- is never revoked however long it stays silent.  These
+tests drive :class:`Coordinator` internals directly
 with hand-built worker handles and an injected monotonic clock, so every
 boundary is exact -- no sleeps, no real transports.
 
@@ -20,8 +23,10 @@ from repro.app.iterative import ApplicationSpec
 from repro.errors import FabricError
 from repro.experiments.executor import CellResult, compute_cell
 from repro.experiments.fabric import (
+    ASSIGN_CELLS,
     CELL_RESULT,
     HEARTBEAT,
+    REQUEST_WORK,
     Coordinator,
     Envelope,
     FabricConfig,
@@ -97,7 +102,7 @@ def _register(coord, worker_id, *, started=0.0, alive=True):
     """Install a hand-built live worker into the coordinator."""
     channel = FakeChannel()
     handle = WorkerHandle(worker_id=worker_id, channel=channel,
-                          is_alive=lambda: alive, kill=lambda: None,
+                          waitable=None, is_alive=lambda: alive, kill=lambda: None,
                           join=lambda timeout: None, started=started)
     coord._workers[worker_id] = _Worker(handle=handle, last_seen=started)
     return channel
@@ -124,7 +129,7 @@ def test_heartbeat_exactly_at_lease_timeout_keeps_worker():
     channel = _register(coord, "w0", started=0.0)
     channel.push(HEARTBEAT, "w0", cells_done=0)
     clock.now = 30.0  # exactly the timeout: silence is NOT yet > timeout
-    assert coord._drive() is True
+    coord._drive()
     assert "w0" in coord._workers
     assert coord.stats.workers_lost == 0
     assert coord.stats.heartbeats == 1
@@ -132,19 +137,22 @@ def test_heartbeat_exactly_at_lease_timeout_keeps_worker():
 
 
 def test_silence_exactly_at_lease_timeout_keeps_worker():
-    # The strict-> boundary without any message at all: a worker last
-    # seen at t=0 survives the poll at t=30.0 and dies at t=30.000001.
+    # The strict-> boundary without any message at all: a leased worker
+    # last seen at t=0 survives the poll at t=30.0 and dies at
+    # t=30.000001.  The equally silent w1 holds no lease, so it stays.
     clock = FakeClock()
     coord = _coordinator(clock, lease_timeout=30.0)
     _register(coord, "w0", started=0.0)
     _register(coord, "w1", started=0.0)  # fleet survivor
+    _lease(coord, "w0", [(0, 0)])
     clock.now = 30.0
     coord._drive()
     assert "w0" in coord._workers
     clock.now = 30.000001
     coord._drive()
     assert "w0" not in coord._workers
-    assert coord.stats.workers_lost == 2  # both were equally silent
+    assert "w1" in coord._workers
+    assert coord.stats.workers_lost == 1
 
 
 def test_expired_lease_requeues_outstanding_cells_in_grid_order():
@@ -161,6 +169,103 @@ def test_expired_lease_requeues_outstanding_cells_in_grid_order():
     assert coord.stats.requeued_cells == 2
     assert [(c["xi"], c["si"]) for c in coord.queue] == [(0, 0), (1, 0)]
     assert "w1" in coord._workers
+
+
+# -- parked workers ----------------------------------------------------------
+
+
+def test_request_on_empty_queue_parks_without_a_reply():
+    clock = FakeClock()
+    coord = _coordinator(clock)
+    channel = _register(coord, "w0")
+    channel.push(REQUEST_WORK, "w0")
+    coord._drive()
+    assert channel.sent == []  # no DRAIN, no ASSIGN_CELLS: it waits
+    assert coord._workers["w0"].parked
+    assert coord._workers["w0"].lease is None
+    assert coord.stats.work_requests == 1
+
+
+def test_revoked_cells_go_to_a_parked_worker_in_the_same_drive():
+    clock = FakeClock()
+    coord = _coordinator(clock, lease_timeout=10.0)
+    _register(coord, "w0", started=0.0)
+    parked = _register(coord, "w1", started=0.0)
+    _lease(coord, "w0", [(1, 0), (0, 0)])
+    parked.push(REQUEST_WORK, "w1")
+    coord._drive()
+    assert coord._workers["w1"].parked and parked.sent == []
+
+    clock.now = 10.5  # w0's lease expires
+    coord._drive()
+    assert "w0" not in coord._workers
+    assert [env.kind for env in parked.sent] == [ASSIGN_CELLS]
+    cells = parked.sent[0].payload["cells"]
+    assert [(c["xi"], c["si"]) for c in cells] == [(0, 0), (1, 0)]
+    w1 = coord._workers["w1"]
+    assert not w1.parked
+    assert w1.lease.outstanding == {(0, 0), (1, 0)}
+    assert w1.lease.granted == 10.5
+    assert not coord.queue
+
+
+def test_lease_shrinks_to_a_fair_share_of_the_last_cells():
+    # Three cells left, two workers, lease_size 4: a full lease would
+    # leave w1 parked behind w0's three cells.
+    clock = FakeClock()
+    coord = _coordinator(clock)
+    first = _register(coord, "w0")
+    second = _register(coord, "w1")
+    for xi in range(3):
+        record = {"xi": xi, "si": 0, "x": float(xi), "seed": 0,
+                  "digest": "d" * 64}
+        coord._cell_specs[(xi, 0)] = record
+        coord.queue.append(record)
+    first.push(REQUEST_WORK, "w0")
+    second.push(REQUEST_WORK, "w1")
+    coord._drive()
+    assert [[c["xi"] for c in channel.sent[0].payload["cells"]]
+            for channel in (first, second)] == [[0, 1], [2]]
+
+
+def test_parked_worker_silent_past_lease_timeout_is_kept():
+    # A parked worker heartbeats once a second, which can be longer
+    # than a short lease_timeout; without a lease it has nothing to
+    # lose.
+    clock = FakeClock()
+    coord = _coordinator(clock, lease_timeout=0.5)
+    channel = _register(coord, "w0")
+    channel.push(REQUEST_WORK, "w0")
+    coord._drive()
+    clock.now = 100.0
+    coord._drive()
+    assert "w0" in coord._workers
+    assert coord.stats.workers_lost == 0
+    assert coord._stragglers(clock.now) == 0
+
+
+def test_lease_to_a_long_silent_parked_worker_gets_the_full_timeout():
+    # w1 parked at t=0 and said nothing since.  When w0's cells reach it
+    # at t=10.5, its lease clock starts at the assignment, not at its
+    # last message: it keeps the lease until t=20.5 exactly.
+    clock = FakeClock()
+    coord = _coordinator(clock, lease_timeout=10.0)
+    _register(coord, "w0", started=0.0)
+    parked = _register(coord, "w1", started=0.0)
+    _register(coord, "keeper", started=0.0)  # holds no lease: never lost
+    _lease(coord, "w0", [(0, 0)])
+    parked.push(REQUEST_WORK, "w1")
+    coord._drive()
+    clock.now = 10.5
+    coord._drive()
+    assert coord._workers["w1"].lease is not None
+    clock.now = 20.5
+    coord._drive()
+    assert "w1" in coord._workers
+    clock.now = 20.500001
+    coord._drive()
+    assert "w1" not in coord._workers
+    assert coord.stats.revoked_leases == 2
 
 
 # -- revoke-vs-result clock ordering ----------------------------------------
@@ -226,8 +331,7 @@ def test_all_workers_lost_with_no_restart_budget_raises():
     coord = _coordinator(clock, lease_timeout=10.0,
                          max_worker_restarts=0)
     _register(coord, "w0", started=0.0)
-    coord._cell_specs[(0, 0)] = {"xi": 0, "si": 0, "x": 0.0, "seed": 0,
-                                 "digest": "d" * 64}
+    _lease(coord, "w0", [(0, 0)])
     clock.now = 20.0
     with pytest.raises(FabricError, match="restart budget"):
         coord._drive()
@@ -242,6 +346,7 @@ def test_lifetime_recorded_once_on_loss():
     _register(coord, "w0", started=2.0)
     _register(coord, "w1", started=0.0)
     coord._workers["w1"].last_seen = 9.0
+    _lease(coord, "w0", [(0, 0)])
     clock.now = 14.0
     coord._drive()  # w0 silent for 12s > 10s
     assert coord.stats.worker_lifetimes == {"w0": 12.0}
@@ -256,6 +361,7 @@ def test_shutdown_lifetime_wins_over_stale_revoke_lifetime():
     _register(coord, "w0", started=0.0)
     _register(coord, "keeper", started=0.0)
     coord._workers["keeper"].last_seen = 9.0
+    _lease(coord, "w0", [(0, 0)])
     clock.now = 10.5
     coord._drive()
     assert coord.stats.worker_lifetimes["w0"] == 10.5

@@ -2,10 +2,10 @@
 
 Three bugfixes are locked in here:
 
-* a cell raising inside a ``ProcessPoolExecutor`` worker surfaces as an
-  :class:`ExperimentError` carrying ``(scenario, x, seed)`` -- not a bare
-  exception with no context -- and the outstanding futures are cancelled
-  and drained before the re-raise;
+* a cell raising inside a fabric worker process (``jobs > 1``) surfaces
+  as an :class:`ExperimentError` carrying ``(scenario, x, seed)`` -- not
+  a bare exception with no context -- with the worker's
+  ``"Type: message"`` chained as a :class:`FabricError` cause;
 * ``append_bench_record`` writes atomically (tmp + ``os.replace``) so
   concurrent sweep invocations can never leave a half-written perf file,
   and an unparseable existing file is preserved (``.corrupt``) rather
@@ -21,7 +21,7 @@ import threading
 import pytest
 
 from repro.app.iterative import ApplicationSpec
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, FabricError
 from repro.experiments.executor import (
     CACHE_FORMAT,
     CellCache,
@@ -45,7 +45,7 @@ def _ok_build(x, seed):
 
 
 def _failing_build(x, seed):
-    # Module-level so it pickles into pool workers; poisons exactly one x.
+    # Module-level so it pickles into worker processes; poisons one x.
     if x == 1.0:
         raise ValueError("spec builder exploded")
     return _ok_build(x, seed)
@@ -63,7 +63,7 @@ POISONED = ExperimentSpec(name="poisoned-exec", title="poisoned", xlabel="n",
 # -- worker failures carry cell context --------------------------------------
 
 
-def test_pool_worker_failure_carries_cell_context():
+def test_parallel_failure_carries_cell_context():
     with pytest.raises(ExperimentError) as excinfo:
         execute_sweep(POISONED, seeds=2, jobs=3)
     message = str(excinfo.value)
@@ -71,8 +71,11 @@ def test_pool_worker_failure_carries_cell_context():
     assert "x=1.0" in message
     assert "seed=" in message
     assert "spec builder exploded" in message
-    # The original exception stays reachable for debugging.
-    assert isinstance(excinfo.value.__cause__, ValueError)
+    # The wire carries plain data only, so the worker's exception comes
+    # back as its "Type: message" text, chained for debugging.
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, FabricError)
+    assert str(cause) == "ValueError: spec builder exploded"
 
 
 def test_serial_failure_carries_cell_context():
@@ -83,7 +86,7 @@ def test_serial_failure_carries_cell_context():
     assert "seed=0" in str(excinfo.value)
 
 
-def test_pool_failure_does_not_poison_cache_with_partial_grid(tmp_path):
+def test_parallel_failure_does_not_poison_cache_with_partial_grid(tmp_path):
     with pytest.raises(ExperimentError):
         execute_sweep(POISONED, seeds=1, jobs=2, cache_dir=tmp_path)
     # Whatever healthy cells landed in the cache before the failure are
