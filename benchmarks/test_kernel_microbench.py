@@ -11,7 +11,6 @@ import numpy as np
 from repro.app.iterative import ApplicationSpec
 from repro.core.decision import decide_swaps
 from repro.core.policy import greedy_policy
-from repro.load.kernels import advance_work_many, integrate_availability_many
 from repro.load.onoff import OnOffLoadModel
 from repro.platform.cluster import make_platform
 from repro.platform.network import FairShareLink, LinkSpec
@@ -116,28 +115,7 @@ def test_decision_engine_throughput(benchmark):
 
 
 # -- the vectorized kernels (docs/PERFORMANCE.md "numpy load-trace
-# kernels" section gets its numbers from the three benches below) -----------
-
-
-def test_batch_integration_throughput(benchmark):
-    """integrate/advance across a 32-host pool in one batch call each --
-    the per-decision-epoch pattern the batch entry points serve."""
-    rng = np.random.default_rng(11)
-    model = OnOffLoadModel(p=0.3, q=0.2)
-    traces = [model.build(np.random.default_rng(int(s)), 200_000.0)
-              for s in rng.integers(0, 2**31, size=32)]
-    demands = [60.0] * len(traces)
-
-    def run():
-        total = 0.0
-        t = 0.0
-        for _ in range(500):
-            total += float(integrate_availability_many(
-                traces, t, t + 120.0).sum())
-            t = float(advance_work_many(traces, t, demands).max())
-        return total
-
-    assert benchmark(run) > 0.0
+# kernels" section gets its numbers from the benches below) -----------------
 
 
 def test_prefix_sum_invalidation_cost(benchmark):

@@ -59,8 +59,10 @@ from repro.experiments.executor import execute_sweep
 from repro.experiments.scenarios import get_scenario
 from repro.simkernel.plan import disable_lowering
 # fig8, fig9 and ablation-history run the windowed and
-# hyperexponential policies the bounded decision scan serves.
-for name in ("fig4", "fig7", "fig8", "fig9", "ablation-history"):
+# hyperexponential policies the bounded decision scan serves;
+# ext-spawn and ext-contracts run the spawn and contract SWAP variants.
+for name in ("fig4", "fig7", "fig8", "fig9", "ablation-history",
+             "ext-spawn", "ext-contracts"):
     spec = get_scenario(name)
     fast, timing = execute_sweep(spec, seeds=2)
     with disable_lowering():
@@ -211,6 +213,6 @@ cmp "$OUT/faults-1.jsonl" "$OUT/faults-j1.jsonl"
 # TL001-TL007, including TL007 on the fault records.
 python -m repro.obs lint "$OUT/faults-1.jsonl" \
   --metrics "$OUT/faults-1-metrics.json"
-python -m repro.analysis src/repro/obs
+python -m repro.analysis lint src/repro/obs
 
 echo "determinism matrix: all comparisons byte-identical"

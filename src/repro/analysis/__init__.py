@@ -12,7 +12,8 @@ enforceable as the codebase grows (see ``docs/STATIC_ANALYSIS.md``):
   ties, corrupt delays, post-run scheduling, leaked resource slots, and
   RNG draws that bypass the registry.
 
-Run both from the command line: ``python -m repro.analysis src/``.
+Run both from the command line: ``python -m repro.analysis lint src/``
+and ``python -m repro.analysis sanitize``.
 """
 
 from repro.analysis.linter import (findings_to_dict, format_json, format_text,

@@ -11,55 +11,20 @@ shared exit codes (0 clean, 1 findings, 2 usage error)::
     python -m repro.analysis trace lint t.jsonl   # TL: trace invariants
     python -m repro.analysis rules                # every code, all families
     python -m repro.analysis self-check           # the CI gate (SL+SZ+SF)
-
-The pre-umbrella spellings keep working: ``python -m repro.analysis
-src/`` lints paths, and ``--list-rules`` / ``--sanitize`` /
-``--self-check`` behave as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 from repro.analysis.linter import (findings_to_dict, format_json, format_text,
                                    lint_paths)
 from repro.analysis.rules import all_rules
 
-#: First-positional words routed to the subcommand interface; anything
-#: else falls through to the legacy parser (paths, flags).
-SUBCOMMANDS = ("lint", "flow", "sanitize", "trace", "rules", "self-check")
-
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Determinism linter (simlint) and simulation sanitizer "
-                    "for the repro DES kernel.")
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories to lint")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="describe every lint rule and exit")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run the built-in demo scenario under the "
-                             "simulation sanitizer and print its report")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root seed for --sanitize (default: 0)")
-    parser.add_argument("--strict", action="store_true",
-                        help="with --sanitize: raise at the first "
-                             "error-severity finding")
-    parser.add_argument("--self-check", action="store_true",
-                        help="lint the installed repro package, sanitize "
-                             "the demo scenario, and run the flow analyzer; "
-                             "nonzero on any finding (the CI gate)")
-    return parser
-
-
-def build_subcommand_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Unified static/runtime analysis for the repro "
@@ -111,7 +76,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- helpers shared by legacy and subcommand paths ---------------------------
+# -- subcommands ---------------------------------------------------------------
 
 
 def _print_lint(findings, files_scanned, fmt: str) -> None:
@@ -256,9 +221,8 @@ def _self_check(fmt: str) -> int:
 # -- entry points -------------------------------------------------------------
 
 
-def _main_subcommand(argv: "list[str]") -> int:
-    parser = build_subcommand_parser()
-    args = parser.parse_args(argv)
+def main(argv: "list[str] | None" = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.command == "lint":
         return _run_lint(args.paths, args.format)
     if args.command == "flow":
@@ -274,30 +238,3 @@ def _main_subcommand(argv: "list[str]") -> int:
         return _run_rules(args.format)
     assert args.command == "self-check"
     return _self_check(args.format)
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in SUBCOMMANDS:
-        return _main_subcommand(argv)
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.code} {rule.name}: {rule.summary}")
-        return 0
-
-    if args.self_check:
-        return _self_check(args.format)
-
-    if args.sanitize:
-        return _run_sanitize(args.seed, args.strict, args.format)
-
-    if not args.paths:
-        parser.print_usage()
-        return 2
-
-    return _run_lint(args.paths, args.format)

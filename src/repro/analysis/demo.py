@@ -1,6 +1,6 @@
 """A small canonical scenario for sanitized runs.
 
-Used by ``python -m repro.analysis --sanitize`` and by the determinism
+Used by ``python -m repro.analysis sanitize`` and by the determinism
 smoke test: a 6-host shared platform with ON/OFF external load, a 3-rank
 swapped BSP application, and the greedy policy -- the whole swap stack
 (handlers, manager, state transfers) exercised on a

@@ -60,7 +60,7 @@ class FlowResult:
 def _relativize(findings: "list[FlowFinding]", root: Path,
                 ) -> "list[FlowFinding]":
     """Report paths relative to the tree that contains the package, so
-    output is stable across checkouts (mirrors ``--self-check``)."""
+    output is stable across checkouts (mirrors ``self-check``)."""
     base = root.resolve().parent
     out: "list[FlowFinding]" = []
     for f in findings:

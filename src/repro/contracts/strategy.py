@@ -6,21 +6,20 @@ performance contract is violated* -- the GrADS execution model, where the
 contract monitor gates rescheduling actions.  Between violations the
 application runs undisturbed: no per-iteration policy evaluation, no
 opportunistic processor hoarding (a stronger form of the friendly
-policy's restraint).
+policy's restraint).  The loop itself is :meth:`SwapStrategy.run`; this
+subclass supplies only the contract, through
+:meth:`~repro.strategies.swapstrat.SwapStrategy._open_contract`.
 """
 
 from __future__ import annotations
 
-from repro.app.iterative import ApplicationSpec
 from repro.contracts.monitor import ContractMonitor, PerformanceContract
-from repro.core.decision import decide_swaps
-from repro.core.policy import PolicyParams, greedy_policy
+from repro.core.policy import PolicyParams
 from repro.platform.cluster import Platform
-from repro.strategies.base import ExecutionResult, IterationRecord, Strategy
-from repro.strategies.scheduler import initial_schedule
+from repro.strategies.swapstrat import SwapStrategy
 
 
-class ContractSwapStrategy(Strategy):
+class ContractSwapStrategy(SwapStrategy):
     """SWAP gated by a GrADS-style performance contract."""
 
     name = "swap-contract"
@@ -28,85 +27,35 @@ class ContractSwapStrategy(Strategy):
     def __init__(self, policy: PolicyParams | None = None,
                  tolerance: float = 0.2,
                  violation_window: int = 2) -> None:
-        self.policy = policy or greedy_policy()
+        super().__init__(policy)
         self.tolerance = float(tolerance)
         self.violation_window = int(violation_window)
-        self.name = f"swap-contract-{self.policy.name}"
 
     def _expected_iteration(self, platform: Platform, active, chunks,
                             comm_time: float, t: float) -> float:
         """The contract's budget: predicted iteration time on ``active``."""
-        rates = self.predicted_rates(platform, t, self.policy.history_window,
-                                     indices=active)
+        rates = platform.effective_rates(
+            t, window=self.policy.history_window, indices=active)
         return max(chunks[h] / rates[h] for h in active) + comm_time
 
-    def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
-        self.check_fit(platform, app)
-        result = ExecutionResult(strategy=self.name, app=app)
-
-        pool = list(range(len(platform)))
-        active = initial_schedule(platform, app.n_processes, t=0.0)
-        chunks = app.equal_chunks(active)
-        comm_time = self.comm_time(platform, app)
-        swap_cost_one = platform.link.transfer_time(app.state_bytes)
-
-        t = platform.startup_time(len(pool))
-        result.startup_time = t
-        result.progress.record(t, 0, "startup")
-
-        monitor = ContractMonitor(PerformanceContract(
+    def _open_contract(self, platform, active, chunks,
+                       comm_time) -> ContractMonitor:
+        #: Policy evaluations actually performed (the GrADS saving).
+        self.decision_evaluations = 0
+        self.contract_monitor = ContractMonitor(PerformanceContract(
             expected_iteration_time=self._expected_iteration(
                 platform, active, chunks, comm_time, 0.0),
             tolerance=self.tolerance,
             violation_window=self.violation_window))
-        #: Policy evaluations actually performed (the GrADS saving).
-        self.decision_evaluations = 0
+        return self.contract_monitor
 
-        for i in range(1, app.iterations + 1):
-            iter_start = t
-            ran_on = tuple(active)
-            compute_end, iter_end = self.run_iteration(platform, chunks, t,
-                                                       comm_time)
-            t = iter_end
-            result.progress.record(t, i, "iteration")
-
-            overhead = 0.0
-            event = ""
-            violated = monitor.observe(iter_end - iter_start)
-            if violated and i < app.iterations:
-                self.decision_evaluations += 1
-                spares = [h for h in pool if h not in active]
-                rates = self.predicted_rates(platform, t,
-                                             self.policy.history_window)
-                decision = decide_swaps(active, spares, rates, chunks,
-                                        comm_time, swap_cost_one, self.policy)
-                if decision.should_swap:
-                    n_moves = len(decision.moves)
-                    overhead = platform.link.serialized_time(
-                        n_moves * app.state_bytes, n_moves)
-                    event = "swap"
-                    active = decision.active_set_after(active)
-                    chunks = {h: app.chunk_flops for h in active}
-                    result.swap_count += n_moves
-                    result.overhead_time += overhead
-                    t += overhead
-                    result.progress.record(
-                        t, i, "swap",
-                        ", ".join(f"{m.out_host}->{m.in_host}"
-                                  for m in decision.moves))
-                    monitor.renegotiate(self._expected_iteration(
-                        platform, active, chunks, comm_time, t))
-                else:
-                    # No better processors exist: accept the new normal so
-                    # the monitor does not fire every iteration.
-                    monitor.renegotiate(decision.new_iteration_time)
-
-            result.records.append(IterationRecord(
-                index=i, start=iter_start, compute_end=compute_end,
-                end=iter_end, active=ran_on, overhead_after=overhead,
-                event=event))
-
-        result.makespan = t
-        result.final_active = tuple(active)
-        self.contract_monitor = monitor
-        return result
+    def _after_evaluation(self, monitor, platform, decision, swapped,
+                          active, chunks, comm_time, t) -> None:
+        self.decision_evaluations += 1
+        if swapped:
+            monitor.renegotiate(self._expected_iteration(
+                platform, active, chunks, comm_time, t))
+        else:
+            # No better processors exist: accept the new normal so the
+            # monitor does not fire every iteration.
+            monitor.renegotiate(decision.new_iteration_time)

@@ -33,11 +33,10 @@ implementations kept in this module (:func:`integrate_availability_scalar`,
   ``i``, with ``integrate_availability(t0, t1) = I(t1) - I(t0)`` and
   ``advance_work(t0, d)`` inverting ``I`` at ``I(t0) + d``.
 
-Scalar lookups index Python-list mirrors of the arrays (``tolist`` is
-value-preserving for float64) because a ``bisect`` on a list outruns a
-scalar ``numpy.searchsorted`` call; the batch entry points
-(:func:`integrate_availability_many`, :func:`advance_work_many`,
-:func:`effective_rates_many`) use the arrays.
+Lookups, scalar and batched (:func:`effective_rates_many`,
+:class:`HostBatch`), index Python-list mirrors of the arrays (``tolist``
+is value-preserving for float64) because a ``bisect`` on a list outruns
+a scalar ``numpy.searchsorted`` call.
 
 Every query also ticks the process-wide kernel-event counter
 (:func:`repro.simkernel.engine.count_kernel_events`) so sweep benchmarks
@@ -777,35 +776,7 @@ class RateView(dict):
                 top = rate
 
 
-# -- batch entry points ------------------------------------------------------
-
-
-def integrate_availability_many(traces: "Sequence[LoadTrace]", t0: float,
-                                t1: float) -> np.ndarray:
-    """``integrate_availability(t0, t1)`` across many traces, one pass.
-
-    All traces share the query window (the per-iteration rate-prediction
-    pattern: one decision epoch, every candidate host).  Returns a
-    float64 array aligned with ``traces``.
-    """
-    out = np.empty(len(traces), dtype=np.float64)
-    count_kernel_events(len(traces))
-    if t1 == t0:
-        out.fill(0.0)
-        return out
-    for i, trace in enumerate(traces):
-        out[i] = trace.integrate_availability(t0, t1)
-    return out
-
-
-def advance_work_many(traces: "Sequence[LoadTrace]", t0: float,
-                      demands: "Sequence[float]") -> np.ndarray:
-    """``advance_work(t0, demand)`` across many traces, one pass."""
-    out = np.empty(len(traces), dtype=np.float64)
-    count_kernel_events(len(traces))
-    for i, trace in enumerate(traces):
-        out[i] = trace.advance_work(t0, demands[i])
-    return out
+# -- batch entry point -------------------------------------------------------
 
 
 def effective_rates_many(hosts: "Sequence[Host]", t: float,

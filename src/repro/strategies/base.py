@@ -1,17 +1,19 @@
-"""Strategy interface and shared BSP iteration machinery.
+"""Strategy interface, result records and shared helpers.
 
 All strategies simulate the same application model: a bulk-synchronous
 iteration is a parallel compute phase (each active process burns its chunk
 at its host's time-varying effective speed, computed exactly from the load
 trace) followed by a communication phase on the shared link.  The
 iteration ends at ``max(compute finishes) + comm_time`` -- the full
-barrier the paper's ``MPI_Swap()`` call relies on.
+barrier the paper's ``MPI_Swap()`` call relies on.  Strategies run that
+iteration through the plan :func:`repro.simkernel.plan.lower` binds at
+run start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from repro.app.iterative import ApplicationSpec
 from repro.app.progress import ProgressRecorder
@@ -106,27 +108,6 @@ class Strategy:
         """Duration of one iteration's communication phase."""
         return platform.link.exchange_phase_time(app.bytes_per_process,
                                                  app.n_processes)
-
-    @staticmethod
-    def run_iteration(platform: Platform, chunks: Mapping[int, float],
-                      start: float, comm_time: float) -> "tuple[float, float]":
-        """Simulate one BSP iteration; returns (compute_end, iteration_end).
-
-        ``chunks`` maps active host index -> flops of that process's chunk.
-        """
-        if not chunks:
-            raise StrategyError("no active hosts")
-        compute_end = max(
-            platform.host(h).compute_finish(start, flops)
-            for h, flops in chunks.items())
-        return compute_end, compute_end + comm_time
-
-    @staticmethod
-    def predicted_rates(platform: Platform, t: float, window: float,
-                        indices=None) -> "dict[int, float]":
-        """History-window-averaged effective rates, as the swap handlers
-        and manager would measure them."""
-        return platform.effective_rates(t, window=window, indices=indices)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -15,84 +15,20 @@ launches only its ``N`` working processes (no spare processes idle on
 the pool), and each accepted swap additionally pays one process *spawn*
 (0.75 s of MPI startup) on the incoming host before the state transfer.
 Decision-making is identical to :class:`SwapStrategy` -- the platform's
-monitoring infrastructure still observes every host.
+monitoring infrastructure still observes every host -- and so is the
+loop: the variant only flips :attr:`SwapStrategy.overallocates`, which
+launches ``N`` processes instead of the pool, adds the spawn to the
+per-move cost the policy and forced promotions pay, and charges one
+spawn (concurrent on distinct hosts) per epoch with moves.
 """
 
 from __future__ import annotations
 
-from repro.app.iterative import ApplicationSpec
-from repro.core.decision import decide_swaps
-from repro.core.policy import PolicyParams, greedy_policy
-from repro.platform.cluster import Platform
-from repro.strategies.base import ExecutionResult, IterationRecord, Strategy
-from repro.strategies.scheduler import initial_schedule
+from repro.strategies.swapstrat import SwapStrategy
 
 
-class SpawnSwapStrategy(Strategy):
+class SpawnSwapStrategy(SwapStrategy):
     """Process swapping without over-allocation: spawn spares on demand."""
 
     name = "swap-spawn"
-
-    def __init__(self, policy: PolicyParams | None = None) -> None:
-        self.policy = policy or greedy_policy()
-        self.name = f"swap-spawn-{self.policy.name}"
-
-    def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
-        self.check_fit(platform, app)
-        result = ExecutionResult(strategy=self.name, app=app)
-
-        pool = list(range(len(platform)))
-        active = initial_schedule(platform, app.n_processes, t=0.0)
-        chunks = app.equal_chunks(active)
-        comm_time = self.comm_time(platform, app)
-        swap_cost_one = platform.link.transfer_time(app.state_bytes)
-        spawn_cost_one = platform.startup_per_process
-
-        # No over-allocation: only the N working processes launch.
-        t = platform.startup_time(app.n_processes)
-        result.startup_time = t
-        result.progress.record(t, 0, "startup")
-
-        for i in range(1, app.iterations + 1):
-            iter_start = t
-            ran_on = tuple(active)
-            compute_end, iter_end = self.run_iteration(platform, chunks, t,
-                                                       comm_time)
-            t = iter_end
-            result.progress.record(t, i, "iteration")
-
-            overhead = 0.0
-            event = ""
-            if i < app.iterations:
-                spares = [h for h in pool if h not in active]
-                rates = self.predicted_rates(platform, t,
-                                             self.policy.history_window)
-                # The spawn adds to the cost a policy must pay back.
-                decision = decide_swaps(active, spares, rates, chunks,
-                                        comm_time,
-                                        swap_cost_one + spawn_cost_one,
-                                        self.policy)
-                if decision.should_swap:
-                    n_moves = len(decision.moves)
-                    # Spawns proceed concurrently on distinct hosts;
-                    # state images then serialize on the shared link.
-                    overhead = spawn_cost_one + platform.link.serialized_time(
-                        n_moves * app.state_bytes, n_moves)
-                    event = "swap"
-                    detail = ", ".join(f"{m.out_host}->{m.in_host}"
-                                       for m in decision.moves)
-                    active = decision.active_set_after(active)
-                    chunks = {h: app.chunk_flops for h in active}
-                    result.swap_count += n_moves
-                    result.overhead_time += overhead
-                    t += overhead
-                    result.progress.record(t, i, "swap", detail)
-
-            result.records.append(IterationRecord(
-                index=i, start=iter_start, compute_end=compute_end,
-                end=iter_end, active=ran_on, overhead_after=overhead,
-                event=event))
-
-        result.makespan = t
-        result.final_active = tuple(active)
-        return result
+    overallocates = False

@@ -19,9 +19,19 @@ the partial work is lost and the iteration re-runs on the repaired set.
 If no live spare remains -- or the retries are exhausted -- the stall is
 *declared* (a ``fault.stall`` record) and the application waits for the
 host to return, exactly like NOTHING.
+
+:meth:`SwapStrategy.run` is the only iteration-level swap loop.  Its
+variants -- :class:`~repro.strategies.spawnswap.SpawnSwapStrategy`
+(MPI-2 spawning instead of over-allocation) and
+:class:`~repro.contracts.strategy.ContractSwapStrategy` (GrADS contract
+gating) -- are subclasses that state only how they differ, through
+:attr:`SwapStrategy.overallocates` and :meth:`SwapStrategy._open_contract`,
+so faults, traces and lowering reach them unchanged.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.app.iterative import ApplicationSpec
@@ -35,15 +45,41 @@ from repro.simkernel.plan import lower
 from repro.strategies.base import ExecutionResult, IterationRecord, Strategy
 from repro.strategies.scheduler import initial_schedule
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.contracts.monitor import ContractMonitor
+
 
 class SwapStrategy(Strategy):
     """Process swapping with a pluggable policy (greedy by default)."""
 
     name = "swap"
 
+    #: Launch every pool process up front.  The spawn variant launches
+    #: only the ``N`` working processes and spawns each swap-in on
+    #: demand, paying ``platform.startup_per_process`` per swap epoch
+    #: and per forced promotion.
+    overallocates = True
+
     def __init__(self, policy: PolicyParams | None = None) -> None:
         self.policy = policy or greedy_policy()
-        self.name = f"swap-{self.policy.name}"
+        self.name = f"{type(self).name}-{self.policy.name}"
+
+    def _open_contract(self, platform: Platform, active: "list[int]",
+                       chunks: "dict[int, float]",
+                       comm_time: float) -> "ContractMonitor | None":
+        """The run's performance contract, or ``None`` (plain SWAP).
+
+        ``None`` evaluates the policy after every iteration but the
+        last.  A monitor observes every iteration's duration, the policy
+        runs only when it reports a violation, and
+        :meth:`_after_evaluation` renegotiates it after each evaluation.
+        """
+        return None
+
+    def _after_evaluation(self, monitor, platform, decision, swapped,
+                          active, chunks, comm_time, t) -> None:
+        """Renegotiate ``monitor`` after a policy evaluation at ``t``."""
+        raise NotImplementedError
 
     def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
         self.check_fit(platform, app)
@@ -57,12 +93,20 @@ class SwapStrategy(Strategy):
         active = initial_schedule(platform, app.n_processes, t=0.0)
         chunks = app.equal_chunks(active)
         comm_time = self.comm_time(platform, app)
-        swap_cost_one = platform.link.transfer_time(app.state_bytes)
-
-        # Over-allocation: every process in the pool is launched up front.
-        t = platform.startup_time(len(pool))
+        if self.overallocates:
+            # Every process in the pool is launched up front.
+            spawn = 0.0
+            t = platform.startup_time(len(pool))
+        else:
+            # Only the N working processes launch; each swap-in spawns.
+            spawn = platform.startup_per_process
+            t = platform.startup_time(app.n_processes)
+        # What one move must pay back; ``x + 0.0 == x`` keeps plain
+        # SWAP's cost exact.
+        swap_cost_one = platform.link.transfer_time(app.state_bytes) + spawn
         result.startup_time = t
         result.progress.record(t, 0, "startup")
+        monitor = self._open_contract(platform, active, chunks, comm_time)
 
         # Spare pool cache: the complement of ``active`` in ``pool`` only
         # changes when the active set does (keyed by the iteration's
@@ -128,7 +172,10 @@ class SwapStrategy(Strategy):
 
             overhead = 0.0
             event = ""
-            if i < iterations:  # no point swapping after the last one
+            evaluate = i < iterations  # no point swapping after the last
+            if monitor is not None:
+                evaluate = monitor.observe(iter_end - iter_start) and evaluate
+            if evaluate:
                 if ran_on != spares_key:
                     spares_base = [h for h in pool if h not in active]
                     spares_key = ran_on
@@ -148,15 +195,17 @@ class SwapStrategy(Strategy):
                     if plan is None:
                         moves = decision.moves
                         n_moves = len(moves)
-                        # Transfers of all swapped state images serialize
-                        # on the single shared link.
-                        overhead = platform.link.serialized_time(
+                        # Spawns proceed concurrently on distinct hosts;
+                        # the state images then serialize on the single
+                        # shared link.
+                        overhead = spawn + platform.link.serialized_time(
                             n_moves * app.state_bytes, n_moves)
                         active = decision.active_set_after(active)
                     else:
                         moves, overhead = self._attempt_moves(
                             plan, sequencer, decision.moves, platform.link,
-                            app.state_bytes, t, i)
+                            app.state_bytes, t + spawn, i)
+                        overhead = spawn + overhead
                         for move in moves:
                             active = [move.in_host if h == move.out_host
                                       else h for h in active]
@@ -181,6 +230,10 @@ class SwapStrategy(Strategy):
                         # pause was still paid.
                         result.overhead_time += overhead
                         t += overhead
+                if monitor is not None:
+                    self._after_evaluation(monitor, platform, decision,
+                                           event == "swap", active, chunks,
+                                           comm_time, t)
 
             records_append(IterationRecord(i, iter_start, compute_end,
                                            iter_end, ran_on, overhead, event))
@@ -209,8 +262,8 @@ class SwapStrategy(Strategy):
             obs.count("faults.revocations_total")
         spares = [h for h in pool
                   if h not in active and not plan.is_revoked(h, t)]
-        rates = self.predicted_rates(platform, t, self.policy.history_window,
-                                     indices=spares)
+        rates = platform.effective_rates(t, window=self.policy.history_window,
+                                         indices=spares)
         promotions, unfilled = promote_spares(victims, spares, rates)
         for out_host, in_host in promotions:
             start = t

@@ -3,12 +3,12 @@
 Covers the subcommand interface (lint / flow / rules / trace /
 self-check), the shared exit-code convention (0 clean, 1 findings, 2
 usage error), baseline filtering, and the byte-stable effects report.
-The pre-umbrella spellings are covered by
-``test_suppressions_and_cli.py``; this file only checks they coexist.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.cli import main
 
@@ -17,15 +17,14 @@ FIXTURE_PKG = str(Path(__file__).resolve().parent / "flowfixtures")
 
 # -- lint subcommand ----------------------------------------------------------
 
-def test_lint_subcommand_matches_legacy_invocation(tmp_path, capsys):
+def test_bare_path_spelling_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
     assert main(["lint", str(bad)]) == 1
-    new_out = capsys.readouterr().out
-    assert main([str(bad)]) == 1
-    legacy_out = capsys.readouterr().out
-    assert new_out == legacy_out
-    assert "SL001" in new_out
+    assert "SL001" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([str(bad)])
+    assert exc.value.code == 2
 
 
 def test_lint_subcommand_json_schema(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import json
 import textwrap
 
+import pytest
+
 from repro.analysis.cli import main
 from repro.analysis.linter import findings_to_dict, lint_paths, lint_source
 
@@ -151,7 +153,7 @@ def test_findings_sorted_and_counted(tmp_path):
 
 def test_cli_clean_tree_exits_zero(tmp_path, capsys):
     (tmp_path / "ok.py").write_text("from repro.units import HOUR\nH = HOUR\n")
-    assert main([str(tmp_path)]) == 0
+    assert main(["lint", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "0 findings" in out
 
@@ -159,7 +161,7 @@ def test_cli_clean_tree_exits_zero(tmp_path, capsys):
 def test_cli_findings_exit_one_and_print_location(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    assert main([str(bad)]) == 1
+    assert main(["lint", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "bad.py:2" in out and "SL001" in out
 
@@ -167,36 +169,38 @@ def test_cli_findings_exit_one_and_print_location(tmp_path, capsys):
 def test_cli_json_format(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    assert main([str(bad), "--format", "json"]) == 1
+    assert main(["lint", str(bad), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["tool"] == "simlint"
     assert payload["finding_count"] == 1
 
 
 def test_cli_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["rules"]) == 0
     out = capsys.readouterr().out
     for code in ("SL001", "SL002", "SL003", "SL004", "SL005", "SL006"):
         assert code in out
 
 
 def test_cli_no_paths_is_usage_error(capsys):
-    assert main([]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["lint"])
+    assert exc.value.code == 2
 
 
 def test_cli_missing_path_is_usage_error(capsys):
-    assert main(["definitely/not/a/real/path"]) == 2
+    assert main(["lint", "definitely/not/a/real/path"]) == 2
 
 
 def test_cli_syntax_error_reported_not_raised(tmp_path, capsys):
     (tmp_path / "broken.py").write_text("def f(:\n")
-    assert main([str(tmp_path)]) == 1
+    assert main(["lint", str(tmp_path)]) == 1
     assert "SL000" in capsys.readouterr().out
 
 
 def test_cli_self_check_is_clean(capsys):
     """The committed tree must pass its own gate (the CI invocation)."""
-    assert main(["--self-check"]) == 0
+    assert main(["self-check"]) == 0
     out = capsys.readouterr().out
     assert "0 findings" in out
     assert "sanitizer demo: 0 errors" in out

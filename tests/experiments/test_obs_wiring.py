@@ -9,6 +9,7 @@ import json
 
 from repro import obs
 from repro.app.workloads import paper_application
+from repro.contracts.strategy import ContractSwapStrategy
 from repro.core.policy import greedy_policy
 from repro.experiments import cli
 from repro.experiments.executor import cell_digest, compute_cell, execute_sweep
@@ -18,6 +19,7 @@ from repro.platform.cluster import make_platform
 from repro.strategies.cr import CrStrategy
 from repro.strategies.dlb import DlbStrategy
 from repro.strategies.nothing import NothingStrategy
+from repro.strategies.spawnswap import SpawnSwapStrategy
 from repro.strategies.swapstrat import SwapStrategy
 from repro.units import KB, MB
 
@@ -100,6 +102,36 @@ def test_trace_covers_every_decision_epoch_and_cell():
         assert record["accepted"] == bool(record["moves"])
     cells = {(r["x"], r["seed"]) for r in session.trace.records}
     assert cells == {(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)}
+
+
+def _variants_build(x: float, seed: int):
+    platform, variants = _tiny_build(x, seed)
+    app = variants[0][1]
+    return platform, [
+        ("swap-spawn", app, SpawnSwapStrategy(greedy_policy())),
+        ("swap-contract", app,
+         ContractSwapStrategy(greedy_policy(), violation_window=1))]
+
+
+def test_swap_variants_emit_decisions():
+    session = obs.ObsSession()
+    spec = ExperimentSpec(name="tiny-variants", title="tiny", xlabel="x",
+                          x_values=(0.0, 1.0), build=_variants_build,
+                          default_seeds=2)
+    execute_sweep(spec, seeds=2, obs_session=session)
+    decisions = {}
+    for record in session.trace.records:
+        if record["kind"] == "decision":
+            decisions.setdefault(record["series"], []).append(record)
+    # The spawn variant decides after every iteration but the last; the
+    # contract variant only on a violation.
+    assert len(decisions["swap-spawn"]) == 5 * 4
+    assert 0 < len(decisions["swap-contract"]) <= 5 * 4
+    assert {r["source"] for r in decisions["swap-spawn"]} == {
+        "swap-spawn-greedy"}
+    assert {r["source"] for r in decisions["swap-contract"]} == {
+        "swap-contract-greedy"}
+    assert obs.lint(obs.TraceSet(session.trace.records)) == []
 
 
 def test_trace_has_iterations_for_all_four_strategies():

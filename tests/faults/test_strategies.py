@@ -1,5 +1,8 @@
 """Strategy-level fault behavior: stalls, promotion, restart, repartition.
 
+The SWAP variants (spawn, contract) share SWAP's loop, so they see the
+same faults and recover the same way.
+
 Each test runs one strategy on a faulty platform under an ObsSession and
 checks the recovery semantics through the emitted ``fault.*`` records
 plus the execution result.  A shared invariant: a platform built with a
@@ -10,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.app.workloads import paper_application
+from repro.contracts.strategy import ContractSwapStrategy
 from repro.core.policy import greedy_policy
 from repro.faults.plan import FaultModel
 from repro.load.onoff import OnOffLoadModel
@@ -17,6 +21,7 @@ from repro.platform.cluster import make_platform
 from repro.strategies.cr import CrStrategy
 from repro.strategies.dlb import DlbStrategy
 from repro.strategies.nothing import NothingStrategy
+from repro.strategies.spawnswap import SpawnSwapStrategy
 from repro.strategies.swapstrat import SwapStrategy
 from repro.units import MB
 
@@ -47,8 +52,10 @@ def records_of(session, kind):
     return [r for r in session.trace.records if r["kind"] == kind]
 
 
+SWAP_VARIANTS = [SpawnSwapStrategy(greedy_policy()),
+                 ContractSwapStrategy(greedy_policy())]
 ALL_STRATEGIES = [NothingStrategy(), SwapStrategy(greedy_policy()),
-                  DlbStrategy(), CrStrategy()]
+                  DlbStrategy(), CrStrategy(), *SWAP_VARIANTS]
 
 
 # -- zero-rate plan is a no-op ------------------------------------------------
@@ -116,6 +123,37 @@ def test_swap_recovers_better_than_nothing():
         swap = SwapStrategy(greedy_policy()).run(faulty_platform(seed), app)
         worse += nothing.makespan > swap.makespan
     assert worse >= 2, "SWAP should beat NOTHING on most faulty seeds"
+
+
+@pytest.mark.parametrize("strategy", SWAP_VARIANTS, ids=lambda s: s.name)
+def test_swap_variants_see_faults(strategy):
+    app = small_app()
+    plain = strategy.run(
+        make_platform(16, OnOffLoadModel(p=0.02, q=0.02), seed=1,
+                      speed_range=(250e6, 350e6)), app)
+    faulty, session = traced_run(strategy, faulty_platform(1), app)
+    assert faulty.makespan != plain.makespan
+    revocations = records_of(session, "fault.revocation")
+    assert revocations
+    assert {r["source"] for r in revocations} == {strategy.name}
+
+
+def test_spawn_promotion_pays_spawn_cost():
+    platform = faulty_platform(1)
+    transfer = platform.link.transfer_time(1 * MB)
+    costs = {}
+    for strategy in (SwapStrategy(greedy_policy()),
+                     SpawnSwapStrategy(greedy_policy())):
+        _result, session = traced_run(strategy, faulty_platform(1),
+                                      small_app())
+        costs[strategy.name] = {
+            p["end"] - p["start"] for p in records_of(session,
+                                                      "fault.recovery")
+            if p["action"] == "swap-promote" and p["attempts"] == 1}
+    assert costs["swap-greedy"] and costs["swap-spawn-greedy"]
+    assert all(c == pytest.approx(transfer) for c in costs["swap-greedy"])
+    assert all(c == pytest.approx(transfer + platform.startup_per_process)
+               for c in costs["swap-spawn-greedy"])
 
 
 # -- CR: checkpoint restart ---------------------------------------------------

@@ -16,11 +16,9 @@ from repro.errors import LoadModelError
 from repro.load.base import ConstantExtender, LoadTrace
 from repro.load.kernels import (
     HostBatch,
-    advance_work_many,
     advance_work_scalar,
     compile_trace,
     extend_kernel,
-    integrate_availability_many,
     integrate_availability_scalar,
     value_at_scalar,
 )
@@ -186,26 +184,7 @@ def test_long_trace_numpy_compile_matches_list_compile():
     assert long_kernel.cum_list == expected
 
 
-# -- batch entry points ------------------------------------------------------
-
-@given(st.lists(segment_lists, min_size=1, max_size=4),
-       st.floats(min_value=0.0, max_value=60.0),
-       st.floats(min_value=0.0, max_value=60.0))
-@settings(max_examples=60, deadline=None)
-def test_batch_entry_points_match_per_trace_calls(trace_segments, a, span):
-    t0, t1 = a, a + span
-    fast = [make_trace(segs, beyond_horizon="hold")
-            for segs in trace_segments]
-    ref = [make_trace(segs, beyond_horizon="hold")
-           for segs in trace_segments]
-    integrals = integrate_availability_many(fast, t0, t1)
-    for i, trace in enumerate(ref):
-        assert integrals[i] == integrate_availability_scalar(trace, t0, t1)
-    demands = [1.0 + 3.0 * i for i in range(len(fast))]
-    finishes = advance_work_many(fast, t0, demands)
-    for i, trace in enumerate(ref):
-        assert finishes[i] == advance_work_scalar(trace, t0, demands[i])
-
+# -- HostBatch ----------------------------------------------------------------
 
 @given(st.lists(segment_lists, min_size=1, max_size=3),
        st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0),
