@@ -60,9 +60,11 @@ from repro.experiments.scenarios import get_scenario
 from repro.simkernel.plan import disable_lowering
 # fig8, fig9 and ablation-history run the windowed and
 # hyperexponential policies the bounded decision scan serves;
-# ext-spawn and ext-contracts run the spawn and contract SWAP variants.
-for name in ("fig4", "fig7", "fig8", "fig9", "ablation-history",
-             "ext-spawn", "ext-contracts"):
+# ext-spawn and ext-contracts run the spawn and contract SWAP variants;
+# ext-faults runs the fault branch of every strategy, and fig6 CR and
+# DLB at 1 GB state.
+for name in ("fig4", "fig6", "fig7", "fig8", "fig9", "ablation-history",
+             "ext-spawn", "ext-contracts", "ext-faults"):
     spec = get_scenario(name)
     fast, timing = execute_sweep(spec, seeds=2)
     with disable_lowering():

@@ -6,7 +6,7 @@ performance contract is violated* -- the GrADS execution model, where the
 contract monitor gates rescheduling actions.  Between violations the
 application runs undisturbed: no per-iteration policy evaluation, no
 opportunistic processor hoarding (a stronger form of the friendly
-policy's restraint).  The loop itself is :meth:`SwapStrategy.run`; this
+policy's restraint).  The loop and the policy step are SWAP's; this
 subclass supplies only the contract, through
 :meth:`~repro.strategies.swapstrat.SwapStrategy._open_contract`.
 """

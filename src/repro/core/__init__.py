@@ -2,8 +2,9 @@
 
 * :mod:`repro.core.payback` -- the cost/benefit algebra of Section 5:
   ``swap_time = alpha + size/beta`` and the *payback distance*.
-* :mod:`repro.core.history` -- performance history windows and NWS-style
-  forecasters (Section 4.1's "amount of performance history" parameter).
+* :mod:`repro.core.history` -- performance history windows and their
+  last-value/windowed-mean forecasts (Section 4.1's "amount of
+  performance history" parameter).
 * :mod:`repro.core.policy` -- the policy parameter set of Section 4.1 and
   the three named policies of Section 4.2 (greedy, safe, friendly).
 * :mod:`repro.core.decision` -- the decision engine: "swap the slowest
@@ -13,14 +14,11 @@
 
 from repro.core.payback import payback_distance, swap_time
 from repro.core.history import (
-    AdaptiveForecaster,
-    EwmaForecaster,
     Forecaster,
     LastValueForecaster,
     PerformanceHistory,
     PerformanceMonitor,
     WindowedMeanForecaster,
-    WindowedMedianForecaster,
 )
 from repro.core.policy import (
     PolicyParams,
@@ -38,8 +36,6 @@ from repro.core.decision import (
 )
 
 __all__ = [
-    "AdaptiveForecaster",
-    "EwmaForecaster",
     "Forecaster",
     "LastValueForecaster",
     "PerformanceHistory",
@@ -49,7 +45,6 @@ __all__ = [
     "SwapDecision",
     "SwapMove",
     "WindowedMeanForecaster",
-    "WindowedMedianForecaster",
     "decide_swaps",
     "evaluate_reconfiguration",
     "friendly_policy",

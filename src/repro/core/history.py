@@ -7,17 +7,16 @@ application to miss good swapping opportunities.  This parameter enables
 swap frequency damping."
 
 :class:`PerformanceHistory` keeps timestamped samples inside a sliding
-window.  Forecasters turn a history into a prediction; beyond the paper's
-windowed mean we provide median, EWMA, last-value and an adaptive
-selector, in the spirit of the Network Weather Service forecaster bank the
-paper cites for its measurement infrastructure.
+window.  Forecasters turn a history into a prediction: the paper's
+windowed mean, or the last value when there is no history.  The Network
+Weather Service forecaster bank the paper cites for its measurement
+infrastructure lives in :mod:`repro.nws`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Tuple
-from weakref import WeakKeyDictionary
+from typing import Deque, Tuple
 
 import numpy as np
 
@@ -39,9 +38,6 @@ class PerformanceHistory:
             raise PolicyError(f"negative history window {window}")
         self.window = float(window)
         self._samples: Deque[Tuple[float, float]] = deque()
-        self.total_recorded = 0
-        """Lifetime count of :meth:`record` calls (trimming never lowers
-        it); incremental consumers key their progress off this."""
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -53,7 +49,6 @@ class PerformanceHistory:
                 f"sample at t={t} is older than the newest sample "
                 f"(t={self._samples[-1][0]})")
         self._samples.append((float(t), float(value)))
-        self.total_recorded += 1
         self._trim(t)
 
     def _trim(self, now: float) -> None:
@@ -124,127 +119,21 @@ class WindowedMeanForecaster(Forecaster):
         return float(np.mean(values))
 
 
-class WindowedMedianForecaster(Forecaster):
-    """Median over the window (robust to single-sample spikes)."""
-
-    name = "median"
-
-    def predict(self, history: PerformanceHistory, now: float) -> float:
-        values = history.values(now)
-        if not values:
-            raise PolicyError("history is empty")
-        return float(np.median(values))
-
-
-class EwmaForecaster(Forecaster):
-    """Exponentially weighted moving average with smoothing ``alpha``."""
-
-    name = "ewma"
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise PolicyError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-
-    def predict(self, history: PerformanceHistory, now: float) -> float:
-        values = history.values(now)
-        if not values:
-            raise PolicyError("history is empty")
-        estimate = values[0]
-        for value in values[1:]:
-            estimate = self.alpha * value + (1.0 - self.alpha) * estimate
-        return float(estimate)
-
-
-class _AdaptiveScore:
-    """Incremental one-step-ahead error tally for one scored history.
-
-    ``mirror`` is a rolling copy of the history (same window, trimmed on
-    record exactly like the live one) that always lags the scored history
-    by the samples not yet consumed: each new sample is first predicted
-    from the mirror by every child (accumulating its absolute error), then
-    appended.  Every sample is therefore scored exactly once, making the
-    per-prediction cost O(new samples) instead of a full O(n^2) replay.
-    """
-
-    __slots__ = ("mirror", "errors", "consumed")
-
-    def __init__(self, n_children: int, window: float) -> None:
-        self.mirror = PerformanceHistory(window=window)
-        self.errors = [0.0] * n_children
-        self.consumed = 0
-
-
-class AdaptiveForecaster(Forecaster):
-    """NWS-style selector: use the child with the lowest cumulative error.
-
-    Every child forecaster is scored by its cumulative absolute one-step-
-    ahead error over the samples seen so far, and the best child's
-    prediction is returned.  Scoring is incremental (each sample is scored
-    once, when first observed), so a prediction inside the per-iteration
-    decision loop costs O(new samples since the last prediction), not a
-    full-history replay.  Errors accumulate over the history's lifetime --
-    the NWS formulation -- rather than being recomputed over the current
-    window; samples recorded *and* trimmed between two predictions (only
-    possible when predictions are rarer than measurements) are skipped.
-    """
-
-    name = "adaptive"
-
-    def __init__(self, children: "Iterable[Forecaster] | None" = None) -> None:
-        self.children = list(children) if children is not None else [
-            LastValueForecaster(),
-            WindowedMeanForecaster(),
-            WindowedMedianForecaster(),
-            EwmaForecaster(),
-        ]
-        if not self.children:
-            raise PolicyError("need at least one child forecaster")
-        self._scores: "WeakKeyDictionary[PerformanceHistory, _AdaptiveScore]" \
-            = WeakKeyDictionary()
-
-    def _score(self, history: PerformanceHistory) -> _AdaptiveScore:
-        """Consume samples recorded since the last call and tally errors."""
-        score = self._scores.get(history)
-        if score is None:
-            score = _AdaptiveScore(len(self.children), history.window)
-            self._scores[history] = score
-        fresh = history.total_recorded - score.consumed
-        if fresh > 0:
-            pending = list(history._samples)[-fresh:]
-            for t, v in pending:
-                if len(score.mirror) > 0:
-                    for i, child in enumerate(self.children):
-                        score.errors[i] += abs(
-                            child.predict(score.mirror, t) - v)
-                score.mirror.record(t, v)
-            score.consumed = history.total_recorded
-        return score
-
-    def predict(self, history: PerformanceHistory, now: float) -> float:
-        samples = history.samples(now)
-        if not samples:
-            raise PolicyError("history is empty")
-        score = self._score(history)
-        if len(samples) == 1:
-            return samples[0][1]
-        best = int(np.argmin(score.errors))
-        return self.children[best].predict(history, now)
-
-
 class PerformanceMonitor:
     """Per-resource histories with a shared window and forecaster.
+
+    The window picks the forecaster: last value at ``0``, windowed mean
+    otherwise.
 
     The swap runtime's view of the world: one history per processor,
     populated by the swap handlers (active processes report measured
     iteration rates; idle spares report probed CPU availability).
     """
 
-    def __init__(self, window: float = 0.0,
-                 forecaster: Forecaster | None = None) -> None:
+    def __init__(self, window: float = 0.0) -> None:
         self.window = float(window)
-        self.forecaster = forecaster or (
-            LastValueForecaster() if window == 0.0 else WindowedMeanForecaster())
+        self.forecaster = (LastValueForecaster() if window == 0.0
+                           else WindowedMeanForecaster())
         self._histories: dict = {}
 
     def record(self, resource, t: float, value: float) -> None:
@@ -267,31 +156,23 @@ class PerformanceMonitor:
         Returns ``None`` as soon as any resource lacks measurements (the
         decision epoch cannot run on a partial view), otherwise a
         resource -> prediction map.  Each prediction is float-identical
-        to :meth:`predict` on the same history: the fast paths below
+        to :meth:`predict` on the same history: the two loops below
         collapse the per-resource forecaster dispatch, not the algebra.
         """
         histories = self._histories
-        forecaster = self.forecaster
-        kind = type(forecaster)
         rates = {}
-        if kind is LastValueForecaster:
+        if type(self.forecaster) is LastValueForecaster:
             for r in resources:
                 history = histories.get(r)
                 if history is None or not history._samples:
                     return None
                 rates[r] = history._samples[-1][1]
-        elif kind is WindowedMeanForecaster:
-            for r in resources:
-                history = histories.get(r)
-                if history is None or not history._samples:
-                    return None
-                rates[r] = float(np.mean(history.values(now)))
         else:
             for r in resources:
                 history = histories.get(r)
                 if history is None or not history._samples:
                     return None
-                rates[r] = forecaster.predict(history, now)
+                rates[r] = float(np.mean(history.values(now)))
         return rates
 
     def known_resources(self) -> list:

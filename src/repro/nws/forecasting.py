@@ -8,9 +8,8 @@ accurate method plus that method's error estimate -- exactly the shape of
 answer NWS gives its clients ("dynamically forecasting network
 performance", Wolski 1998).
 
-Unlike :class:`repro.core.history.AdaptiveForecaster` (which replays a
-window on every call), the bank is O(#methods) per update and never
-re-reads history, so it scales to long monitoring sessions.
+The bank is O(#methods) per update and never re-reads history, so it
+scales to long monitoring sessions.
 """
 
 from __future__ import annotations

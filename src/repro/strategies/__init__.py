@@ -10,9 +10,12 @@
 * :class:`~repro.strategies.cr.CrStrategy` -- checkpoint/restart migration
   of the whole processor set, gated by the same policy criteria.
 
-All strategies run on the *same* :class:`~repro.platform.Platform`
-instance (same load traces), giving the back-to-back reproducible
-comparisons the paper built its simulator for.
+They share one bulk-synchronous loop,
+:meth:`~repro.strategies.base.Strategy.run`, and state only how they
+adapt through its hooks.  All strategies run on the *same*
+:class:`~repro.platform.Platform` instance (same load traces), giving
+the back-to-back reproducible comparisons the paper built its simulator
+for.
 """
 
 from repro.strategies.base import ExecutionResult, IterationRecord, Strategy

@@ -1,13 +1,19 @@
-"""Strategy interface, result records and shared helpers.
+"""The one BSP loop, its result records and the hooks strategies fill in.
 
 All strategies simulate the same application model: a bulk-synchronous
 iteration is a parallel compute phase (each active process burns its chunk
 at its host's time-varying effective speed, computed exactly from the load
 trace) followed by a communication phase on the shared link.  The
 iteration ends at ``max(compute finishes) + comm_time`` -- the full
-barrier the paper's ``MPI_Swap()`` call relies on.  Strategies run that
-iteration through the plan :func:`repro.simkernel.plan.lower` binds at
-run start.
+barrier the paper's ``MPI_Swap()`` call relies on.
+
+:meth:`Strategy.run` is the only iteration-level loop.  The four
+techniques differ only in how they adapt, which they state through
+hooks: :meth:`Strategy._before_iteration` (repartition, boundary
+recovery), :meth:`Strategy._interruption` and
+:meth:`Strategy._on_revocation` (what a revocation inside the compute
+phase does), and :meth:`Strategy._after_iteration` (the policy-gated
+pause after an iteration).
 """
 
 from __future__ import annotations
@@ -15,10 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro import obs
 from repro.app.iterative import ApplicationSpec
 from repro.app.progress import ProgressRecorder
 from repro.errors import StrategyError
+from repro.faults import recovery
 from repro.platform.cluster import Platform
+from repro.simkernel.plan import SimPlan
+from repro.strategies.scheduler import initial_schedule
 
 
 class IterationRecord(NamedTuple):
@@ -86,15 +96,153 @@ class ExecutionResult:
 
 
 class Strategy:
-    """Interface: simulate one application run on a platform."""
+    """Simulate one application run on a platform.
+
+    :meth:`run` owns the iteration loop; subclasses fill in the hooks
+    below.  Between :meth:`_setup` and the end of :meth:`run` the
+    instance holds the run's state (``_platform``, ``_app``,
+    ``_faults``, ``_result``, ``_comm_time``, ``_splan`` and whatever
+    ``_setup`` adds), so one instance runs one simulation at a time.
+    """
 
     name = "strategy"
 
+    #: Launch every pool host's process at startup, spares included
+    #: (SWAP's over-allocation); otherwise only the ``N`` working ones.
+    overallocates = False
+
     def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
-        """Simulate the full run and return its :class:`ExecutionResult`."""
+        """Simulate the full run and return its :class:`ExecutionResult`.
+
+        Each attempt at iteration ``i`` adapts at the boundary, runs the
+        compute and communication phases, and adapts after them.  Under
+        faults a revocation inside the compute phase may interrupt the
+        attempt: its partial work is lost and ``i`` re-runs.
+        """
+        self.check_fit(platform, app)
+        result = ExecutionResult(strategy=self.name, app=app)
+        active = initial_schedule(platform, app.n_processes, t=0.0)
+        chunks = app.equal_chunks(active)
+        comm_time = self.comm_time(platform, app)
+        self._platform = platform
+        self._app = app
+        self._faults = platform.faults
+        self._result = result
+        self._comm_time = comm_time
+        self._splan = splan = self._setup(active, chunks)
+
+        t = platform.startup_time(len(platform) if self.overallocates
+                                  else app.n_processes)
+        result.startup_time = t
+        result.progress.record(t, 0, "startup")
+
+        progress_record = result.progress.record
+        records_append = result.records.append
+        iteration = splan.iteration
+        fault_free = splan.fault_free
+        obs_on = splan.obs_on
+        before = self._before_iteration
+        after = self._after_iteration
+        iterations = app.iterations
+
+        # ``tuple(active)`` cached on the list's identity: every path
+        # that changes the active set rebinds it to a fresh list.
+        ran_for: "list[int] | None" = None
+        ran_on: "tuple[int, ...]" = ()
+
+        i = 1
+        while i <= iterations:
+            t, active, chunks = before(t, i, active, chunks)
+            start = t
+            if fault_free:
+                compute_end, end = iteration(chunks, t, comm_time)
+            else:
+                # Revoked hosts pause; the barrier waits for them.
+                compute_end = max(
+                    recovery.compute_finish(platform, h, t, flops)
+                    for h, flops in sorted(chunks.items()))
+                onset = self._interruption(active, t, compute_end, i)
+                if onset is not None:
+                    # Mid-iteration interruption: the attempt's partial
+                    # work is lost; recover at the onset and re-run i.
+                    onset_t, hit = onset
+                    t, active, chunks = self._on_revocation(
+                        onset_t, hit, i, active, chunks)
+                    continue
+                end = compute_end + comm_time
+            if active is not ran_for:
+                ran_on = tuple(active)
+                ran_for = active
+            t = end
+            progress_record(t, i, "iteration")
+            if obs_on:
+                obs.emit("iteration", end, source=self.name, iteration=i,
+                         start=start, end=end, compute_end=compute_end,
+                         active=ran_on)
+                obs.count("strategy.iterations_total")
+            t, active, chunks, overhead, event = after(i, start, t, active,
+                                                       chunks)
+            records_append(IterationRecord(i, start, compute_end, end,
+                                           ran_on, overhead, event))
+            i += 1
+
+        result.makespan = t
+        result.final_active = tuple(active)
+        return result
+
+    # -- hooks ------------------------------------------------------------
+
+    def _setup(self, active: "list[int]",
+               chunks: "dict[int, float]") -> SimPlan:
+        """Bind the run's :class:`SimPlan` and reset per-run state.
+
+        Each strategy lowers through its own module's ``lower`` name, so
+        the lowering is visible (and patchable) where the strategy is.
+        """
         raise NotImplementedError
 
+    def _before_iteration(self, t: float, i: int, active: "list[int]",
+                          chunks: "dict[int, float]"):
+        """Adapt at the boundary before an attempt at iteration ``i``.
+
+        Returns the advanced ``(t, active, chunks)``.
+        """
+        return t, active, chunks
+
+    def _interruption(self, active: "list[int]", start: float,
+                      compute_end: float, i: int):
+        """The revocation that interrupts this attempt, as
+        ``(onset, hosts)``, or ``None`` to let it finish."""
+        return self._faults.earliest_onset(active, start, compute_end)
+
+    def _on_revocation(self, t: float, hosts: "list[int]", i: int,
+                       active: "list[int]", chunks: "dict[int, float]"):
+        """Recover from ``hosts`` revoked at ``t``.
+
+        Returns the advanced ``(t, active, chunks)``.
+        """
+        raise NotImplementedError
+
+    def _after_iteration(self, i: int, start: float, t: float,
+                         active: "list[int]", chunks: "dict[int, float]"):
+        """Adapt after iteration ``i`` (begun at ``start``) ended at ``t``.
+
+        Returns ``(t, active, chunks, overhead, event)``: the pause
+        charged and what it was (see :class:`IterationRecord`).
+        """
+        return t, active, chunks, 0.0, ""
+
     # -- shared machinery -------------------------------------------------
+
+    def _declare(self, kind: str, t: float, iteration: int, host: int,
+                 **fields) -> None:
+        """Emit a ``fault.revocation`` or ``fault.stall`` record and its
+        counters; a stall also adds its ``stalled`` seconds."""
+        obs.emit("fault." + kind, t, source=self.name, iteration=iteration,
+                 host=host, **fields)
+        obs.count(f"faults.{kind}s_total")
+        if kind == "stall":
+            obs.count("faults.stall_seconds_total", fields["stalled"])
 
     @staticmethod
     def check_fit(platform: Platform, app: ApplicationSpec) -> None:

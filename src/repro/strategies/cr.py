@@ -30,11 +30,9 @@ from repro import obs
 from repro.app.iterative import ApplicationSpec
 from repro.core.decision import evaluate_reconfiguration
 from repro.core.policy import PolicyParams, greedy_policy
-from repro.faults import recovery
 from repro.platform.cluster import Platform
-from repro.simkernel.plan import lower
-from repro.strategies.base import ExecutionResult, IterationRecord, Strategy
-from repro.strategies.scheduler import initial_schedule
+from repro.simkernel.plan import SimPlan, lower
+from repro.strategies.base import Strategy
 
 
 class CrStrategy(Strategy):
@@ -61,159 +59,103 @@ class CrStrategy(Strategy):
         read = platform.link.serialized_time(n * app.state_bytes, n)
         return read + platform.startup_time(n)
 
-    def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
-        self.check_fit(platform, app)
-        result = ExecutionResult(strategy=self.name, app=app)
-        plan = platform.faults
-        splan = lower(platform, app)
+    # -- loop hooks --------------------------------------------------------
 
-        active = initial_schedule(platform, app.n_processes, t=0.0)
-        comm_time = self.comm_time(platform, app)
-        cost = self.restart_cost(platform, app)
+    def _setup(self, active, chunks) -> SimPlan:
+        self._cost = self.restart_cost(self._platform, self._app)
+        return lower(self._platform, self._app)
+
+    def _before_iteration(self, t, i, active, chunks):
+        plan = self._faults
+        if plan is not None:
+            victims = plan.revoked_at(t, active)
+            if victims:
+                return self._on_revocation(t, victims, i, active, chunks)
+        return t, active, chunks
+
+    def _after_iteration(self, i, start, t, active, chunks):
+        """Run the policy-gated whole-set restart after every iteration
+        but the last."""
+        if i >= self._app.iterations:
+            return t, active, chunks, 0.0, ""
+        plan = self._faults
+        app = self._app
+        policy = self.policy
+        cost = self._cost
         chunk = app.chunk_flops
-
-        t = platform.startup_time(app.n_processes)
-        result.startup_time = t
-        result.progress.record(t, 0, "startup")
-
-        progress_record = result.progress.record
-        records_append = result.records.append
-        iteration = splan.iteration
-        obs_on = splan.obs_on
-        n_processes = app.n_processes
-        history_window = self.policy.history_window
-        predicted_rates = splan.predicted_rates
-
-        # The active set only changes on a restart, so the per-iteration
-        # tuple/chunk-map rebuilds are cached on the list's identity.
-        ran_for: "list[int] | None" = None
-        ran_on: "tuple[int, ...]" = ()
-        chunks: "dict[int, float]" = {}
-
-        i = 1
-        while i <= app.iterations:
-            if plan is not None:
-                victims = plan.revoked_at(t, active)
-                if victims:
-                    t, active = self._fault_restart(plan, platform, app,
-                                                    result, t, i, victims)
-            iter_start = t
-            if active is not ran_for:
-                ran_on = tuple(active)
-                chunks = {h: chunk for h in active}
-                ran_for = active
-            if splan.fault_free:
-                compute_end, iter_end = iteration(chunks, t, comm_time)
-            else:
-                compute_end = max(
-                    recovery.compute_finish(platform, h, t, flops)
-                    for h, flops in sorted(chunks.items()))
-                onset = plan.earliest_onset(active, t, compute_end)
-                if onset is not None:
-                    # Mid-iteration interruption: partial work is lost;
-                    # restart from the last checkpoint and re-run i.
-                    onset_t, hit = onset
-                    t, active = self._fault_restart(plan, platform, app,
-                                                    result, onset_t, i, hit)
-                    continue
-                iter_end = compute_end + comm_time
-            t = iter_end
-            progress_record(t, i, "iteration")
-            if obs_on:
-                obs.emit("iteration", iter_end, source=self.name, iteration=i,
-                         start=iter_start, end=iter_end,
-                         compute_end=compute_end, active=ran_on)
-                obs.count("strategy.iterations_total")
-
-            overhead = 0.0
-            event = ""
-            if i < app.iterations:
-                rates = predicted_rates(t, history_window)
-                if plan is None:
-                    # The candidate ranking uses the same (t, window)
-                    # rates just predicted; reuse them instead of a
-                    # second full-platform pass (same sort, same set).
-                    # ``rates`` iterates hosts in ascending index order
-                    # and a reverse sort is stable, so this matches the
-                    # ``(-rate, index)`` ranking without per-key tuples.
-                    candidate = sorted(rates, key=rates.__getitem__,
-                                       reverse=True)[:n_processes]
-                else:
-                    candidate = self._candidate_set(platform, app, t, plan)
-                if candidate is not None and set(candidate) != set(active):
-                    # ``max(chunk / r)`` is the division by the minimal
-                    # rate -- same operation on the same operands.
-                    old_iter = chunk / min(map(rates.__getitem__,
-                                               active)) + comm_time
-                    new_iter = chunk / min(map(rates.__getitem__,
-                                               candidate)) + comm_time
-                    check = evaluate_reconfiguration(old_iter, new_iter, cost,
-                                                     self.policy)
-                    if obs_on:
-                        obs.emit_check(t, source=self.name, iteration=i,
-                                       policy=self.policy.name, check=check,
-                                       cost=cost, active=active,
-                                       candidate=candidate)
-                    if check.accepted and plan is not None \
-                            and not plan.store_available(t):
-                        # The checkpoint write would hit the outage:
-                        # defer the migration to a later epoch.
-                        obs.emit("fault.store_outage", t, source=self.name,
-                                 iteration=i, action="deferred",
-                                 until=plan.store_ready_time(t))
-                        obs.count("faults.store_outage_deferrals_total")
-                    elif check.accepted:
-                        overhead = cost
-                        event = "checkpoint"
-                        active = candidate
-                        result.restart_count += 1
-                        result.overhead_time += overhead
-                        t += overhead
-                        progress_record(t, i, "checkpoint")
-                        obs.emit("checkpoint", t, source=self.name,
-                                 iteration=i, new_active=active,
-                                 cost=cost, start=iter_end, end=t)
-                        obs.count("cr.restarts_total")
-
-            records_append(IterationRecord(i, iter_start, compute_end,
-                                           iter_end, ran_on, overhead, event))
-            i += 1
-
-        result.makespan = t
-        result.final_active = tuple(active)
-        return result
+        comm_time = self._comm_time
+        rates = self._splan.predicted_rates(t, policy.history_window)
+        if plan is None:
+            # The candidate ranking uses the same (t, window) rates just
+            # predicted (same sort, same set as a second full-platform
+            # pass).  ``rates`` iterates hosts in ascending index order
+            # and a reverse sort is stable, so this matches the
+            # ``(-rate, index)`` ranking without per-key tuples.
+            candidate = sorted(rates, key=rates.__getitem__,
+                               reverse=True)[:app.n_processes]
+        else:
+            candidate = self._candidate_set(t)
+        if candidate is None or set(candidate) == set(active):
+            return t, active, chunks, 0.0, ""
+        # ``max(chunk / r)`` is the division by the minimal rate -- same
+        # operation on the same operands.
+        old_iter = chunk / min(map(rates.__getitem__, active)) + comm_time
+        new_iter = chunk / min(map(rates.__getitem__, candidate)) + comm_time
+        check = evaluate_reconfiguration(old_iter, new_iter, cost, policy)
+        if self._splan.obs_on:
+            obs.emit_check(t, source=self.name, iteration=i,
+                           policy=policy.name, check=check, cost=cost,
+                           active=active, candidate=candidate)
+        if not check.accepted:
+            return t, active, chunks, 0.0, ""
+        if plan is not None and not plan.store_available(t):
+            # The checkpoint write would hit the outage: defer the
+            # migration to a later epoch.
+            obs.emit("fault.store_outage", t, source=self.name,
+                     iteration=i, action="deferred",
+                     until=plan.store_ready_time(t))
+            obs.count("faults.store_outage_deferrals_total")
+            return t, active, chunks, 0.0, ""
+        result = self._result
+        start_t = t
+        result.restart_count += 1
+        result.overhead_time += cost
+        t += cost
+        result.progress.record(t, i, "checkpoint")
+        obs.emit("checkpoint", t, source=self.name, iteration=i,
+                 new_active=candidate, cost=cost, start=start_t, end=t)
+        obs.count("cr.restarts_total")
+        return t, candidate, {h: chunk for h in candidate}, cost, "checkpoint"
 
     # -- helpers -----------------------------------------------------------
 
-    def _candidate_set(self, platform, app, t, plan):
-        """The ``N`` fastest hosts eligible for a performance restart.
-
-        With faults in play, revoked hosts are not eligible; returns
-        ``None`` when fewer than ``N`` hosts are alive.
-        """
-        if plan is None:
-            return initial_schedule(platform, app.n_processes, t=t,
-                                    window=self.policy.history_window)
-        alive = [h for h in range(len(platform)) if not plan.is_revoked(h, t)]
-        if len(alive) < app.n_processes:
+    def _candidate_set(self, t):
+        """The ``N`` fastest hosts alive at ``t``, or ``None`` when fewer
+        than ``N`` are: a performance restart under faults."""
+        plan = self._faults
+        n = self._app.n_processes
+        alive = [h for h in range(len(self._platform))
+                 if not plan.is_revoked(h, t)]
+        if len(alive) < n:
             return None
-        rates = platform.effective_rates(t, window=self.policy.history_window,
-                                         indices=alive)
-        return sorted(alive, key=lambda h: (-rates[h], h))[:app.n_processes]
+        rates = self._platform.effective_rates(
+            t, window=self.policy.history_window, indices=alive)
+        return sorted(alive, key=lambda h: (-rates[h], h))[:n]
 
-    def _fault_restart(self, plan, platform, app, result, t, iteration,
-                       victims):
+    def _on_revocation(self, t, victims, iteration, active, chunks):
         """Recover from revoked actives: re-read the checkpoint, restart.
 
         Waits out checkpoint-store outages (and, if fewer than ``N``
         hosts survive, host returns) before paying the recovery cost.
-        Returns the advanced ``(t, new_active)``.
+        Returns the advanced ``(t, active, chunks)``.
         """
+        plan = self._faults
+        platform = self._platform
+        app = self._app
+        result = self._result
         for h in sorted(victims):
-            obs.emit("fault.revocation", t, source=self.name,
-                     iteration=iteration, host=h,
-                     until=plan.return_time(h, t))
-            obs.count("faults.revocations_total")
+            self._declare("revocation", t, iteration, h,
+                          until=plan.return_time(h, t))
         n = app.n_processes
         pool = range(len(platform))
         while True:
@@ -224,11 +166,8 @@ class CrStrategy(Strategy):
             ret = min(plan.return_time(h, t) for h in pool
                       if plan.is_revoked(h, t))
             for h in sorted(victims):
-                obs.emit("fault.stall", t, source=self.name,
-                         iteration=iteration, host=h, stalled=ret - t,
-                         reason="insufficient-hosts")
-                obs.count("faults.stalls_total")
-                obs.count("faults.stall_seconds_total", ret - t)
+                self._declare("stall", t, iteration, h, stalled=ret - t,
+                              reason="insufficient-hosts")
             result.overhead_time += ret - t
             t = ret
         ready = plan.store_ready_time(t)
@@ -253,4 +192,4 @@ class CrStrategy(Strategy):
         obs.count("faults.recoveries_total")
         result.progress.record(t, iteration - 1, "checkpoint",
                                "fault restart")
-        return t, candidate
+        return t, candidate, {h: app.chunk_flops for h in candidate}

@@ -26,12 +26,12 @@ the first one returns.
 from __future__ import annotations
 
 from repro import obs
-from repro.app.iterative import ApplicationSpec
-from repro.faults import recovery
-from repro.platform.cluster import Platform
-from repro.simkernel.plan import lower
-from repro.strategies.base import ExecutionResult, IterationRecord, Strategy
-from repro.strategies.scheduler import initial_schedule
+from repro.simkernel.plan import SimPlan, lower
+from repro.strategies.base import Strategy
+
+#: Seconds of history behind the partitioning rate estimates: 0 is the
+#: instantaneous rate, the paper's model.
+MEASUREMENT_WINDOW = 0.0
 
 
 class DlbStrategy(Strategy):
@@ -39,101 +39,63 @@ class DlbStrategy(Strategy):
 
     name = "dlb"
 
-    def __init__(self, measurement_window: float = 0.0) -> None:
-        """``measurement_window``: seconds of history behind the rate
-        estimates used for partitioning (0 = instantaneous, the paper's
-        model)."""
-        if measurement_window < 0:
-            raise ValueError("measurement_window must be >= 0")
-        self.measurement_window = float(measurement_window)
+    def _setup(self, active, chunks) -> SimPlan:
+        self._members = active
+        self._down: "set[int]" = set()
+        return lower(self._platform, self._app)
 
-    def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
-        self.check_fit(platform, app)
-        result = ExecutionResult(strategy=self.name, app=app)
-        plan = platform.faults
-        splan = lower(platform, app)
+    def _before_iteration(self, t, i, active, chunks):
+        """Repartition the iteration over the members standing at ``t``."""
+        splan = self._splan
+        members = self._members
+        if splan.fault_free:
+            active = members
+        else:
+            t = self._sync_membership(t, i)
+            active = [h for h in members if h not in self._down]
+        rates = splan.predicted_rates(t, MEASUREMENT_WINDOW, indices=active)
+        if splan.fault_free:
+            chunks = self._app.proportional_chunks(rates)
+        else:
+            total_rate = sum(rates.values())
+            flops = self._app.flops_per_iteration
+            chunks = {h: flops * rates[h] / total_rate for h in active}
+        if splan.obs_on and obs.active() is not None:
+            obs.emit("rebalance", t, source=self.name, iteration=i,
+                     chunks={str(h): chunks[h] for h in active},
+                     rates={str(h): rates[h] for h in active})
+            obs.count("dlb.rebalances_total")
+        return t, active, chunks
 
-        members = initial_schedule(platform, app.n_processes, t=0.0)
-        down: "set[int]" = set()
-        comm_time = self.comm_time(platform, app)
-
-        t = platform.startup_time(app.n_processes)
-        result.startup_time = t
-        result.progress.record(t, 0, "startup")
-
-        i = 1
-        while i <= app.iterations:
-            if splan.fault_free:
-                active = members
-            else:
-                t = self._sync_membership(plan, members, down, t, i, result)
-                active = [h for h in members if h not in down]
-            rates = splan.predicted_rates(t, self.measurement_window,
-                                          indices=active)
-            if splan.fault_free:
-                chunks = app.proportional_chunks(rates)
-            else:
-                total_rate = sum(rates.values())
-                chunks = {h: app.flops_per_iteration * rates[h] / total_rate
-                          for h in active}
-            if splan.obs_on and obs.active() is not None:
-                obs.emit("rebalance", t, source=self.name, iteration=i,
-                         chunks={str(h): chunks[h] for h in active},
-                         rates={str(h): rates[h] for h in active})
-                obs.count("dlb.rebalances_total")
-            if splan.fault_free:
-                compute_end, iter_end = splan.iteration(chunks, t, comm_time)
-            else:
-                compute_end = max(
-                    recovery.compute_finish(platform, h, t, flops)
-                    for h, flops in sorted(chunks.items()))
-                onset = plan.earliest_onset(active, t, compute_end)
-                if onset is not None:
-                    # Mid-iteration interruption: drop the victims and
-                    # re-run the iteration on the survivors.
-                    onset_t, hit = onset
-                    for h in sorted(hit):
-                        self._drop_member(plan, down, onset_t, i, h, result)
-                    t = onset_t
-                    continue
-                iter_end = compute_end + comm_time
-            result.records.append(IterationRecord(
-                index=i, start=t, compute_end=compute_end, end=iter_end,
-                active=tuple(active)))
-            if splan.obs_on:
-                obs.emit("iteration", iter_end, source=self.name, iteration=i,
-                         start=t, end=iter_end, compute_end=compute_end,
-                         active=tuple(active))
-                obs.count("strategy.iterations_total")
-            t = iter_end
-            result.progress.record(t, i, "iteration")
-            i += 1
-
-        result.makespan = t
-        result.final_active = tuple(h for h in members if h not in down)
-        return result
+    def _on_revocation(self, t, hosts, i, active, chunks):
+        """Drop the victims; the next attempt runs on the survivors."""
+        for h in sorted(hosts):
+            self._drop_member(t, i, h)
+        return t, active, chunks
 
     # -- fault handling ----------------------------------------------------
 
-    def _drop_member(self, plan, down, t, iteration, host, result) -> None:
+    def _drop_member(self, t, iteration, host) -> None:
         """Declare ``host`` revoked and repartition over the survivors."""
-        obs.emit("fault.revocation", t, source=self.name, iteration=iteration,
-                 host=host, until=plan.return_time(host, t))
-        obs.count("faults.revocations_total")
-        down.add(host)
+        self._declare("revocation", t, iteration, host,
+                      until=self._faults.return_time(host, t))
+        self._down.add(host)
         obs.emit("fault.recovery", t, source=self.name, iteration=iteration,
                  action="dlb-repartition", hosts=[host], cost=0.0)
         obs.count("faults.recoveries_total")
-        result.progress.record(t, iteration - 1, "stall",
-                               f"host{host} revoked, repartition")
+        self._result.progress.record(t, iteration - 1, "stall",
+                                     f"host{host} revoked, repartition")
 
-    def _sync_membership(self, plan, members, down, t, i, result) -> float:
+    def _sync_membership(self, t, i) -> float:
         """Boundary membership update: drop newly revoked members, rejoin
         returned ones; if nobody is left, stall until the first return."""
+        plan = self._faults
+        members = self._members
+        down = self._down
         for h in members:
             if plan.is_revoked(h, t):
                 if h not in down:
-                    self._drop_member(plan, down, t, i, h, result)
+                    self._drop_member(t, i, h)
             elif h in down:
                 down.discard(h)
                 obs.emit("fault.return", t, source=self.name, iteration=i,
@@ -142,11 +104,9 @@ class DlbStrategy(Strategy):
         while all(h in down for h in members):
             ret = min(plan.return_time(h, t) for h in members)
             for h in sorted(members):
-                obs.emit("fault.stall", t, source=self.name, iteration=i,
-                         host=h, stalled=ret - t, reason="all-revoked")
-                obs.count("faults.stalls_total")
-                obs.count("faults.stall_seconds_total", ret - t)
-            result.overhead_time += ret - t
+                self._declare("stall", t, i, h, stalled=ret - t,
+                              reason="all-revoked")
+            self._result.overhead_time += ret - t
             t = ret
             for h in members:
                 if not plan.is_revoked(h, t) and h in down:

@@ -12,13 +12,8 @@ revocation of an active host goes unaccounted.
 
 from __future__ import annotations
 
-from repro import obs
-from repro.app.iterative import ApplicationSpec
-from repro.faults import recovery
-from repro.platform.cluster import Platform
-from repro.simkernel.plan import lower
-from repro.strategies.base import ExecutionResult, IterationRecord, Strategy
-from repro.strategies.scheduler import initial_schedule
+from repro.simkernel.plan import SimPlan, lower
+from repro.strategies.base import Strategy
 
 
 class NothingStrategy(Strategy):
@@ -26,74 +21,28 @@ class NothingStrategy(Strategy):
 
     name = "nothing"
 
-    def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
-        self.check_fit(platform, app)
-        result = ExecutionResult(strategy=self.name, app=app)
-        plan = platform.faults
-        splan = lower(platform, app)
+    def _setup(self, active, chunks) -> SimPlan:
+        return lower(self._platform, self._app)
 
-        active = initial_schedule(platform, app.n_processes, t=0.0)
-        chunks = app.equal_chunks(active)
-        comm_time = self.comm_time(platform, app)
-
-        t = platform.startup_time(app.n_processes)
-        result.startup_time = t
-        result.progress.record(t, 0, "startup")
-
-        # NOTHING's active set never changes: hoist the per-iteration
-        # constants out of the loop.
-        active_t = tuple(active)
-        records_append = result.records.append
-        progress_record = result.progress.record
-        iteration = splan.iteration
-        obs_on = splan.obs_on
-
-        for i in range(1, app.iterations + 1):
-            if splan.fault_free:
-                compute_end, iter_end = iteration(chunks, t, comm_time)
-            else:
-                # Revoked hosts pause; the barrier stalls until they return.
-                compute_end = max(
-                    recovery.compute_finish(platform, h, t, flops)
-                    for h, flops in sorted(chunks.items()))
-                iter_end = compute_end + comm_time
-                self._declare_stalls(plan, active, t, compute_end, i, result)
-            records_append(IterationRecord(i, t, compute_end, iter_end,
-                                           active_t))
-            if obs_on:
-                obs.emit("iteration", iter_end, source=self.name, iteration=i,
-                         start=t, end=iter_end, compute_end=compute_end,
-                         active=active_t)
-                obs.count("strategy.iterations_total")
-            t = iter_end
-            progress_record(t, i, "iteration")
-
-        result.makespan = t
-        result.final_active = tuple(active)
-        return result
-
-    def _declare_stalls(self, plan, active, start, compute_end, iteration,
-                        result) -> None:
-        """Emit a revocation + declared stall per revocation overlapping
-        the compute phase (NOTHING's only possible reaction).
+    def _interruption(self, active, start, compute_end, i):
+        """Never interrupt: declare a revocation + stall per revocation
+        overlapping the compute phase (NOTHING's only possible reaction).
 
         Events are sorted by time across hosts so the trace row stays
         monotonic (TL001).
         """
         events = []
         for h in active:
-            for onset, until in plan.revocations_in(h, start, compute_end):
+            for onset, until in self._faults.revocations_in(h, start,
+                                                            compute_end):
                 stalled = min(until, compute_end) - max(onset, start)
                 if stalled > 0.0:
                     events.append((max(onset, start), h, onset, until, stalled))
         for detect, h, onset, until, stalled in sorted(events):
-            obs.emit("fault.revocation", detect, source=self.name,
-                     iteration=iteration, host=h, onset=onset, until=until)
-            obs.count("faults.revocations_total")
-            obs.emit("fault.stall", detect, source=self.name,
-                     iteration=iteration, host=h, stalled=stalled,
-                     reason="no-adaptation")
-            obs.count("faults.stalls_total")
-            obs.count("faults.stall_seconds_total", stalled)
-            result.progress.record(detect, iteration, "stall",
-                                   f"host{h} revoked")
+            self._declare("revocation", detect, i, h, onset=onset,
+                          until=until)
+            self._declare("stall", detect, i, h, stalled=stalled,
+                          reason="no-adaptation")
+            self._result.progress.record(detect, i, "stall",
+                                         f"host{h} revoked")
+        return None

@@ -20,8 +20,9 @@ If no live spare remains -- or the retries are exhausted -- the stall is
 *declared* (a ``fault.stall`` record) and the application waits for the
 host to return, exactly like NOTHING.
 
-:meth:`SwapStrategy.run` is the only iteration-level swap loop.  Its
-variants -- :class:`~repro.strategies.spawnswap.SpawnSwapStrategy`
+SWAP runs the one BSP loop, :meth:`~repro.strategies.base.Strategy.run`,
+and states its adaptation through the loop's hooks.  Its variants --
+:class:`~repro.strategies.spawnswap.SpawnSwapStrategy`
 (MPI-2 spawning instead of over-allocation) and
 :class:`~repro.contracts.strategy.ContractSwapStrategy` (GrADS contract
 gating) -- are subclasses that state only how they differ, through
@@ -34,16 +35,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.app.iterative import ApplicationSpec
 from repro.core.decision import decide_swaps
 from repro.core.policy import PolicyParams, greedy_policy
-from repro.faults import recovery
 from repro.faults.recovery import (TransferSequencer, attempt_transfer,
                                    promote_spares)
 from repro.platform.cluster import Platform
-from repro.simkernel.plan import lower
-from repro.strategies.base import ExecutionResult, IterationRecord, Strategy
-from repro.strategies.scheduler import initial_schedule
+from repro.simkernel.plan import SimPlan, lower
+from repro.strategies.base import Strategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.contracts.monitor import ContractMonitor
@@ -81,173 +79,129 @@ class SwapStrategy(Strategy):
         """Renegotiate ``monitor`` after a policy evaluation at ``t``."""
         raise NotImplementedError
 
-    def run(self, platform: Platform, app: ApplicationSpec) -> ExecutionResult:
-        self.check_fit(platform, app)
-        result = ExecutionResult(strategy=self.name, app=app)
-        plan = platform.faults
-        splan = lower(platform, app)
-        sequencer = TransferSequencer()
-        declared_until: "dict[int, float]" = {}
+    # -- loop hooks --------------------------------------------------------
 
-        pool = list(range(len(platform)))
-        active = initial_schedule(platform, app.n_processes, t=0.0)
-        chunks = app.equal_chunks(active)
-        comm_time = self.comm_time(platform, app)
-        if self.overallocates:
-            # Every process in the pool is launched up front.
-            spawn = 0.0
-            t = platform.startup_time(len(pool))
-        else:
-            # Only the N working processes launch; each swap-in spawns.
-            spawn = platform.startup_per_process
-            t = platform.startup_time(app.n_processes)
+    def _setup(self, active, chunks) -> SimPlan:
+        platform = self._platform
+        splan = lower(platform, self._app)
+        self._sequencer = TransferSequencer()
+        self._declared_until: "dict[int, float]" = {}
+        self._pool = list(range(len(platform)))
+        # Without over-allocation each swap-in spawns its process.
+        self._spawn = 0.0 if self.overallocates \
+            else platform.startup_per_process
         # What one move must pay back; ``x + 0.0 == x`` keeps plain
         # SWAP's cost exact.
-        swap_cost_one = platform.link.transfer_time(app.state_bytes) + spawn
-        result.startup_time = t
-        result.progress.record(t, 0, "startup")
-        monitor = self._open_contract(platform, active, chunks, comm_time)
-
+        self._swap_cost_one = platform.link.transfer_time(
+            self._app.state_bytes) + self._spawn
+        self._monitor = self._open_contract(platform, active, chunks,
+                                            self._comm_time)
         # Spare pool cache: the complement of ``active`` in ``pool`` only
-        # changes when the active set does (keyed by the iteration's
-        # ``ran_on`` tuple), so most epochs skip the membership scan.
-        spares_key: "tuple[int, ...] | None" = None
-        spares_base: "list[int]" = []
+        # changes when the active set does (keyed on the list's
+        # identity), so most epochs skip the membership scan.
+        self._spares_for: "list[int] | None" = None
+        self._spares_base: "list[int]" = []
+        return splan
 
-        progress_record = result.progress.record
-        records_append = result.records.append
-        iteration = splan.iteration
-        obs_on = splan.obs_on
+    def _before_iteration(self, t, i, active, chunks):
+        plan = self._faults
+        if plan is not None:
+            # Boundary recovery: replace actives revoked right now
+            # (skipping hosts whose stall was already declared).
+            declared_until = self._declared_until
+            victims = [h for h in plan.revoked_at(t, active)
+                       if declared_until.get(h, -1.0) <= t]
+            if victims:
+                return self._on_revocation(t, victims, i, active, chunks)
+        return t, active, chunks
+
+    def _interruption(self, active, start, compute_end, i):
+        # Actives already revoked at the start have a declared stall;
+        # only the others can interrupt the attempt.
+        plan = self._faults
+        watch = [h for h in active if not plan.is_revoked(h, start)]
+        return plan.earliest_onset(watch, start, compute_end)
+
+    def _after_iteration(self, i, start, t, active, chunks):
+        """Run the policy after every iteration but the last (with a
+        contract, only after a violation)."""
+        iter_end = t
+        overhead = 0.0
+        event = ""
+        evaluate = i < self._app.iterations
+        monitor = self._monitor
+        if monitor is not None:
+            evaluate = monitor.observe(iter_end - start) and evaluate
+        if not evaluate:
+            return t, active, chunks, overhead, event
+        plan = self._faults
+        platform = self._platform
+        app = self._app
         policy = self.policy
-        history_window = policy.history_window
-        decision_rates = splan.decision_rates
-        iterations = app.iterations
-
-        # ``tuple(active)`` cached on the list's identity: every path
-        # that changes the active set rebinds it to a fresh list.
-        ran_for: "list[int] | None" = None
-        ran_on: "tuple[int, ...]" = ()
-
-        i = 1
-        while i <= iterations:
-            if plan is not None:
-                # Boundary recovery: replace actives revoked right now
-                # (skipping hosts whose stall was already declared).
-                victims = [h for h in plan.revoked_at(t, active)
-                           if declared_until.get(h, -1.0) <= t]
-                if victims:
-                    t, active, chunks = self._recover(
-                        plan, platform, result, sequencer, t, i, pool,
-                        active, chunks, victims, swap_cost_one,
-                        declared_until)
-            iter_start = t
-            if active is not ran_for:
-                ran_on = tuple(active)
-                ran_for = active
-            if splan.fault_free:
-                compute_end, iter_end = iteration(chunks, t, comm_time)
+        obs_on = self._splan.obs_on
+        if active is not self._spares_for:
+            self._spares_base = [h for h in self._pool if h not in active]
+            self._spares_for = active
+        spares = self._spares_base
+        if plan is not None:
+            # A revoked spare is not a viable swap-in candidate.
+            spares = [h for h in spares if not plan.is_revoked(h, t)]
+        rates = self._splan.decision_rates(t, policy.history_window, active)
+        decision = decide_swaps(active, spares, rates, chunks,
+                                self._comm_time, self._swap_cost_one, policy)
+        if obs_on and obs.active() is not None:
+            obs.emit_decision(t, source=self.name, iteration=i,
+                              policy=policy.name, decision=decision,
+                              active=active, spares=spares)
+        if decision.moves:
+            spawn = self._spawn
+            if plan is None:
+                moves = decision.moves
+                n_moves = len(moves)
+                # Spawns proceed concurrently on distinct hosts; the
+                # state images then serialize on the single shared link.
+                overhead = spawn + platform.link.serialized_time(
+                    n_moves * app.state_bytes, n_moves)
+                active = decision.active_set_after(active)
             else:
-                compute_end = max(
-                    recovery.compute_finish(platform, h, t, flops)
-                    for h, flops in sorted(chunks.items()))
-                watch = [h for h in active if not plan.is_revoked(h, t)]
-                onset = plan.earliest_onset(watch, t, compute_end)
-                if onset is not None:
-                    # Mid-iteration interruption: the attempt's partial
-                    # work is lost; recover at the onset and re-run i.
-                    onset_t, hit = onset
-                    t, active, chunks = self._recover(
-                        plan, platform, result, sequencer, onset_t, i,
-                        pool, active, chunks, hit, swap_cost_one,
-                        declared_until)
-                    continue
-                iter_end = compute_end + comm_time
-            t = iter_end
-            progress_record(t, i, "iteration")
-            if obs_on:
-                obs.emit("iteration", iter_end, source=self.name, iteration=i,
-                         start=iter_start, end=iter_end,
-                         compute_end=compute_end, active=ran_on)
-                obs.count("strategy.iterations_total")
-
-            overhead = 0.0
-            event = ""
-            evaluate = i < iterations  # no point swapping after the last
-            if monitor is not None:
-                evaluate = monitor.observe(iter_end - iter_start) and evaluate
-            if evaluate:
-                if ran_on != spares_key:
-                    spares_base = [h for h in pool if h not in active]
-                    spares_key = ran_on
-                spares = spares_base
-                if plan is not None:
-                    # A revoked spare is not a viable swap-in candidate.
-                    spares = [h for h in spares if not plan.is_revoked(h, t)]
-                rates = decision_rates(t, history_window, active)
-                decision = decide_swaps(active, spares, rates, chunks,
-                                        comm_time, swap_cost_one, policy)
-                if obs_on and obs.active() is not None:
-                    obs.emit_decision(t, source=self.name, iteration=i,
-                                      policy=self.policy.name,
-                                      decision=decision,
-                                      active=active, spares=spares)
-                if decision.moves:
-                    if plan is None:
-                        moves = decision.moves
-                        n_moves = len(moves)
-                        # Spawns proceed concurrently on distinct hosts;
-                        # the state images then serialize on the single
-                        # shared link.
-                        overhead = spawn + platform.link.serialized_time(
-                            n_moves * app.state_bytes, n_moves)
-                        active = decision.active_set_after(active)
-                    else:
-                        moves, overhead = self._attempt_moves(
-                            plan, sequencer, decision.moves, platform.link,
-                            app.state_bytes, t + spawn, i)
-                        overhead = spawn + overhead
-                        for move in moves:
-                            active = [move.in_host if h == move.out_host
-                                      else h for h in active]
-                    if moves:
-                        event = "swap"
-                        detail = ", ".join(f"{m.out_host}->{m.in_host}"
-                                           for m in moves)
-                        chunks = {h: app.chunk_flops for h in active}
-                        result.swap_count += len(moves)
-                        result.overhead_time += overhead
-                        t += overhead
-                        progress_record(t, i, "swap", detail)
-                        for move in moves if obs_on else ():
-                            obs.emit(
-                                "swap", t, source=self.name, iteration=i,
-                                out_host=move.out_host, in_host=move.in_host,
-                                process_improvement=move.process_improvement,
-                                app_improvement=move.app_improvement,
-                                payback=move.payback, start=iter_end, end=t)
-                    elif overhead > 0.0:
-                        # Every accepted move failed its transfer; the
-                        # pause was still paid.
-                        result.overhead_time += overhead
-                        t += overhead
-                if monitor is not None:
-                    self._after_evaluation(monitor, platform, decision,
-                                           event == "swap", active, chunks,
-                                           comm_time, t)
-
-            records_append(IterationRecord(i, iter_start, compute_end,
-                                           iter_end, ran_on, overhead, event))
-            i += 1
-
-        result.makespan = t
-        result.final_active = tuple(active)
-        return result
+                moves, overhead = self._attempt_moves(
+                    plan, self._sequencer, decision.moves, platform.link,
+                    app.state_bytes, t + spawn, i)
+                overhead = spawn + overhead
+                for move in moves:
+                    active = [move.in_host if h == move.out_host else h
+                              for h in active]
+            result = self._result
+            if moves:
+                event = "swap"
+                detail = ", ".join(f"{m.out_host}->{m.in_host}"
+                                   for m in moves)
+                chunks = {h: app.chunk_flops for h in active}
+                result.swap_count += len(moves)
+                result.overhead_time += overhead
+                t += overhead
+                result.progress.record(t, i, "swap", detail)
+                for move in moves if obs_on else ():
+                    obs.emit(
+                        "swap", t, source=self.name, iteration=i,
+                        out_host=move.out_host, in_host=move.in_host,
+                        process_improvement=move.process_improvement,
+                        app_improvement=move.app_improvement,
+                        payback=move.payback, start=iter_end, end=t)
+            elif overhead > 0.0:
+                # Every accepted move failed its transfer; the pause
+                # was still paid.
+                result.overhead_time += overhead
+                t += overhead
+        if monitor is not None:
+            self._after_evaluation(monitor, platform, decision,
+                                   event == "swap", active, chunks,
+                                   self._comm_time, t)
+        return t, active, chunks, overhead, event
 
     # -- fault recovery ----------------------------------------------------
 
-    def _recover(self, plan, platform, result, sequencer, t, iteration,
-                 pool, active, chunks, victims, swap_cost_one,
-                 declared_until):
+    def _on_revocation(self, t, victims, iteration, active, chunks):
         """Forced promotion of the fastest surviving spares.
 
         Emits one ``fault.revocation`` per victim, then resolves each:
@@ -255,20 +209,20 @@ class SwapStrategy(Strategy):
         swap), a failed or impossible one a declared ``fault.stall``.
         Returns the advanced ``(t, active, chunks)``.
         """
+        plan = self._faults
+        result = self._result
         for h in sorted(victims):
-            obs.emit("fault.revocation", t, source=self.name,
-                     iteration=iteration, host=h,
-                     until=plan.return_time(h, t))
-            obs.count("faults.revocations_total")
-        spares = [h for h in pool
+            self._declare("revocation", t, iteration, h,
+                          until=plan.return_time(h, t))
+        spares = [h for h in self._pool
                   if h not in active and not plan.is_revoked(h, t)]
-        rates = platform.effective_rates(t, window=self.policy.history_window,
-                                         indices=spares)
+        rates = self._platform.effective_rates(
+            t, window=self.policy.history_window, indices=spares)
         promotions, unfilled = promote_spares(victims, spares, rates)
         for out_host, in_host in promotions:
             start = t
-            elapsed, ok, attempts = attempt_transfer(plan, sequencer,
-                                                     swap_cost_one)
+            elapsed, ok, attempts = attempt_transfer(
+                plan, self._sequencer, self._swap_cost_one)
             t += elapsed
             result.overhead_time += elapsed
             if attempts > 1:
@@ -289,30 +243,25 @@ class SwapStrategy(Strategy):
                 result.progress.record(t, iteration - 1, "swap",
                                        f"promote {out_host}->{in_host}")
             else:
-                self._declare_stall(plan, result, t, iteration, out_host,
-                                    "transfer-failed", declared_until)
+                self._declare_stall(t, iteration, out_host, "transfer-failed")
         for h in unfilled:
-            self._declare_stall(plan, result, t, iteration, h, "no-spare",
-                                declared_until)
+            self._declare_stall(t, iteration, h, "no-spare")
         return t, active, chunks
 
-    def _declare_stall(self, plan, result, t, iteration, host, reason,
-                       declared_until) -> None:
+    def _declare_stall(self, t, iteration, host, reason) -> None:
         """Give up on recovering ``host`` until its revocation ends."""
-        until = plan.return_time(host, t)
+        until = self._faults.return_time(host, t)
         if until <= t:
             # The host returned while we were retrying: resolved by wait.
             obs.emit("fault.recovery", t, source=self.name,
                      iteration=iteration, action="returned", host=host)
             obs.count("faults.recoveries_total")
             return
-        declared_until[host] = until
-        obs.emit("fault.stall", t, source=self.name, iteration=iteration,
-                 host=host, stalled=until - t, reason=reason)
-        obs.count("faults.stalls_total")
-        obs.count("faults.stall_seconds_total", until - t)
-        result.progress.record(t, iteration - 1, "stall",
-                               f"host{host} revoked ({reason})")
+        self._declared_until[host] = until
+        self._declare("stall", t, iteration, host, stalled=until - t,
+                      reason=reason)
+        self._result.progress.record(t, iteration - 1, "stall",
+                                     f"host{host} revoked ({reason})")
 
     def _attempt_moves(self, plan, sequencer, moves, link, state_bytes, t,
                        iteration):

@@ -115,8 +115,9 @@ def test_golden_signature_simulator_step(repro_flow):
 
 
 def test_golden_signature_swap_strategy_run(repro_flow):
+    # SWAP runs the one BSP loop every strategy inherits.
     assert repro_flow.analysis.signature(
-        "repro.strategies.swapstrat.SwapStrategy.run") == [
+        "repro.strategies.base.Strategy.run") == [
         "mutates-shared-state", "reads-sim-state", "consumes-rng-stream"]
 
 

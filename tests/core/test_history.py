@@ -3,13 +3,10 @@
 import pytest
 
 from repro.core.history import (
-    AdaptiveForecaster,
-    EwmaForecaster,
     LastValueForecaster,
     PerformanceHistory,
     PerformanceMonitor,
     WindowedMeanForecaster,
-    WindowedMedianForecaster,
 )
 from repro.errors import PolicyError
 
@@ -94,98 +91,16 @@ def test_windowed_mean():
     assert WindowedMeanForecaster().predict(history, 20.0) == pytest.approx(30.0)
 
 
-def test_windowed_median():
-    history = filled(100.0, SAMPLES)
-    assert WindowedMedianForecaster().predict(history, 20.0) == pytest.approx(20.0)
-
-
 def test_mean_respects_window():
     history = filled(15.0, SAMPLES)
     # Window of 15 s at t=20 keeps samples at t=10 and t=20.
     assert WindowedMeanForecaster().predict(history, 20.0) == pytest.approx(40.0)
 
 
-def test_ewma_weights_recent_more():
-    history = filled(100.0, SAMPLES)
-    ewma = EwmaForecaster(alpha=0.5).predict(history, 20.0)
-    assert 20.0 < ewma < 60.0
-    heavy = EwmaForecaster(alpha=0.9).predict(history, 20.0)
-    assert heavy > ewma  # more weight on the latest (largest) sample
-
-
-def test_ewma_alpha_validation():
-    with pytest.raises(PolicyError):
-        EwmaForecaster(alpha=0.0)
-    with pytest.raises(PolicyError):
-        EwmaForecaster(alpha=1.5)
-
-
 def test_forecasters_reject_empty_history():
     empty = PerformanceHistory(10.0)
-    for forecaster in (WindowedMeanForecaster(), WindowedMedianForecaster(),
-                       EwmaForecaster(), AdaptiveForecaster()):
-        with pytest.raises(PolicyError):
-            forecaster.predict(empty, 0.0)
-
-
-def test_adaptive_single_sample_passthrough():
-    history = filled(100.0, [(0.0, 5.0)])
-    assert AdaptiveForecaster().predict(history, 0.0) == 5.0
-
-
-def test_adaptive_picks_last_value_on_trend():
-    # A strictly increasing series: last-value has the lowest one-step
-    # error, so the adaptive forecaster should track it.
-    samples = [(float(t), float(t)) for t in range(10)]
-    history = filled(1000.0, samples)
-    prediction = AdaptiveForecaster().predict(history, 9.0)
-    assert prediction == pytest.approx(
-        LastValueForecaster().predict(history, 9.0))
-
-
-def test_adaptive_needs_children():
     with pytest.raises(PolicyError):
-        AdaptiveForecaster(children=[])
-
-
-class _CountingChild(LastValueForecaster):
-    """Child forecaster that tallies its predict() calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def predict(self, history, now):
-        self.calls += 1
-        return super().predict(history, now)
-
-
-def test_adaptive_scoring_is_incremental():
-    # Benchmark guard for the O(n^2)->O(n) fix: each recorded sample is
-    # scored exactly once, so interleaving n records with n predictions
-    # makes O(n) child calls, not a full replay per prediction.
-    child = _CountingChild()
-    forecaster = AdaptiveForecaster(children=[child])
-    history = PerformanceHistory(window=1e9)
-    n = 200
-    for t in range(n):
-        history.record(float(t), float(t))
-        forecaster.predict(history, float(t))
-    # Scoring: one call per sample after the first (n - 1).  Final
-    # prediction delegation: one call per predict with >= 2 samples.
-    assert child.calls <= 2 * n
-    # The O(n^2) replay would have cost ~n^2/2 scoring calls.
-    assert child.calls < n * n / 4
-
-
-def test_adaptive_scores_each_sample_once_across_predictions():
-    child = _CountingChild()
-    forecaster = AdaptiveForecaster(children=[child])
-    history = filled(1e9, [(float(t), 1.0) for t in range(50)])
-    forecaster.predict(history, 49.0)
-    after_first = child.calls
-    forecaster.predict(history, 49.0)
-    # No new samples: only the delegation call, no re-scoring.
-    assert child.calls == after_first + 1
+        WindowedMeanForecaster().predict(empty, 0.0)
 
 
 # -- monitor ----------------------------------------------------------------------

@@ -35,9 +35,25 @@ def onoff_platform(n=6, seed=0):
 
 # -- the lowering decisions --------------------------------------------------
 
+def assert_matches_generic(platform):
+    """A constant-looking platform lowers onto the batch kernel, and its
+    bindings reproduce the generic path's floats."""
+    lowered = lower(platform)
+    assert lowered.kind == "batch-kernel"
+    with disable_lowering():
+        generic = lower(platform)
+    chunks = {0: 3e8, 1: 5e8}
+    for start in (0.0, 7.0, 2e3):
+        assert (lowered.iteration(chunks, start, 0.5)
+                == generic.iteration(chunks, start, 0.5))
+        for window in (0.0, 30.0):
+            assert (lowered.predicted_rates(start + 50.0, window)
+                    == generic.predicted_rates(start + 50.0, window))
+
+
 def test_all_passes_fire_on_quiet_constant_platform():
     plan = lower(constant_platform())
-    assert plan.kind == "closed-form"
+    assert plan.kind == "batch-kernel"
     assert plan.fault_free
     assert not plan.obs_on
 
@@ -48,11 +64,11 @@ def test_constant_load_pass_declines_stochastic_traces():
 
 def test_constant_load_proof_inspects_traces_not_specs():
     # A non-constant trace swapped in behind a constant spec (the
-    # standard test rig) must decline the closed form.
+    # standard test rig).
     platform = constant_platform()
     platform.hosts[1].trace = LoadTrace([0.0, 5.0, 1e9], [0, 2],
                                         beyond_horizon="hold")
-    assert lower(platform).kind == "batch-kernel"
+    assert_matches_generic(platform)
 
 
 def test_constant_load_proof_requires_matching_extender():
@@ -60,7 +76,7 @@ def test_constant_load_proof_requires_matching_extender():
     platform = constant_platform()
     platform.hosts[0].trace = LoadTrace([0.0, 1e3], [0],
                                         extender=ConstantExtender(2))
-    assert lower(platform).kind == "batch-kernel"
+    assert_matches_generic(platform)
 
 
 def test_constant_proof_accepts_matching_extender():
@@ -69,7 +85,7 @@ def test_constant_proof_accepts_matching_extender():
                                         extender=ConstantExtender(2))
     platform.hosts[1].trace = LoadTrace([0.0, 1e3], [0],
                                         extender=ConstantExtender(0))
-    assert lower(platform).kind == "closed-form"
+    assert_matches_generic(platform)
 
 
 def test_obs_pass_keeps_emission_under_active_session():
@@ -155,8 +171,8 @@ def test_strategy_makespans_identical_lowered_vs_unlowered(strategy_factory):
 
 def test_decision_rates_bounded_only_on_batch_plans():
     """Batch plans hand decisions a lazy view for window averages and the
-    cached full map for instantaneous rates; every other plan -- above
-    all the disable_lowering() oracle -- hands them the full map."""
+    cached full map for instantaneous rates; the disable_lowering()
+    oracle hands them the full map."""
     lowered = lower(onoff_platform())
     with disable_lowering():
         generic = lower(onoff_platform())
@@ -169,9 +185,6 @@ def test_decision_rates_bounded_only_on_batch_plans():
         generic.predicted_rates(40.0, 0.0)
     oracle = generic.decision_rates(40.0, 30.0, [1, 4])
     assert type(oracle) is dict and oracle == full
-    constant = lower(constant_platform(n_competing=1))
-    rates = constant.decision_rates(40.0, 30.0, [0])
-    assert type(rates) is dict and set(rates) == {0, 1, 2, 3}
 
 
 def test_strategy_makespans_identical_on_constant_load():

@@ -62,7 +62,3 @@ def test_no_overhead_charged():
     assert result.overhead_time == 0.0
     assert result.swap_count == 0
 
-
-def test_measurement_window_validation():
-    with pytest.raises(ValueError):
-        DlbStrategy(measurement_window=-1.0)
