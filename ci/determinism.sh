@@ -10,8 +10,9 @@
 # non-zero at the first `cmp`, `grep` or assert that fails.
 #
 # Sections:
-#   1. lowered == disable_lowering() on the perf-gate scenarios, and
-#      the fig4/fig7 goldens;
+#   1. lowered == disable_lowering() on the perf-gate scenarios (for
+#      ext-faults also its trace and sim metrics), and the fig4/fig7
+#      goldens;
 #   2. fig7 over a transport x {plain, obs, telemetry, chaos} matrix:
 #      result JSON, trace and sim metrics must `cmp` equal to the
 #      serial run's;
@@ -80,6 +81,23 @@ for name in ("fig4", "fig6", "fig7", "fig8", "fig9", "ablation-history",
           f"{timing.iterations_per_sec:.0f} it/s, "
           f"{timing.engine_events} kernel events")
 EOF
+
+# The fault path is lowered too: its revocation, stall and recovery
+# records must come out of both bindings byte for byte.
+traced faults-lowered ext-faults --no-cache
+python - "$OUT" > "$OUT/faults-oracle.log" <<'EOF'
+import sys
+from repro.experiments.cli import main
+from repro.simkernel.plan import disable_lowering
+out = sys.argv[1]
+with disable_lowering():
+    code = main(["ext-faults", "--seeds", "2", "--no-bench", "--no-cache",
+                 "--json", f"{out}/faults-oracle.json",
+                 "--trace", f"{out}/faults-oracle.jsonl",
+                 "--metrics-json", f"{out}/faults-oracle-metrics.json"])
+sys.exit(code)
+EOF
+same_obs faults-lowered faults-oracle
 
 echo "## 2. fig7 transport matrix"
 sweep serial fig7 --no-cache --jobs 1

@@ -7,16 +7,14 @@ recovery semantics, and the determinism contract.
 """
 
 from repro.faults.plan import PLAN_VERSION, FaultModel, FaultPlan
-from repro.faults.recovery import (TransferSequencer, alive,
-                                   attempt_transfer, compute_finish,
-                                   promote_spares)
+from repro.faults.recovery import (TransferSequencer, attempt_transfer,
+                                   compute_finish, promote_spares)
 
 __all__ = [
     "PLAN_VERSION",
     "FaultModel",
     "FaultPlan",
     "TransferSequencer",
-    "alive",
     "attempt_transfer",
     "compute_finish",
     "promote_spares",

@@ -230,7 +230,48 @@ class FaultPlan:
 
     def revoked_at(self, t: float, hosts) -> "list[int]":
         """The subset of ``hosts`` revoked at ``t`` (platform order)."""
-        return [h for h in hosts if self.is_revoked(h, t)]
+        if not self._revocations:
+            return []
+        return self._partition(hosts, t)[1]
+
+    def alive(self, hosts, t: float) -> "list[int]":
+        """The subset of ``hosts`` not revoked at ``t``, in input order.
+
+        Exactly ``[h for h in hosts if not self.is_revoked(h, t)]``.
+        """
+        if not self._revocations:
+            return list(hosts)
+        return self._partition(hosts, t)[0]
+
+    def _partition(self, hosts, t: float) -> "tuple[list[int], list[int]]":
+        """``hosts`` split into (up, revoked) at ``t``, in input order:
+        :meth:`is_revoked` as one loop over the interval streams' lists
+        instead of a method chain per host."""
+        streams = self._revocations
+        up: "list[int]" = []
+        down: "list[int]" = []
+        for h in hosts:
+            stream = streams.get(h)
+            if stream is not None:
+                if stream.known_until < t:
+                    stream._ensure(t)
+                k = bisect_right(stream.starts, t) - 1
+                if k >= 0 and t < stream.ends[k]:
+                    down.append(h)
+                    continue
+            up.append(h)
+        return up, down
+
+    def revocation_streams(self) -> "list[_IntervalStream | None] | None":
+        """Each host's revocation interval stream (``None`` for a host
+        without one), or ``None`` when no host can be revoked.
+
+        For batch walkers (:meth:`repro.load.kernels.HostBatch.
+        compute_end`) that inline :meth:`advance_paused`.
+        """
+        if not self._revocations:
+            return None
+        return [self._revocations.get(h) for h in range(self.n_hosts)]
 
     def next_onset(self, host: int, t0: float, t1: float) -> "float | None":
         """First revocation onset of ``host`` in ``(t0, t1]``, if any."""
@@ -243,13 +284,22 @@ class FaultPlan:
 
         Returns ``(onset_time, hosts revoked at exactly that time)`` or
         ``None``.  Multiple hosts share an entry only on an exact tie.
+        :meth:`next_onset` per host, inlined into one loop.
         """
+        streams = self._revocations
         best: "float | None" = None
         victims: "list[int]" = []
         for h in hosts:
-            onset = self.next_onset(h, t0, t1)
-            if onset is None:
+            stream = streams.get(h)
+            if stream is None:
                 continue
+            if stream.known_until < t1:
+                stream._ensure(t1)
+            starts = stream.starts
+            k = bisect_right(starts, t0)
+            if k == len(starts) or starts[k] > t1:
+                continue
+            onset = starts[k]
             if best is None or onset < best:
                 best, victims = onset, [h]
             elif onset == best:

@@ -94,11 +94,3 @@ def compute_finish(platform: "Platform", host: int, start: float,
     if plan is None:
         return h.compute_finish(start, flops)
     return plan.advance_paused(host, h.trace, start, flops / h.speed)
-
-
-def alive(plan: "FaultPlan | None", hosts: Sequence[int],
-          t: float) -> "list[int]":
-    """The subset of ``hosts`` not revoked at ``t`` (platform order)."""
-    if plan is None:
-        return list(hosts)
-    return [h for h in hosts if not plan.is_revoked(h, t)]

@@ -51,11 +51,12 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import LoadModelError, PolicyError
+from repro.errors import FaultError, LoadModelError, PolicyError
 from repro.load.base import _MUTATIONS
 from repro.simkernel.engine import count_kernel_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.plan import FaultPlan
     from repro.load.base import LoadTrace
     from repro.platform.host import Host
 
@@ -311,20 +312,29 @@ class HostBatch:
       with a validity check and bisect fallback keeping any query order
       correct (amortized O(1) per host, independent of trace length).
 
+    Given the platform's fault plan, :meth:`compute_end` pauses work
+    during host revocations, exactly like
+    :meth:`~repro.faults.plan.FaultPlan.advance_paused`.
+
     One instance serves one strategy run.  Callers must treat returned
     rate maps as read-only: the instantaneous map is a shared cache.
     """
 
-    __slots__ = ("traces", "speeds", "_rate_lo", "_rate_hi",
+    __slots__ = ("traces", "speeds", "_streams", "_rate_lo", "_rate_hi",
                  "_adv_t0", "_adv_cum", "_hzn", "_kern", "_mut_seen",
                  "_nseg", "_by_speed", "_eager_epochs",
                  "_inst_rates", "_inst_idx", "_inst_starts", "_inst_ends",
                  "_inst_min_end", "_inst_max_start")
 
-    def __init__(self, hosts: "Sequence[Host]") -> None:
+    def __init__(self, hosts: "Sequence[Host]",
+                 faults: "FaultPlan | None" = None) -> None:
         self.traces = [host.trace for host in hosts]
         self.speeds = [host.spec.speed for host in hosts]
         n = len(self.traces)
+        #: Per-host revocation interval streams (``None`` entries for
+        #: hosts that are never revoked), or ``None`` when none can be.
+        self._streams = (None if faults is None
+                         else faults.revocation_streams())
         #: ``(host, speed)`` by descending unloaded speed (ties by index),
         #: then a ``(-1, -inf)`` sentinel: the walk of
         #: :meth:`RateView.ranked`, built with the run's first view.
@@ -584,11 +594,21 @@ class HostBatch:
 
     def compute_end(self, chunks: "Mapping[int, float]", t0: float) -> float:
         """``max`` of per-host work-advancement finishes, exactly
-        ``max(host.compute_finish(t0, flops) for ...)``."""
+        ``max(recovery.compute_finish(platform, h, t0, flops) for ...)``.
+
+        A host without revocations advances like
+        :meth:`Host.compute_finish`.  A revocable host runs the paused
+        walk of :meth:`~repro.faults.plan.FaultPlan.advance_paused`,
+        operation for operation: skip to the end of a down interval,
+        advance, stop at the next onset, subtract ``I(onset) - I(t)``
+        from the demand and repeat -- on the kernel table and cursor
+        hints instead of the per-host call chain.
+        """
         if t0 < 0:
             raise LoadModelError(f"negative start time {t0}")
         traces = self.traces
         speeds = self.speeds
+        streams = self._streams
         adv_t0 = self._adv_t0
         adv_cum = self._adv_cum
         if t0 >= self._hzn:
@@ -604,44 +624,102 @@ class HostBatch:
         best = t0
         for i, flops in chunks.items():
             demand = flops / speeds[i]
+            stream = None if streams is None else streams[i]
             if demand == 0:
                 continue
             if demand < 0:
-                raise LoadModelError(f"negative compute demand {demand}")
+                raise (LoadModelError if stream is None else FaultError)(
+                    f"negative compute demand {demand}")
             kernel = kerns[i]
             times = kernel.times_list
             dens = kernel.den_list
             cum = kernel.cum_list
-            c = adv_t0[i]
-            if times[c] > t0:
-                c = bisect_right(times, t0) - 1
-            else:
-                while times[c + 1] <= t0:
-                    c += 1
-            adv_t0[i] = c
-            target = cum[c] + (t0 - times[c]) / dens[c] + demand
-            if cum[-1] < target:
+            t = t0
+            while True:
+                if stream is not None:
+                    # Down at ``t``: nothing runs until the host returns.
+                    if stream.known_until < t:
+                        stream._ensure(t)
+                    k = bisect_right(stream.starts, t) - 1
+                    if k >= 0 and t < stream.ends[k]:
+                        t = stream.ends[k]
+                    if demand == 0:
+                        # Clamped to nothing left: advance_work's early
+                        # return, and no onset follows.
+                        finish = t
+                        break
+                    trace = traces[i]
+                    if t >= trace._horizon:
+                        trace._ensure(t)
+                        kernel = kerns[i] = trace.kernel()
+                        times = kernel.times_list
+                        dens = kernel.den_list
+                        cum = kernel.cum_list
+                c = adv_t0[i]
+                if times[c] > t:
+                    c = bisect_right(times, t) - 1
+                else:
+                    while times[c + 1] <= t:
+                        c += 1
+                adv_t0[i] = c
+                done = cum[c] + (t - times[c]) / dens[c]
+                target = done + demand
+                if cum[-1] < target:
+                    trace = traces[i]
+                    while cum[-1] < target:
+                        trace._extend_for_integral(target - cum[-1])
+                        kernel = trace.kernel()
+                        times = kernel.times_list
+                        dens = kernel.den_list
+                        cum = kernel.cum_list
+                    # The extension bumped the mutation counter; keep this
+                    # host's table entry current for the rest of the loop
+                    # (the next _kernels() call revalidates the others).
+                    kerns[i] = kernel
+                c = adv_cum[i]
+                if not cum[c] < target:
+                    c = bisect_left(cum, target) - 1
+                    if c < 0:
+                        c = 0
+                else:
+                    while cum[c + 1] < target:
+                        c += 1
+                adv_cum[i] = c
+                finish = times[c] + (target - cum[c]) * dens[c]
+                if stream is None:
+                    break
+                # Time never runs backwards (advance_work's clamp); the
+                # fault-free path gets it from ``best = t0``.
+                if not finish > t:
+                    finish = t
+                if stream.known_until < finish:
+                    stream._ensure(finish)
+                # The first onset in ``(t, finish)``: one at ``finish``
+                # itself interrupts nothing.
+                starts = stream.starts
+                k = bisect_right(starts, t)
+                if k == len(starts) or starts[k] >= finish:
+                    break
+                onset = starts[k]
+                # Revoked mid-phase: keep the work done up to the onset.
                 trace = traces[i]
-                while cum[-1] < target:
-                    trace._extend_for_integral(target - cum[-1])
-                    kernel = trace.kernel()
+                if onset >= trace._horizon:
+                    trace._ensure(onset)
+                    kernel = kerns[i] = trace.kernel()
                     times = kernel.times_list
                     dens = kernel.den_list
                     cum = kernel.cum_list
-                # The extension bumped the mutation counter; keep this
-                # host's table entry current for the rest of the loop
-                # (the next _kernels() call revalidates the others).
-                kerns[i] = kernel
-            c = adv_cum[i]
-            if not cum[c] < target:
-                c = bisect_left(cum, target) - 1
-                if c < 0:
-                    c = 0
-            else:
-                while cum[c + 1] < target:
-                    c += 1
-            adv_cum[i] = c
-            finish = times[c] + (target - cum[c]) * dens[c]
+                c = adv_t0[i]
+                if times[c] > onset:
+                    c = bisect_right(times, onset) - 1
+                else:
+                    while times[c + 1] <= onset:
+                        c += 1
+                adv_t0[i] = c
+                demand -= (cum[c] + (onset - times[c]) / dens[c]) - done
+                if demand < 0.0:  # pragma: no cover - float safety
+                    demand = 0.0
+                t = onset
             if finish > best:
                 best = finish
         count_kernel_events(len(chunks))

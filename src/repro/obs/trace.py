@@ -36,6 +36,21 @@ def jsonable(value: Any) -> Any:
     and ``"nan"`` (strict JSON has no literal for them); containers are
     converted recursively; mapping keys become strings.
     """
+    # Exact-type fast path for what records mostly carry: finite floats,
+    # scalars and host-index lists.  Subclasses (numpy scalars,
+    # NamedTuples) and non-finite floats take the general chain below.
+    tp = type(value)
+    if tp is float:
+        if value - value == 0.0:
+            return value
+    elif tp is int or tp is str or tp is bool or value is None:
+        return value
+    elif tp is list or tp is tuple:
+        for v in value:
+            if type(v) is not int:
+                break
+        else:
+            return list(value)
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"

@@ -10,8 +10,10 @@ observability session is active.
 returns a :class:`SimPlan` whose bindings are specialized to it:
 
 * ``plan.fault_free`` -- no fault plan on the platform, so strategies
-  skip the fault hooks instead of re-testing ``platform.faults`` inside
-  the loop.
+  skip the revocation hooks (the interruption check) instead of
+  re-testing ``platform.faults`` inside the loop.  It does not pick the
+  compute binding: :meth:`SimPlan.iteration` pauses revoked hosts
+  itself, on every platform.
 * ``plan.obs_on`` -- whether an :mod:`repro.obs` session is active;
   strategies guard their per-iteration ``obs.emit``/``obs.count`` calls
   on it, so the disabled cost is one attribute read, not a kwargs dict
@@ -41,6 +43,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro import obs
 from repro.errors import StrategyError
+from repro.faults import recovery
 from repro.load.kernels import HostBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -81,10 +84,10 @@ class SimPlan:
       decisions;
     * :meth:`decision_rates` -- the rate source fed to
       :func:`~repro.core.decision.decide_swaps`;
-    * :meth:`iteration` -- one fault-free BSP compute + communication
-      phase;
+    * :meth:`iteration` -- one BSP compute + communication phase,
+      revoked hosts pausing;
     * :attr:`obs_on` -- gate for per-iteration trace emission;
-    * :attr:`fault_free` -- whether fault hooks were compiled out;
+    * :attr:`fault_free` -- whether the revocation hooks can be skipped;
     * :attr:`kind` -- which of the two bindings backs the above.
     """
 
@@ -104,7 +107,7 @@ class SimPlan:
         # them once per iteration, where each indirection layer costs.
         #
         # ``iteration(chunks, start, comm_time) -> (compute_end,
-        # iter_end)`` runs one fault-free BSP phase pair;
+        # iter_end)`` runs one BSP phase pair, revoked hosts pausing;
         # ``predicted_rates(t, window=0.0, indices=None)`` is the
         # host-index -> flop/s map -- the lowered equivalent of
         # ``Platform.effective_rates``; ``decision_rates(t, window,
@@ -112,7 +115,7 @@ class SimPlan:
         # lazy view on batch plans (HostBatch.rate_view), the full map
         # on generic ones.
         if kind == "batch-kernel":
-            batch = HostBatch(platform.hosts)
+            batch = HostBatch(platform.hosts, platform.faults)
             compute_end = batch.compute_end
 
             def iteration(chunks, start, comm_time, _end=compute_end):
@@ -137,8 +140,8 @@ class SimPlan:
     def _iteration_generic(self, chunks, start, comm_time):
         if not chunks:
             raise StrategyError("no active hosts")
-        hosts = self.platform.hosts
-        compute_end = max(hosts[h].compute_finish(start, flops)
+        platform = self.platform
+        compute_end = max(recovery.compute_finish(platform, h, start, flops)
                           for h, flops in chunks.items())
         return compute_end, compute_end + comm_time
 

@@ -25,7 +25,6 @@ from repro import obs
 from repro.app.iterative import ApplicationSpec
 from repro.app.progress import ProgressRecorder
 from repro.errors import StrategyError
-from repro.faults import recovery
 from repro.platform.cluster import Platform
 from repro.simkernel.plan import SimPlan
 from repro.strategies.scheduler import initial_schedule
@@ -154,13 +153,9 @@ class Strategy:
         while i <= iterations:
             t, active, chunks = before(t, i, active, chunks)
             start = t
-            if fault_free:
-                compute_end, end = iteration(chunks, t, comm_time)
-            else:
-                # Revoked hosts pause; the barrier waits for them.
-                compute_end = max(
-                    recovery.compute_finish(platform, h, t, flops)
-                    for h, flops in sorted(chunks.items()))
+            # Revoked hosts pause; the barrier waits for them.
+            compute_end, end = iteration(chunks, t, comm_time)
+            if not fault_free:
                 onset = self._interruption(active, t, compute_end, i)
                 if onset is not None:
                     # Mid-iteration interruption: the attempt's partial
@@ -169,7 +164,6 @@ class Strategy:
                     t, active, chunks = self._on_revocation(
                         onset_t, hit, i, active, chunks)
                     continue
-                end = compute_end + comm_time
             if active is not ran_for:
                 ran_on = tuple(active)
                 ran_for = active

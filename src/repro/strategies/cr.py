@@ -134,12 +134,11 @@ class CrStrategy(Strategy):
         than ``N`` are: a performance restart under faults."""
         plan = self._faults
         n = self._app.n_processes
-        alive = [h for h in range(len(self._platform))
-                 if not plan.is_revoked(h, t)]
+        alive = plan.alive(range(len(self._platform)), t)
         if len(alive) < n:
             return None
-        rates = self._platform.effective_rates(
-            t, window=self.policy.history_window, indices=alive)
+        rates = self._splan.predicted_rates(t, self.policy.history_window,
+                                            indices=alive)
         return sorted(alive, key=lambda h: (-rates[h], h))[:n]
 
     def _on_revocation(self, t, victims, iteration, active, chunks):
@@ -159,12 +158,12 @@ class CrStrategy(Strategy):
         n = app.n_processes
         pool = range(len(platform))
         while True:
-            alive = [h for h in pool if not plan.is_revoked(h, t)]
+            alive = plan.alive(pool, t)
             if len(alive) >= n:
                 break
             # Not enough survivors: a declared stall until a host returns.
-            ret = min(plan.return_time(h, t) for h in pool
-                      if plan.is_revoked(h, t))
+            ret = min(plan.return_time(h, t)
+                      for h in plan.revoked_at(t, pool))
             for h in sorted(victims):
                 self._declare("stall", t, iteration, h, stalled=ret - t,
                               reason="insufficient-hosts")
@@ -178,8 +177,8 @@ class CrStrategy(Strategy):
             obs.count("faults.store_outage_waits_total")
             result.overhead_time += ready - t
             t = ready
-        rates = platform.effective_rates(t, window=self.policy.history_window,
-                                         indices=alive)
+        rates = self._splan.predicted_rates(t, self.policy.history_window,
+                                            indices=alive)
         candidate = sorted(alive, key=lambda h: (-rates[h], h))[:n]
         cost = self.recovery_cost(platform, app)
         start = t

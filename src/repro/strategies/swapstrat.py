@@ -119,8 +119,8 @@ class SwapStrategy(Strategy):
         # Actives already revoked at the start have a declared stall;
         # only the others can interrupt the attempt.
         plan = self._faults
-        watch = [h for h in active if not plan.is_revoked(h, start)]
-        return plan.earliest_onset(watch, start, compute_end)
+        return plan.earliest_onset(plan.alive(active, start), start,
+                                   compute_end)
 
     def _after_iteration(self, i, start, t, active, chunks):
         """Run the policy after every iteration but the last (with a
@@ -145,7 +145,7 @@ class SwapStrategy(Strategy):
         spares = self._spares_base
         if plan is not None:
             # A revoked spare is not a viable swap-in candidate.
-            spares = [h for h in spares if not plan.is_revoked(h, t)]
+            spares = plan.alive(spares, t)
         rates = self._splan.decision_rates(t, policy.history_window, active)
         decision = decide_swaps(active, spares, rates, chunks,
                                 self._comm_time, self._swap_cost_one, policy)
@@ -214,10 +214,9 @@ class SwapStrategy(Strategy):
         for h in sorted(victims):
             self._declare("revocation", t, iteration, h,
                           until=plan.return_time(h, t))
-        spares = [h for h in self._pool
-                  if h not in active and not plan.is_revoked(h, t)]
-        rates = self._platform.effective_rates(
-            t, window=self.policy.history_window, indices=spares)
+        spares = plan.alive([h for h in self._pool if h not in active], t)
+        rates = self._splan.predicted_rates(t, self.policy.history_window,
+                                            indices=spares)
         promotions, unfilled = promote_spares(victims, spares, rates)
         for out_host, in_host in promotions:
             start = t

@@ -149,6 +149,32 @@ def test_earliest_onset_picks_minimum_and_ties():
     assert victims == [h for h in range(8) if onsets[h] == best]
 
 
+
+def test_membership_queries_match_per_host_chain():
+    """earliest_onset, revoked_at and alive walk the streams' lists in
+    one loop; they must answer exactly what the per-host methods do,
+    in any query order, including windows that start on an onset."""
+    plan = make_plan(seed=21, revocation_rate=20.0, n_hosts=6)
+    hosts = [4, 0, 5, 2, 1, 3, 9]  # 9 is outside the plan: never revoked
+    onsets = [s for h in range(6) for s, _e in plan.revocations_in(h, 0.0,
+                                                                   2e4)]
+    for t0 in [5000.0, 0.0, 12000.0, 300.0] + onsets[:8]:
+        for span in (10.0, 600.0, 5000.0):
+            t1 = t0 + span
+            per_host = {h: plan.next_onset(h, t0, t1) for h in hosts}
+            found = [v for v in per_host.values() if v is not None]
+            got = plan.earliest_onset(hosts, t0, t1)
+            if not found:
+                assert got is None
+            else:
+                best = min(found)
+                assert got == (best, [h for h in hosts
+                                      if per_host[h] == best])
+        revoked = [h for h in hosts if plan.is_revoked(h, t0)]
+        assert plan.revoked_at(t0, hosts) == revoked
+        assert plan.alive(hosts, t0) == [h for h in hosts
+                                         if h not in revoked]
+
 def test_revoked_seconds_matches_intervals():
     plan = make_plan(seed=5, revocation_rate=8.0)
     t0, t1 = 100.0, 50000.0

@@ -5,7 +5,6 @@ import pytest
 from repro.faults.plan import FaultModel
 from repro.faults.recovery import (
     TransferSequencer,
-    alive,
     attempt_transfer,
     compute_finish,
     promote_spares,
@@ -91,15 +90,36 @@ def test_promote_spares_no_spares():
 # -- alive / compute_finish ---------------------------------------------------
 
 def test_alive_without_plan_returns_all():
-    assert alive(None, [3, 1, 2], 0.0) == [3, 1, 2]
+    # revocation_rate=0 realizes no streams: the input comes back, as a list.
+    plan = FaultModel(revocation_rate=0.0).build(RngRegistry(3), 4)
+    out = plan.alive((3, 1, 2), 0.0)
+    assert out == [3, 1, 2]
+    assert isinstance(out, list)
 
 
 def test_alive_filters_revoked():
     plan = FaultModel(revocation_rate=6.0).build(RngRegistry(3), 4)
     start, end = plan.revocations_in(0, 0.0, 1e5)[0]
     mid = (start + end) / 2
-    assert 0 not in alive(plan, range(4), mid)
-    assert 0 in alive(plan, range(4), end)
+    assert 0 not in plan.alive(range(4), mid)
+    assert 0 in plan.alive(range(4), end)
+
+
+def test_alive_interval_is_half_open():
+    plan = FaultModel(revocation_rate=6.0).build(RngRegistry(3), 4)
+    start, end = plan.revocations_in(0, 0.0, 1e5)[0]
+    assert plan.alive([0], start) == []  # revoked at its onset
+    assert plan.alive([0], end) == [0]  # back at its return time
+
+
+def test_alive_preserves_input_order_and_matches_is_revoked():
+    plan = FaultModel(revocation_rate=6.0).build(RngRegistry(7), 8)
+    hosts = [6, 0, 7, 3, 5, 1, 4, 2]
+    for t in (0.0, 900.0, 3600.0, 450.0, 7200.0, 12345.5, 60.0):
+        assert plan.alive(hosts, t) == [h for h in hosts
+                                         if not plan.is_revoked(h, t)]
+    # Hosts outside the plan have no stream and are never revoked.
+    assert plan.alive([9, 0], 0.0)[0] == 9
 
 
 def test_compute_finish_matches_host_walk_without_plan():

@@ -18,6 +18,7 @@ from repro.core.policy import greedy_policy
 from repro.faults.plan import FaultModel
 from repro.load.onoff import OnOffLoadModel
 from repro.platform.cluster import make_platform
+from repro.simkernel.plan import disable_lowering
 from repro.strategies.cr import CrStrategy
 from repro.strategies.dlb import DlbStrategy
 from repro.strategies.nothing import NothingStrategy
@@ -168,6 +169,24 @@ def test_cr_restarts_after_revocation():
         assert r["cost"] > 0.0  # re-read the checkpoint + startup
         assert len(r["new_active"]) == 4
     assert result.restart_count >= len(restarts)
+
+
+def test_cr_stalls_until_enough_hosts_return_same_as_oracle():
+    # One spare for four processes: revocations often leave too few
+    # survivors, and CR waits for the earliest return.
+    model = FaultModel(revocation_rate=4.0, mean_downtime=300.0)
+    result, session = traced_run(
+        CrStrategy(), faulty_platform(2, model=model, n_hosts=5),
+        small_app())
+    stalls = [r for r in records_of(session, "fault.stall")
+              if r["reason"] == "insufficient-hosts"]
+    assert stalls
+    with disable_lowering():
+        ref, ref_session = traced_run(
+            CrStrategy(), faulty_platform(2, model=model, n_hosts=5),
+            small_app())
+    assert result.makespan == ref.makespan
+    assert session.trace.records == ref_session.trace.records
 
 
 # -- DLB: repartition ---------------------------------------------------------
