@@ -91,6 +91,10 @@ _SEEDED_OK = frozenset({
     "numpy.random.SFC64",
 })
 
+#: Methods whose result is an owned named stream, or a list of them:
+#: ``RngRegistry.stream``/``streams`` and ``Generator.spawn``.
+STREAM_FACTORIES = frozenset({"stream", "streams", "spawn"})
+
 #: Generator sampling methods (a call to one *consumes* the stream).
 RNG_SAMPLERS = frozenset({
     "random", "uniform", "normal", "standard_normal", "exponential",
@@ -167,7 +171,7 @@ def _rng_locals(func: ast.AST) -> "set[str]":
             value = node.value
             from_stream = (isinstance(value, ast.Call)
                            and isinstance(value.func, ast.Attribute)
-                           and value.func.attr in ("stream", "spawn"))
+                           and value.func.attr in STREAM_FACTORIES)
             from_owned = (isinstance(value, ast.Name) and value.id in owned)
             if isinstance(value, ast.Tuple):
                 # ``a, b = rng.spawn(2)`` handled below via targets
@@ -199,7 +203,7 @@ def _is_rng_receiver(expr: ast.AST, owned: "set[str]") -> "str | None":
         return None
     if isinstance(expr, ast.Call):
         if (isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in ("stream", "spawn")):
+                and expr.func.attr in STREAM_FACTORIES):
             return "owned"
         return None
     return None

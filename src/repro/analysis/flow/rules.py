@@ -37,7 +37,8 @@ FLOW_RULES = {
               "observe each other"),
     "SF002": ("rng-outside-owner",
               "random draw whose stream is not an owned named stream "
-              "(parameter, registry.stream(...) local, or self.rng); "
+              "(parameter, registry.stream(...)/streams(...) local, or "
+              "self.rng); "
               "competing strategies would desynchronize"),
     "SF003": ("unordered-iteration-to-sink",
               "iteration over a set or dict view, unsorted, inside a "
@@ -125,7 +126,8 @@ def _sf002(analysis: EffectAnalysis) -> "list[FlowFinding]":
             out.append(_finding(
                 "SF002", info, site.line, site.column,
                 f"{site.detail}; draws must come from an owned named "
-                f"stream (RngRegistry.stream(...) or an rng parameter)"))
+                f"stream (RngRegistry.stream(...)/streams(...) or an rng "
+                f"parameter)"))
     return out
 
 

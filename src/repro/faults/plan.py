@@ -201,10 +201,10 @@ class FaultPlan:
         self._revocations: "dict[int, _IntervalStream]" = {}
         if model.revocation_rate > 0:
             mean_up = HOUR / model.revocation_rate
-            for h in range(n_hosts):
+            rngs = registry.streams(("revocation", h) for h in range(n_hosts))
+            for h, rng in enumerate(rngs):
                 self._revocations[h] = _IntervalStream(
-                    registry.stream("revocation", h), mean_up,
-                    model.mean_downtime, model.min_downtime)
+                    rng, mean_up, model.mean_downtime, model.min_downtime)
         self._store: "_IntervalStream | None" = None
         if model.store_outage_rate > 0:
             self._store = _IntervalStream(

@@ -53,9 +53,10 @@ __all__ = [
     "PAYBACK_BUCKETS", "ProgressTicker", "RunTelemetry", "RuntimeRecorder",
     "SimHooks", "SpanSet", "TRACE_RULES", "TraceHooks", "TraceRecorder",
     "TraceSet", "active", "analyze", "count", "emit", "emit_check",
-    "emit_decision", "emitted_total", "fleet_timeline", "gauge", "jsonable",
-    "kernel_hooks", "lint", "observe_value", "observing", "prometheus_text",
-    "wall_stats", "wall_summary", "write_report",
+    "emit_decision", "emitted_total", "fleet_timeline", "gauge",
+    "iteration_sink", "jsonable", "kernel_hooks", "lint", "observe_value",
+    "observing", "prometheus_text", "wall_stats", "wall_summary",
+    "write_report",
 ]
 
 #: Bucket bounds for payback-distance histograms (iterations; the
@@ -79,8 +80,9 @@ class ObsSession:
 #: need no plumbing).  Mutated only by :func:`observing`.
 _ACTIVE: "ObsSession | None" = None
 
-#: Total records emitted through :func:`emit` by this process -- the
-#: "zero events when disabled" benchmark assertion reads this.
+#: Total records emitted through :func:`emit` (and :func:`iteration_sink`
+#: sinks) by this process -- the "zero events when disabled" benchmark
+#: assertion reads this.
 _EMITTED_TOTAL = [0]
 
 
@@ -106,7 +108,8 @@ def observing(session: ObsSession) -> Iterator[ObsSession]:
 
 
 def emitted_total() -> int:
-    """Records emitted through :func:`emit` in this process so far."""
+    """Records emitted through :func:`emit` (and :func:`iteration_sink`
+    sinks) in this process so far."""
     return _EMITTED_TOTAL[0]
 
 
@@ -118,6 +121,27 @@ def emit(kind: str, t: float, **fields: Any) -> None:
     session.trace.emit(kind, t, **fields)
     # Per-process diagnostics counter, never read by sim logic.
     _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+
+
+def iteration_sink(session: ObsSession):
+    """The strategy loop's per-iteration emitter, bound to ``session``.
+
+    ``sink(t, source, iteration, start, compute_end, active)`` has the
+    effect of ``emit("iteration", t, ...)`` plus
+    ``count("strategy.iterations_total")`` (see
+    :meth:`TraceRecorder.emit_iteration` for ``active``), with the
+    recorder and counter looked up once per run instead of per record.
+    """
+    record = session.trace.emit_iteration
+    counter = session.metrics.counter("strategy.iterations_total")
+
+    def sink(t, source, iteration, start, compute_end, active):
+        record(t, source, iteration, start, compute_end, active)
+        counter.inc()
+        # Per-process diagnostics counter, never read by sim logic.
+        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+
+    return sink
 
 
 def count(name: str, amount: float = 1.0) -> None:

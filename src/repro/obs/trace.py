@@ -93,6 +93,31 @@ class TraceRecorder:
             record[key] = jsonable(value)
         self.records.append(record)
 
+    def emit_iteration(self, t: float, source: str, iteration: int,
+                       start: float, compute_end: float,
+                       active: "list[int]") -> None:
+        """Record one BSP iteration ending at ``t``: the record
+        ``emit("iteration", t, source=..., iteration=..., start=...,
+        end=t, compute_end=..., active=...)`` would append, built as one
+        dict display in the same key order.
+
+        The strategy loop emits one per iteration, the bulk of a traced
+        cell's records.  ``active`` must already be jsonable (a plain
+        list of ints); the record keeps it as given, so the caller may
+        share one list across the records of one active set.  A
+        non-finite time takes :meth:`emit`, which spells it as a string.
+        """
+        if t - t == 0.0 and start - start == 0.0 \
+                and compute_end - compute_end == 0.0:
+            self.records.append({
+                "kind": "iteration", "t": t, **self.context,
+                "source": source, "iteration": iteration, "start": start,
+                "end": t, "compute_end": compute_end, "active": active})
+        else:
+            self.emit("iteration", t, source=source, iteration=iteration,
+                      start=start, end=t, compute_end=compute_end,
+                      active=active)
+
     def extend(self, records: "Iterable[dict]") -> None:
         """Append pre-built records (already jsonable dicts) verbatim."""
         self.records.extend(records)

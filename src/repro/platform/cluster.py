@@ -130,7 +130,9 @@ def make_platform(n_hosts: int,
         raise PlatformError(f"invalid speed range {speed_range}")
 
     registry = RngRegistry(seed)
-    speed_rng = registry.stream("platform", "speeds")
+    speed_rng, *host_rngs = registry.streams(
+        [("platform", "speeds")]
+        + [("load", "host", i) for i in range(n_hosts)])
     speeds = speed_rng.uniform(lo, hi, size=n_hosts)
 
     if callable(load_model_factory) and not isinstance(load_model_factory, LoadModel):
@@ -145,8 +147,7 @@ def make_platform(n_hosts: int,
     for i in range(n_hosts):
         spec = HostSpec(name=f"host{i:03d}", speed=float(speeds[i]),
                         load_model=factory(i))
-        hosts.append(Host(spec, registry.stream("load", "host", i),
-                          horizon=horizon, index=i))
+        hosts.append(Host(spec, host_rngs[i], horizon=horizon, index=i))
 
     faults = None
     if fault_model is not None:

@@ -140,14 +140,19 @@ class Strategy:
         iteration = splan.iteration
         fault_free = splan.fault_free
         obs_on = splan.obs_on
+        emit_iteration = splan.emit_iteration
+        name = self.name
         before = self._before_iteration
         after = self._after_iteration
         iterations = app.iterations
 
-        # ``tuple(active)`` cached on the list's identity: every path
-        # that changes the active set rebinds it to a fresh list.
+        # ``tuple(active)`` (and, traced, its jsonable list, shared by
+        # the set's ``iteration`` records) cached on the list's
+        # identity: every path that changes the active set rebinds it
+        # to a fresh list.
         ran_for: "list[int] | None" = None
         ran_on: "tuple[int, ...]" = ()
+        ran_list: "list[int]" = []
 
         i = 1
         while i <= iterations:
@@ -167,13 +172,12 @@ class Strategy:
             if active is not ran_for:
                 ran_on = tuple(active)
                 ran_for = active
+                if obs_on:
+                    ran_list = obs.jsonable(ran_on)
             t = end
             progress_record(t, i, "iteration")
             if obs_on:
-                obs.emit("iteration", end, source=self.name, iteration=i,
-                         start=start, end=end, compute_end=compute_end,
-                         active=ran_on)
-                obs.count("strategy.iterations_total")
+                emit_iteration(end, name, i, start, compute_end, ran_list)
             t, active, chunks, overhead, event = after(i, start, t, active,
                                                        chunks)
             records_append(IterationRecord(i, start, compute_end, end,

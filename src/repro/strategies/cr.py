@@ -84,18 +84,21 @@ class CrStrategy(Strategy):
         cost = self._cost
         chunk = app.chunk_flops
         comm_time = self._comm_time
+        n = app.n_processes
         rates = self._splan.predicted_rates(t, policy.history_window)
-        if plan is None:
-            # The candidate ranking uses the same (t, window) rates just
-            # predicted (same sort, same set as a second full-platform
-            # pass).  ``rates`` iterates hosts in ascending index order
-            # and a reverse sort is stable, so this matches the
-            # ``(-rate, index)`` ranking without per-key tuples.
-            candidate = sorted(rates, key=rates.__getitem__,
-                               reverse=True)[:app.n_processes]
-        else:
-            candidate = self._candidate_set(t)
-        if candidate is None or set(candidate) == set(active):
+        # The candidates are the N fastest hosts of the pool -- under
+        # faults, of the hosts alive at ``t`` (no performance restart
+        # when fewer than N are).  Ranked from the (t, window) rates
+        # just predicted: a host's rate is the same float whichever
+        # hosts a map covers.  The pool iterates in ascending index
+        # order and a reverse sort is stable, so this matches the
+        # ``(-rate, index)`` ranking without per-key tuples.
+        pool = (rates if plan is None
+                else plan.alive(range(len(self._platform)), t))
+        if len(pool) < n:
+            return t, active, chunks, 0.0, ""
+        candidate = sorted(pool, key=rates.__getitem__, reverse=True)[:n]
+        if set(candidate) == set(active):
             return t, active, chunks, 0.0, ""
         # ``max(chunk / r)`` is the division by the minimal rate -- same
         # operation on the same operands.
@@ -128,18 +131,6 @@ class CrStrategy(Strategy):
         return t, candidate, {h: chunk for h in candidate}, cost, "checkpoint"
 
     # -- helpers -----------------------------------------------------------
-
-    def _candidate_set(self, t):
-        """The ``N`` fastest hosts alive at ``t``, or ``None`` when fewer
-        than ``N`` are: a performance restart under faults."""
-        plan = self._faults
-        n = self._app.n_processes
-        alive = plan.alive(range(len(self._platform)), t)
-        if len(alive) < n:
-            return None
-        rates = self._splan.predicted_rates(t, self.policy.history_window,
-                                            indices=alive)
-        return sorted(alive, key=lambda h: (-rates[h], h))[:n]
 
     def _on_revocation(self, t, victims, iteration, active, chunks):
         """Recover from revoked actives: re-read the checkpoint, restart.

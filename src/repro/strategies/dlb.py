@@ -88,12 +88,16 @@ class DlbStrategy(Strategy):
 
     def _sync_membership(self, t, i) -> float:
         """Boundary membership update: drop newly revoked members, rejoin
-        returned ones; if nobody is left, stall until the first return."""
+        returned ones; if nobody is left, stall until the first return.
+
+        One :meth:`~repro.faults.plan.FaultPlan.revoked_at` query per
+        boundary and per stall step answers for every member."""
         plan = self._faults
         members = self._members
         down = self._down
+        revoked = plan.revoked_at(t, members)
         for h in members:
-            if plan.is_revoked(h, t):
+            if h in revoked:
                 if h not in down:
                     self._drop_member(t, i, h)
             elif h in down:
@@ -108,8 +112,9 @@ class DlbStrategy(Strategy):
                               reason="all-revoked")
             self._result.overhead_time += ret - t
             t = ret
+            revoked = plan.revoked_at(t, members)
             for h in members:
-                if not plan.is_revoked(h, t) and h in down:
+                if h not in revoked and h in down:
                     down.discard(h)
                     obs.emit("fault.return", t, source=self.name, iteration=i,
                              host=h)

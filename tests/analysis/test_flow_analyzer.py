@@ -51,6 +51,24 @@ def test_sf002_flags_only_the_unowned_draw(fixture_flow):
     assert "random.random" in finding.message
 
 
+def test_sf002_batch_streams_are_owned(tmp_path):
+    # ``RngRegistry.streams(...)`` returns owned named streams, unpacked
+    # or indexed, just like one ``stream(...)`` per key.
+    pkg = _write_package(tmp_path, "pkg", """
+        def build(registry, n):
+            speed_rng, *host_rngs = registry.streams(
+                [("platform", "speeds")] + [("load", i) for i in range(n)])
+            return speed_rng.uniform(0.0, 1.0, size=n), host_rngs
+
+        def draw(plain):
+            rng = plain.pick()
+            return rng.random()
+    """)
+    result = analyze_package(pkg)
+    assert [(f.code, f.function) for f in result.findings] == [
+        ("SF002", "pkg.mod.draw")]
+
+
 def test_sf003_flags_set_iteration_feeding_the_sink(fixture_flow):
     (finding,) = _by_code(fixture_flow, "SF003")
     assert finding.function == "flowfixtures.cells.compute"

@@ -43,8 +43,9 @@ def test_fig4_golden_values(fig4_seed0):
 # -- committed full-sweep goldens (the kernel float-identity oracle) ---------
 #
 # tests/experiments/goldens/ pins the complete seeds=2 sweep results of
-# the two headline figures, and of ext-faults (the fault paths of all
-# four strategies), byte-for-byte.  Unlike the spot values above these
+# the two headline figures, of ext-faults (the fault paths of all four
+# strategies) and of ext-eviction (the only load model that spawns child
+# streams with ``Generator.spawn``), byte-for-byte.  Unlike the spot values above these
 # cover every cell, so any drift in the vectorized kernels, the lowering
 # passes or the strategy loop -- however small -- fails loudly.
 # Regenerate with:
@@ -52,7 +53,7 @@ def test_fig4_golden_values(fig4_seed0):
 #   import json
 #   from repro.experiments.executor import execute_sweep
 #   from repro.experiments.scenarios import get_scenario
-#   for name in ('fig4', 'fig7', 'ext-faults'):
+#   for name in ('fig4', 'fig7', 'ext-faults', 'ext-eviction'):
 #       result, _ = execute_sweep(get_scenario(name), seeds=2)
 #       open(f'tests/experiments/goldens/{name}-seeds2.json', 'w').write(
 #           json.dumps(result.to_dict(), sort_keys=True, indent=2) + '\n')"
@@ -66,7 +67,8 @@ from repro.simkernel.plan import disable_lowering
 GOLDENS = Path(__file__).parent / "goldens"
 
 
-@pytest.mark.parametrize("name", ["fig4", "fig7", "ext-faults"])
+@pytest.mark.parametrize("name", ["fig4", "fig7", "ext-faults",
+                                  "ext-eviction"])
 def test_sweep_byte_identical_to_committed_golden(name):
     result, _timing = execute_sweep(get_scenario(name), seeds=2)
     got = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"

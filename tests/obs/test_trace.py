@@ -133,3 +133,33 @@ def test_chrome_json_is_valid_and_byte_stable(tmp_path):
     recorder.write_chrome(path)
     doc = json.loads(path.read_text())
     assert "traceEvents" in doc and doc["displayTimeUnit"] == "ms"
+
+
+# -- the loop's iteration record ---------------------------------------------
+
+
+@pytest.mark.parametrize("times", [
+    (12.5, 2.0, 11.0),
+    (float("inf"), 2.0, 11.0),
+    (12.5, float("nan"), 11.0),
+    (12.5, 2.0, float("-inf")),
+])
+def test_emit_iteration_is_emit_with_the_same_keys_in_order(times):
+    t, start, compute_end = times
+    fast, ref = TraceRecorder(), TraceRecorder()
+    for rec in (fast, ref):
+        rec.set_context(scenario="s", x=0.5, seed=3, series="cr")
+    fast.emit_iteration(t, "cr", 7, start, compute_end, [4, 1, 9])
+    ref.emit("iteration", t, source="cr", iteration=7, start=start, end=t,
+             compute_end=compute_end, active=(4, 1, 9))
+    assert [json.dumps(r) for r in fast.records] == \
+        [json.dumps(r) for r in ref.records]
+    assert fast.to_jsonl() == ref.to_jsonl()
+
+
+def test_emit_iteration_shares_the_callers_active_list():
+    rec = TraceRecorder()
+    active = [0, 2]
+    rec.emit_iteration(1.0, "swap", 1, 0.0, 0.5, active)
+    rec.emit_iteration(2.0, "swap", 2, 1.0, 1.5, active)
+    assert rec.records[0]["active"] is rec.records[1]["active"] is active

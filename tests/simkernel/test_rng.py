@@ -64,3 +64,102 @@ def test_derive_seed_in_64bit_range(root, key):
 @settings(max_examples=50)
 def test_derive_seed_deterministic(root):
     assert derive_seed(root, "k") == derive_seed(root, "k")
+
+
+# -- batch seeding: streams(keys) == [stream(*key) for key in keys] ----------
+
+from repro.simkernel._seedseq import prepared_streams, seed_states  # noqa: E402
+
+#: Seeds at the edges of the one-word/two-word entropy split.
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _assert_same_stream(got, want):
+    """Same state, same first draws of each sampler, same spawned
+    children -- spawning twice, so the spawn counters must agree too."""
+    assert got.bit_generator.state == want.bit_generator.state
+    for draw in (lambda g: g.random(4), lambda g: g.exponential(3.0, 4),
+                 lambda g: g.geometric(0.25, 4),
+                 lambda g: g.uniform(2.0, 5.0, 4)):
+        assert np.array_equal(draw(got), draw(want))
+    for n in (2, 3):
+        kids, ref = got.spawn(n), want.spawn(n)
+        assert len(kids) == len(ref) == n
+        for kid, ref_kid in zip(kids, ref):
+            assert kid.bit_generator.state == ref_kid.bit_generator.state
+            assert np.array_equal(kid.random(3), ref_kid.random(3))
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def _reference(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def test_seed_states_match_seed_sequence_at_word_edges():
+    states = seed_states(EDGE_SEEDS)
+    for seed, row in zip(EDGE_SEEDS, states):
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.dtype == np.uint64
+        assert np.array_equal(row, want)
+
+
+def test_prepared_streams_equal_pcg64_at_word_edges():
+    for got, seed in zip(prepared_streams(EDGE_SEEDS), EDGE_SEEDS):
+        _assert_same_stream(got, _reference(seed))
+
+
+@given(st.lists(st.one_of(st.integers(0, 2**32 - 1),
+                          st.integers(2**32, 2**64 - 1)),
+                min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_prepared_streams_equal_pcg64(seeds):
+    # One- and two-word seeds mixed in one batch.
+    for got, seed in zip(prepared_streams(seeds), seeds):
+        _assert_same_stream(got, _reference(seed))
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.lists(st.tuples(st.sampled_from(["load", "revocation", "x"]),
+                          st.integers(0, 64)),
+                min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_streams_equal_one_stream_per_key(root, keys):
+    reg = RngRegistry(root)
+    for got, key in zip(reg.streams(keys), keys):
+        _assert_same_stream(got, reg.stream(*key))
+
+
+def test_streams_accepts_any_iterable_and_empty():
+    reg = RngRegistry(5)
+    assert reg.streams([]) == []
+    (a, b) = reg.streams(("host", i) for i in range(2))
+    _assert_same_stream(b, reg.stream("host", 1))
+
+
+def test_prepared_seed_sequence_serves_other_requests_exactly():
+    (gen,) = prepared_streams([123456789])
+    seq = gen.bit_generator.seed_seq
+    ref = np.random.SeedSequence(123456789)
+    assert np.array_equal(seq.generate_state(8), ref.generate_state(8))
+    assert np.array_equal(seq.generate_state(4, np.uint64),
+                          ref.generate_state(4, np.uint64))
+
+
+def test_importing_rng_and_executor_leaves_numpy_random_unloaded():
+    # The fabric coordinator and the executor import the registry but
+    # draw nothing; numpy.random costs set-up time and resident memory.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = ("import sys\n"
+            "import repro.experiments.executor, repro.simkernel.rng\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
