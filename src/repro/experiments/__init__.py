@@ -6,10 +6,15 @@
 * :mod:`repro.experiments.runner` -- replicated, seeded sweep execution.
 * :mod:`repro.experiments.executor` -- parallel cell execution and the
   content-addressed cell cache (``run_sweep(..., jobs=N, cache_dir=...)``).
+* :mod:`repro.experiments.cli` -- ``python -m repro.experiments fig4``.
+
+The package re-exports only what a sweep needs.  The tooling around it
+is imported by module name where it is used, so computing a cell never
+loads it:
+
 * :mod:`repro.experiments.fabric` -- the coordinator/worker sweep fabric
   (typed messages, leases, heartbeats; ``execute_sweep_fabric``).
 * :mod:`repro.experiments.report` -- tables and ASCII charts.
-* :mod:`repro.experiments.cli` -- ``python -m repro.experiments fig4``.
 """
 
 from repro.experiments.executor import (
@@ -18,34 +23,21 @@ from repro.experiments.executor import (
     append_bench_record,
     execute_sweep,
 )
-from repro.experiments.fabric import (
-    FabricConfig,
-    FabricStats,
-    WorkerChaos,
-    execute_sweep_fabric,
-)
 from repro.experiments.runner import SweepResult, run_sweep
 from repro.experiments.scenarios import (
     ALL_SCENARIOS,
     OnOffDynamism,
     get_scenario,
 )
-from repro.experiments.report import ascii_chart, format_table
 
 __all__ = [
     "ALL_SCENARIOS",
     "CellCache",
-    "FabricConfig",
-    "FabricStats",
     "OnOffDynamism",
     "SweepResult",
     "SweepTiming",
-    "WorkerChaos",
     "append_bench_record",
-    "ascii_chart",
     "execute_sweep",
-    "execute_sweep_fabric",
-    "format_table",
     "get_scenario",
     "run_sweep",
 ]

@@ -50,6 +50,7 @@ from repro._version import __version__
 from repro.errors import ExperimentError
 from repro.experiments.runner import SeriesStats, SweepResult
 from repro.experiments.scenarios import ExperimentSpec
+from repro.obs.metrics import wall_stats
 from repro.simkernel import engine as _engine
 from repro.strategies.base import ExecutionResult
 
@@ -523,8 +524,6 @@ def execute_sweep(spec: ExperimentSpec,
         The merged sweep result -- bit-identical to the serial run for
         any ``jobs`` / cache state -- and its performance record.
     """
-    from repro.obs.runtime import RunTelemetry, wall_stats
-
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
@@ -538,9 +537,13 @@ def execute_sweep(spec: ExperimentSpec,
     seed_list = _normalize_seeds(spec, seeds)
     instrument = obs_session is not None
     cells_total = len(spec.x_values) * len(seed_list)
-    telemetry = RunTelemetry.create(runtime_dir, progress=progress,
-                                    role="executor",
-                                    total_cells=cells_total)
+    telemetry = None
+    if runtime_dir is not None or progress:
+        # The runtime plane is tooling: a plain sweep never imports it.
+        from repro.obs.runtime import RunTelemetry
+
+        telemetry = RunTelemetry(runtime_dir, progress=progress,
+                                 role="executor", total_cells=cells_total)
     started = time.perf_counter()  # simlint: disable=SL001 (perf record of the host run, not simulated time)
 
     try:

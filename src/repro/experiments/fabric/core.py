@@ -88,8 +88,8 @@ from repro.experiments.fabric.wire import (ASSIGN_CELLS, CELL_RESULT,  # noqa: F
                                            REQUEST_WORK, SHUTDOWN)
 from repro.experiments.runner import SweepResult
 from repro.experiments.scenarios import ExperimentSpec
-from repro.obs.runtime import (HEARTBEAT_BUCKETS, RunTelemetry,
-                               RuntimeRecorder, wall_stats)
+from repro.obs.metrics import wall_stats
+from repro.obs.runtime import HEARTBEAT_BUCKETS, RunTelemetry, RuntimeRecorder
 
 # -- fault injection --------------------------------------------------------
 

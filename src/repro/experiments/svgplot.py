@@ -8,7 +8,7 @@ fig4 --svg fig4.svg`` produces a file any browser displays.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from repro.errors import ExperimentError
 from repro.experiments.runner import SweepResult
@@ -50,7 +50,7 @@ def svg_header(width: int, height: int, title: str) -> "list[str]":
         f'font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-size="13">{escape(title[:90])}</text>',
+        f'font-size="13">{escape(title[:90], quote=False)}</text>',
     ]
 
 
@@ -107,7 +107,7 @@ def render_svg(result: SweepResult, width: int = 720,
                      f'text-anchor="middle">{fmt_tick(tick)}</text>')
     parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" '
                  f'y="{height - 14}" text-anchor="middle">'
-                 f'{escape(result.xlabel)}</text>')
+                 f'{escape(result.xlabel, quote=False)}</text>')
     parts.append(f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.0f}" '
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{_MARGIN_TOP + plot_h / 2:.0f})">execution time [s]</text>')
@@ -129,7 +129,7 @@ def render_svg(result: SweepResult, width: int = 720,
                      f'x2="{legend_x + 18}" y2="{legend_y:.1f}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{legend_x + 24}" y="{legend_y + 4:.1f}">'
-                     f'{escape(name)}</text>')
+                     f'{escape(name, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

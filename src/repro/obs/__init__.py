@@ -1,7 +1,9 @@
 """repro.obs -- deterministic run-trace and metrics observability.
 
 The paper's contribution is *why* a policy swaps or declines at each
-epoch; this package makes that visible.  It has three layers:
+epoch; this package makes that visible.  The package itself is the
+*core* the model imports -- the session, the emit helpers and three
+layers:
 
 * :mod:`repro.obs.trace` -- :class:`TraceRecorder`: structured records
   in execution order, exported as JSONL or Chrome trace-event JSON.
@@ -10,11 +12,16 @@ epoch; this package makes that visible.  It has three layers:
   gauges, histograms with a deterministic merge.
 * :mod:`repro.obs.hooks` -- :class:`SimHooks`: the kernel's
   instrumentation points (event scheduled/fired, process start/stop).
-* :mod:`repro.obs.analyze` -- :class:`TraceSet`: load traces back into
-  records, query them, derive analytics, and :func:`lint` the TL
+
+The tooling that reads what the core recorded is not imported here, so
+a simulation never loads it; import it by module name where it is used:
+
+* :mod:`repro.obs.analyze` -- ``TraceSet``: load traces back into
+  records, query them, derive analytics, and ``lint`` the TL
   invariants (TL001-TL007).
 * :mod:`repro.obs.report` -- deterministic Markdown run reports and the
   swap-Gantt SVG (also ``python -m repro.obs report``).
+* :mod:`repro.obs.runtime` -- the wall-clock runtime telemetry plane.
 
 An :class:`ObsSession` bundles one recorder and one registry.  Code that
 wants to *emit* never handles a session directly: it calls the module
@@ -38,25 +45,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.obs.analyze import (TRACE_RULES, LintFinding, TraceSet, analyze,
-                               lint)
 from repro.obs.hooks import SimHooks, TraceHooks
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.obs.report import write_report
-from repro.obs.runtime import (ProgressTicker, RunTelemetry, RuntimeRecorder,
-                               SpanSet, fleet_timeline, prometheus_text,
-                               wall_stats, wall_summary)
 from repro.obs.trace import TraceRecorder, jsonable
 
 __all__ = [
-    "DEFAULT_BUCKETS", "LintFinding", "MetricsRegistry", "ObsSession",
-    "PAYBACK_BUCKETS", "ProgressTicker", "RunTelemetry", "RuntimeRecorder",
-    "SimHooks", "SpanSet", "TRACE_RULES", "TraceHooks", "TraceRecorder",
-    "TraceSet", "active", "analyze", "count", "emit", "emit_check",
-    "emit_decision", "emitted_total", "fleet_timeline", "gauge",
-    "iteration_sink", "jsonable", "kernel_hooks", "lint", "observe_value",
-    "observing", "prometheus_text", "wall_stats", "wall_summary",
-    "write_report",
+    "DEFAULT_BUCKETS", "MetricsRegistry", "ObsSession", "PAYBACK_BUCKETS",
+    "SimHooks", "TraceHooks", "TraceRecorder", "active", "count", "emit",
+    "emit_check", "emit_decision", "emitted_total", "gauge",
+    "iteration_sink", "jsonable", "kernel_hooks", "observe_value",
+    "observing",
 ]
 
 #: Bucket bounds for payback-distance histograms (iterations; the

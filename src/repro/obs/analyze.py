@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ObservabilityError
+from repro.obs import PAYBACK_BUCKETS
+from repro.obs.metrics import Histogram
 
 #: TL rule codes and what each one guards.
 TRACE_RULES = {
@@ -368,10 +370,7 @@ def payback_distribution(ts: TraceSet, bounds=None):
     Defaults to :data:`repro.obs.PAYBACK_BUCKETS`, matching the live
     ``decision.payback_iterations`` metric bucket for bucket.
     """
-    from repro import obs
-    from repro.obs.metrics import Histogram
-
-    histogram = Histogram(obs.PAYBACK_BUCKETS if bounds is None else bounds)
+    histogram = Histogram(PAYBACK_BUCKETS if bounds is None else bounds)
     for value in payback_values(ts):
         histogram.observe(value)
     return histogram

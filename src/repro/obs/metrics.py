@@ -214,3 +214,27 @@ class MetricsRegistry:
         return (f"<MetricsRegistry {len(self.counters)} counters, "
                 f"{len(self.gauges)} gauges, "
                 f"{len(self.histograms)} histograms>")
+
+
+# -- wall-time percentiles (sweep timings and the runtime plane) ----------
+
+
+def percentile(values: "Iterable[float]", q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]); 0.0 for an empty input."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    if not 0 <= q <= 100:
+        raise ObservabilityError(f"percentile q must be in [0, 100]: {q}")
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[rank - 1]
+
+
+def wall_stats(walls: "Iterable[float]") -> "dict[str, float]":
+    """p50/p95/max summary of a wall-time sample (zeros when empty)."""
+    ordered = sorted(walls)
+    if not ordered:
+        return {"p50": 0.0, "p95": 0.0, "max": 0.0}
+    return {"p50": percentile(ordered, 50.0),
+            "p95": percentile(ordered, 95.0),
+            "max": ordered[-1]}

@@ -20,7 +20,7 @@ CLI (``python -m repro.obs report``) and ``python -m repro.experiments
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from repro.obs.analyze import (TraceSet, adaptation_overhead,
                                decision_summary, format_cell,
@@ -260,7 +260,7 @@ def render_gantt_svg(ts: TraceSet, cell: "tuple | None" = None,
                  if (row_key is None or key == row_key)
                  for usage in hosts.values()]
         mean_util = _mean(utils)
-        label = escape(name)
+        label = escape(name, quote=False)
         if mean_util is not None:
             label += f" ({mean_util * 100.0:.0f}%)"
         parts.append(f'<text x="{_MARGIN_LEFT - 8}" '

@@ -64,8 +64,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, wall_stats
 from repro.obs.trace import jsonable
 
 #: Schema version stamped into every ``runtime.meta`` record.
@@ -340,30 +339,6 @@ def write_fleet_timeline(run_dir: "str | os.PathLike",
     out.write_text(json.dumps(doc, sort_keys=True,
                               separators=(",", ":")) + "\n")
     return out
-
-
-# -- wall-time percentiles --------------------------------------------------
-
-
-def percentile(values: "Iterable[float]", q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 for an empty input."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    if not 0 <= q <= 100:
-        raise ObservabilityError(f"percentile q must be in [0, 100]: {q}")
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
-def wall_stats(walls: "Iterable[float]") -> "dict[str, float]":
-    """p50/p95/max summary of a wall-time sample (zeros when empty)."""
-    ordered = sorted(walls)
-    if not ordered:
-        return {"p50": 0.0, "p95": 0.0, "max": 0.0}
-    return {"p50": percentile(ordered, 50.0),
-            "p95": percentile(ordered, 95.0),
-            "max": ordered[-1]}
 
 
 def wall_summary(spans: SpanSet) -> dict:

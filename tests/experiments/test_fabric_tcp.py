@@ -40,7 +40,7 @@ from repro.experiments.fabric import (
 )
 from repro.experiments.fabric.wire import _SocketChannel
 from repro.experiments.scenarios import ExperimentSpec
-from tests.experiments.test_fabric import SERIAL, TINY, _canon, _tiny_build
+from tests.experiments.test_fabric import TINY, _canon, _tiny_build
 
 
 def _slow_build(x, seed):
@@ -62,11 +62,16 @@ _HEADER = struct.Struct(">I")
 def test_tcp_kill_chaos_matches_serial():
     """One worker SIGKILLed mid-sweep; the merge stays byte-identical
     (the acceptance-criterion run, minus the CLI wrapper)."""
+    # kill:1:1 fires only when w1 starts a *second* cell.  w0 is served
+    # first (a 3-cell lease); on TINY's millisecond cells a w1 whose
+    # first request comes 0.1 s late finds the queue drained by w0, and
+    # nobody dies.  On SLOW's 0.15 s cells w1 still gets a 2-cell lease
+    # for any request lag under about 0.45 s.
     config = FabricConfig(workers=2, transport="tcp",
                           chaos=WorkerChaos.parse("kill:1:1"))
-    result, _timing, stats = execute_sweep_fabric(TINY, seeds=2,
+    result, _timing, stats = execute_sweep_fabric(SLOW, seeds=2,
                                                   config=config)
-    assert _canon(result) == SERIAL
+    assert _canon(result) == _canon(execute_sweep(SLOW, seeds=2)[0])
     assert stats.workers_lost >= 1
     assert stats.requeued_cells >= 1
 

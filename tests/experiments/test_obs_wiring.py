@@ -8,6 +8,7 @@ an untraced sweep emits exactly zero records.
 import json
 
 from repro import obs
+from repro.obs.analyze import TraceSet, lint
 from repro.app.workloads import paper_application
 from repro.contracts.strategy import ContractSwapStrategy
 from repro.core.policy import greedy_policy
@@ -131,7 +132,7 @@ def test_swap_variants_emit_decisions():
         "swap-spawn-greedy"}
     assert {r["source"] for r in decisions["swap-contract"]} == {
         "swap-contract-greedy"}
-    assert obs.lint(obs.TraceSet(session.trace.records)) == []
+    assert lint(TraceSet(session.trace.records)) == []
 
 
 def test_trace_has_iterations_for_all_four_strategies():

@@ -7,6 +7,7 @@ real property, not a tautology).
 """
 
 from repro import obs
+from repro.obs.analyze import TraceSet, lint
 from repro.experiments.executor import execute_sweep
 from repro.experiments.scenarios import EXT_FAULTS, FAULT_RATE_GRID
 
@@ -40,7 +41,7 @@ def test_warm_cache_matches_cold(tmp_path):
 
 def test_fault_trace_passes_lint():
     _result, session = traced_sweep()
-    findings = obs.lint(obs.TraceSet(session.trace.records))
+    findings = lint(TraceSet(session.trace.records))
     assert findings == [], [str(f) for f in findings]
 
 

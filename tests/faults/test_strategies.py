@@ -12,6 +12,7 @@ zero-rate fault model behaves bit-for-bit like a fault-free platform.
 import pytest
 
 from repro import obs
+from repro.obs.analyze import TraceSet, lint
 from repro.app.workloads import paper_application
 from repro.contracts.strategy import ContractSwapStrategy
 from repro.core.policy import greedy_policy
@@ -206,5 +207,5 @@ def test_dlb_repartitions_over_survivors():
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.name)
 def test_fault_traces_satisfy_tl_invariants(strategy):
     _result, session = traced_run(strategy, faulty_platform(7), small_app())
-    findings = obs.lint(obs.TraceSet(session.trace.records))
+    findings = lint(TraceSet(session.trace.records))
     assert findings == [], [str(f) for f in findings]

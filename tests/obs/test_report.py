@@ -1,8 +1,12 @@
 """Tests for the Markdown run report and Gantt SVG renderer."""
 
+import html
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import ObsSession
 from repro.obs.analyze import TraceSet, lint
@@ -132,3 +136,14 @@ def test_write_report_surfaces_findings(tmp_path):
     ts = TraceSet.from_jsonl("garbage\n")
     _md, _svg, findings = write_report(ts, tmp_path / "out")
     assert [f.code for f in findings] == ["TL006"]
+
+
+# -- text escaping ------------------------------------------------------------
+
+
+@given(st.text(st.one_of(st.sampled_from("&<>\"';#"), st.characters())))
+@settings(max_examples=300)
+def test_svg_text_escape_matches_saxutils(text):
+    # The renderers escape SVG text with html.escape(quote=False), which
+    # spares them the xml.sax import chain; the bytes must not change.
+    assert html.escape(text, quote=False) == saxutils.escape(text)

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile, wall_stats
 from repro.obs.runtime import (
     RUNTIME_SCHEMA,
     MetricsSnapshotter,
@@ -22,10 +22,8 @@ from repro.obs.runtime import (
     fleet_timeline,
     format_progress,
     load_metrics_series,
-    percentile,
     prometheus_text,
     tail_run,
-    wall_stats,
     wall_summary,
     write_fleet_timeline,
     write_prometheus,

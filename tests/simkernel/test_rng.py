@@ -145,9 +145,8 @@ def test_prepared_seed_sequence_serves_other_requests_exactly():
                           ref.generate_state(4, np.uint64))
 
 
-def test_importing_rng_and_executor_leaves_numpy_random_unloaded():
-    # The fabric coordinator and the executor import the registry but
-    # draw nothing; numpy.random costs set-up time and resident memory.
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
     import os
     import subprocess
     import sys
@@ -155,11 +154,48 @@ def test_importing_rng_and_executor_leaves_numpy_random_unloaded():
 
     import repro
 
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def test_importing_rng_and_executor_leaves_numpy_random_unloaded():
+    # The fabric coordinator and the executor import the registry but
+    # draw nothing; numpy.random costs set-up time and resident memory.
     code = ("import sys\n"
             "import repro.experiments.executor, repro.simkernel.rng\n"
             "print('numpy.random' in sys.modules)\n")
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    assert _run_fresh(code).strip() == "False"
+
+
+#: Tooling a computed cell never calls: the trace analyzer, the report
+#: writer (and the stdlib chain behind it), the runtime plane, the fabric
+#: and the static analyzers.  A fresh interpreter that only computes
+#: cells must not import (nor, without bytecode caches, compile) any of
+#: it.
+_TOOLING = ("repro.obs.analyze", "repro.obs.report", "repro.obs.runtime",
+            "repro.experiments.fabric", "repro.analysis", "xml.sax",
+            "urllib.request", "http.client")
+
+
+def _tooling_loaded_after(body: str) -> str:
+    code = (f"import sys\n{body}\n"
+            f"print([m for m in {_TOOLING!r} if m in sys.modules])\n")
+    return _run_fresh(code).splitlines()[-1]
+
+
+def test_computing_cells_loads_no_tooling():
+    body = ("from repro.experiments.executor import compute_cell\n"
+            "from repro.experiments.scenarios import get_scenario\n"
+            "faults = get_scenario('ext-faults')\n"
+            "compute_cell(faults, faults.x_values[0], 0, instrument=True)\n"
+            "fig7 = get_scenario('fig7')\n"
+            "compute_cell(fig7, fig7.x_values[0], 0)")
+    assert _tooling_loaded_after(body) == "[]"
+
+
+def test_serial_cli_sweep_loads_no_tooling():
+    body = ("from repro.experiments import cli\n"
+            "cli.main(['fig7', '--seeds', '1', '--no-cache', '--no-bench'])")
+    assert _tooling_loaded_after(body) == "[]"
