@@ -16,8 +16,9 @@
 #   2. fig7 over a transport x {plain, obs, telemetry, chaos} matrix:
 #      result JSON, trace and sim metrics must `cmp` equal to the
 #      serial run's;
-#   3. warm-cache resume, a remote TCP worker joining mid-run, and the
-#      handshake gate refusing wrong tokens and fingerprints;
+#   3. warm-cache resume, a fabric resume from a serial run's cache,
+#      a remote TCP worker joining mid-run, and the handshake gate
+#      refusing wrong tokens and fingerprints;
 #   4. the runtime telemetry plane's exports (timeline, Prometheus,
 #      summary, tail);
 #   5. reruns, trace lint and report byte-stability on fig4, fig7 and
@@ -132,6 +133,11 @@ sweep fabric-warm fig7 --cache-dir "$OUT/fabric-cache" --jobs 4
 grep -q "0/20 cells computed" "$OUT/fabric-warm.log"
 cmp "$OUT/fabric-cold.json" "$OUT/fabric-warm.json"
 cmp "$OUT/serial.json" "$OUT/fabric-warm.json"
+# Mixed writers: a serial run's segment serves the fabric's resume.
+sweep mixed-serial fig7 --cache-dir "$OUT/mixed-cache" --jobs 1 --seeds 1
+sweep mixed-resume fig7 --cache-dir "$OUT/mixed-cache" --jobs 4
+grep -q "10/20 cells computed" "$OUT/mixed-resume.log"
+cmp "$OUT/serial.json" "$OUT/mixed-resume.json"
 
 python -m repro.experiments.fabric worker 127.0.0.1:39218 \
   --token ci-secret --retry-for 60 &

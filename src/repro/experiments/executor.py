@@ -17,8 +17,11 @@ cell).  Cells never communicate, so the executor can
   SHA-256 over the scenario name, the spec fingerprint (declarative
   fields plus builder source), the cell coordinates, and the package
   version, so edited scenarios or upgraded code never reuse stale
-  entries.  Entries that fail to parse or whose recorded digest does not
-  match are treated as misses and recomputed, never trusted.
+  entries.  The store is append-only: each writer appends its cells as
+  ``<digest> <json>`` lines to a segment of its own, one per scenario
+  (:class:`CellCache`), so storing a cell creates no file.  Entries
+  that fail to parse or whose recorded digest does not match are
+  treated as misses and recomputed, never trusted.
 
 ``jobs=1`` executes the same ``compute_cell`` function in-process, in
 grid order -- that path is the reference implementation the equivalence
@@ -42,6 +45,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Sequence
+from urllib.parse import quote
 
 import numpy as np
 
@@ -57,8 +61,9 @@ from repro.strategies.base import ExecutionResult
 #: Cell payload schema version; bump to invalidate every cached entry.
 #: (2: cells carry observability payloads -- trace records + metrics.
 #:  3: cells computed by the vectorized trace kernels / lowered plans --
-#:  makespans are float-identical but the perf counters changed meaning.)
-CACHE_FORMAT = 3
+#:  makespans are float-identical but the perf counters changed meaning.
+#:  4: entries are ``<digest> <json>`` lines in append-only segments.)
+CACHE_FORMAT = 4
 
 
 # -- one cell ---------------------------------------------------------------
@@ -176,10 +181,21 @@ def cell_digest(scenario: str, fingerprint: str, x: float, seed: int, *,
 class CellCache:
     """Content-addressed on-disk store of computed sweep cells.
 
-    Layout: ``<root>/<first two hex digits>/<digest>.json``.  Entries
-    embed their own digest and schema version; :meth:`load` re-validates
-    both plus the payload structure, so a corrupted or truncated file is
-    a cache miss, not a wrong answer.
+    Layout: ``<root>/<scenario>.cells/<pid>-<random>.seg``.  Each writer
+    (one ``CellCache`` object) appends to its own *segment* per
+    scenario, created ``O_EXCL`` on its first :meth:`store` and kept
+    open until :meth:`close`; an entry is one line, ``<digest> <json>``,
+    written by one ``os.write``.  Writers never share a file, so
+    concurrent sweeps over one root need no locking, and storing a cell
+    costs an append, not a new file.
+
+    :meth:`load` reads a scenario's segments once per cache object into
+    a digest -> raw-line index and parses JSON only on a hit.  Entries
+    embed their own digest and schema version, which :meth:`load`
+    re-validates with the payload structure, so a truncated, garbled or
+    foreign line is a cache miss, not a wrong answer.  A line counts
+    only once its newline is written: an unfinished tail (a writer that
+    died mid-append) is skipped.
     """
 
     def __init__(self, root: "str | os.PathLike", *,
@@ -189,36 +205,63 @@ class CellCache:
         #: every load/store is logged as a wall-clock ``cache.*`` span.
         #: Telemetry never changes what the cache returns.
         self.telemetry = telemetry
+        #: Per scenario: digest -> candidate entry bodies, in segment
+        #: order (a digest stored twice, or once garbled, has several).
+        self._index: "dict[str, dict[bytes, list[bytes]]]" = {}
+        #: Per scenario: this writer's open segment.
+        self._segments: "dict[str, int]" = {}
 
-    def path_for(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+    def _partition(self, scenario: str) -> Path:
+        # Percent-quoted, so no scenario name reaches outside the root.
+        return self.root / f"{quote(scenario, safe='')}.cells"
 
-    def load(self, digest: str) -> "CellResult | None":
+    def load(self, digest: str, *, scenario: str) -> "CellResult | None":
         if self.telemetry is None:
-            return self._load(digest)
+            return self._load(digest, scenario)
         started = self.telemetry.now()
-        cell = self._load(digest)
+        cell = self._load(digest, scenario)
         self.telemetry.event("cache.load", t=started,
                              dur=self.telemetry.now() - started,
                              digest=digest[:12], hit=cell is not None)
         return cell
 
-    def _load(self, digest: str) -> "CellResult | None":
+    def _load(self, digest: str, scenario: str) -> "CellResult | None":
+        index = self._index.get(scenario)
+        if index is None:
+            index = self._index[scenario] = self._read_index(scenario)
+        for body in index.get(digest.encode(), ()):
+            try:
+                payload = json.loads(body)
+                if (payload["digest"] == digest
+                        and payload["format"] == CACHE_FORMAT):
+                    return CellResult.from_payload(payload["cell"])
+            except (KeyError, TypeError, ValueError, AttributeError):
+                pass
+        return None
+
+    def _read_index(self, scenario: str) -> "dict[bytes, list[bytes]]":
+        index: "dict[bytes, list[bytes]]" = {}
+        partition = self._partition(scenario)
         try:
-            payload = json.loads(self.path_for(digest).read_text())
-        except (OSError, ValueError):
-            return None
-        try:
-            if (payload["digest"] != digest
-                    or payload["format"] != CACHE_FORMAT):
-                return None
-            return CellResult.from_payload(payload["cell"])
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
+            names = sorted(os.listdir(partition))
+        except OSError:
+            return index
+        for name in names:
+            if not name.endswith(".seg"):
+                continue
+            try:
+                data = (partition / name).read_bytes()
+            except OSError:
+                continue
+            # The last piece has no newline: empty, or an unfinished append.
+            for line in data.split(b"\n")[:-1]:
+                key, _sep, body = line.partition(b" ")
+                index.setdefault(key, []).append(body)
+        return index
 
     def store(self, digest: str, cell: CellResult, *, scenario: str,
               x: float, seed: int) -> None:
-        """Persist one cell atomically (temp file + rename)."""
+        """Append one cell to this writer's segment for ``scenario``."""
         if self.telemetry is None:
             self._store(digest, cell, scenario=scenario, x=x, seed=seed)
             return
@@ -228,14 +271,46 @@ class CellCache:
 
     def _store(self, digest: str, cell: CellResult, *, scenario: str,
                x: float, seed: int) -> None:
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"format": CACHE_FORMAT, "digest": digest,
                    "scenario": scenario, "x": x, "seed": seed,
                    "version": __version__, "cell": cell.to_payload()}
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
+        key = digest.encode()
+        body = json.dumps(payload, sort_keys=True).encode()
+        fd = self._segments.get(scenario)
+        if fd is None:
+            fd = self._segments[scenario] = self._open_segment(scenario)
+        line = memoryview(b"%s %s\n" % (key, body))
+        try:
+            while line:  # one write; a short one (disk full) finishes it
+                line = line[os.write(fd, line):]
+        except OSError:
+            # A torn line must not swallow the next entry: the next
+            # store starts a fresh segment.
+            del self._segments[scenario]
+            os.close(fd)
+            raise
+        index = self._index.get(scenario)
+        if index is not None:
+            index.setdefault(key, []).append(body)
+
+    def _open_segment(self, scenario: str) -> int:
+        partition = self._partition(scenario)
+        partition.mkdir(parents=True, exist_ok=True)
+        while True:
+            name = f"{os.getpid()}-{os.urandom(4).hex()}.seg"  # simlint: disable=SL001 (segment file name, never a simulation draw)
+            try:
+                return os.open(partition / name,
+                               os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                               | os.O_APPEND, 0o644)
+            except FileExistsError:
+                continue
+
+    def close(self) -> None:
+        """Close this writer's segments; a later :meth:`store` opens a
+        fresh one."""
+        for fd in self._segments.values():
+            os.close(fd)
+        self._segments.clear()
 
 
 # -- timing record ----------------------------------------------------------
@@ -317,9 +392,9 @@ def append_bench_record(path: "str | os.PathLike",
     trajectory.  Document version 4 added the per-cell wall-time
     percentile columns (``cell_wall_p50_s``/``p95``/``max``); legacy
     version-2/3 records still parse (they simply lack those keys, and
-    pre-version-3 records default to mode ``"pool"``).  The write is atomic (temp file + ``os.replace``, the
-    cell cache's pattern), so a reader -- or a concurrent sweep
-    invocation -- never observes a half-written file; an existing file
+    pre-version-3 records default to mode ``"pool"``).  The write is
+    atomic (temp file + ``os.replace``), so a reader -- or a concurrent
+    sweep invocation -- never observes a half-written file; an existing file
     that fails to parse is preserved next to the new one (``.corrupt``
     suffix) rather than silently destroyed.  Returns the document
     written.
@@ -396,7 +471,7 @@ def plan_cells(spec: ExperimentSpec, seed_list: "list[int]",
             if cache is not None:
                 digest = cell_digest(spec.name, fingerprint, x, seed,
                                      instrumented=instrument)
-                cached = cache.load(digest)
+                cached = cache.load(digest, scenario=spec.name)
                 if cached is not None:
                     cells[(xi, si)] = cached
                     continue
@@ -545,10 +620,9 @@ def execute_sweep(spec: ExperimentSpec,
         telemetry = RunTelemetry(runtime_dir, progress=progress,
                                  role="executor", total_cells=cells_total)
     started = time.perf_counter()  # simlint: disable=SL001 (perf record of the host run, not simulated time)
-
+    cache = (CellCache(cache_dir, telemetry=telemetry)
+             if cache_dir is not None else None)
     try:
-        cache = (CellCache(cache_dir, telemetry=telemetry)
-                 if cache_dir is not None else None)
         cells, pending = plan_cells(spec, seed_list, cache,
                                     instrument=instrument, on_point=on_point)
         walls: "list[float]" = []
@@ -585,6 +659,9 @@ def execute_sweep(spec: ExperimentSpec,
         if telemetry is not None:
             telemetry.finalize(state="failed")
         raise
+    finally:
+        if cache is not None:
+            cache.close()
     wall = time.perf_counter() - started  # simlint: disable=SL001 (perf record of the host run, not simulated time)
     computed = [cells[(xi, si)] for xi, si, _x, _seed, _d in pending]
     stats = wall_stats(walls)

@@ -32,9 +32,11 @@ Protocol (see docs/FABRIC.md for the full schema):
 
 Like the Yoda loop, the coordinator blocks on every worker's pipe or
 socket at once (``multiprocessing.connection.wait``), so a message or a
-worker's death (EOF) wakes it.  A ``REQUEST_WORK`` that finds nothing
-to lease is left unanswered: the worker *parks* until a revoked lease
-requeues cells or ``SHUTDOWN`` arrives.
+worker's death (EOF) wakes it.  A worker asks for its next lease as
+its current lease's last cell starts (a one-deep prefetch), so the
+coordinator extends the lease it holds.  A ``REQUEST_WORK`` that finds
+nothing to lease is left unanswered: the worker *parks* until a revoked
+lease requeues cells or ``SHUTDOWN`` arrives.
 
 Only a worker holding a lease can lose it: one whose process died, or
 that has been silent longer than :attr:`FabricConfig.lease_timeout`
@@ -161,10 +163,11 @@ class FabricConfig:
     a lease shrinks to the worker's fair share of the cells left."""
     lease_timeout: float = 30.0
     """Seconds of worker silence before its lease is revoked.  Must
-    exceed the worst single-cell compute time (workers heartbeat between
-    cells, not during one).  The clock starts at the later of the
-    assignment and the worker's last message, and only runs while the
-    worker holds a lease: a parked worker is never revoked."""
+    exceed the worst single-cell compute time (a leased worker speaks
+    once per cell, with its result, never during one).  The clock
+    starts at the later of the latest assignment and the worker's last
+    message, and only runs while the worker holds a lease: a parked
+    worker is never revoked."""
     max_worker_restarts: int = 4
     """Replacement workers the coordinator may launch before it starts
     shrinking the fleet instead."""
@@ -298,10 +301,14 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
 
     Pull-based: request work, compute each leased cell, push a
     ``CELL_RESULT`` per cell (success or failure -- a failing cell is
-    reported with its coordinates, not swallowed), heartbeat between
-    cells, and repeat until ``SHUTDOWN``.  A request the coordinator
-    cannot serve yet goes unanswered; the parked worker heartbeats once
-    a second until a lease or ``SHUTDOWN`` arrives.
+    reported with its coordinates, not swallowed; each result names the
+    lease that carried its cell), and repeat until ``SHUTDOWN``.  The
+    next ``REQUEST_WORK`` goes out as the lease's *last* cell starts, so
+    the lease round trip overlaps that cell's compute; at most one
+    request is ever outstanding.  A request the coordinator cannot
+    serve yet goes unanswered; once out of cells, the parked worker
+    heartbeats once a second until a lease or ``SHUTDOWN`` arrives.
+    A leased worker sends no heartbeat: its results keep it alive.
 
     Every result carries ``wall_s`` -- the wall-clock seconds the cell
     took *in this worker* -- feeding the coordinator's per-cell wall
@@ -326,55 +333,68 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
             recorder.event(kind, **fields)
 
     cells_done = 0
+    #: Leased cells not yet started, each with its lease id, in order.
+    backlog: "deque[tuple[int, dict]]" = deque()
+    requested = False
     try:
         log("worker.start")
-        send(REQUEST_WORK)
         while True:
-            env = channel.recv(timeout=1.0)
-            if env is None:
-                send(HEARTBEAT, cells_done=cells_done)
+            if not backlog:
+                if not requested:
+                    send(REQUEST_WORK)
+                    requested = True
+                env = channel.recv(timeout=1.0)
+                if env is None:
+                    send(HEARTBEAT, cells_done=cells_done)
+                    continue
+                if env.kind == SHUTDOWN:
+                    log("worker.shutdown", cells_done=cells_done)
+                    return
+                if env.kind != ASSIGN_CELLS:
+                    raise FabricError(
+                        f"worker {me} got unexpected {env.kind}")
+                lease_id = env.payload["lease"]
+                log("lease.recv", lease=lease_id,
+                    cells=len(env.payload["cells"]))
+                backlog.extend((lease_id, cell)
+                               for cell in env.payload["cells"])
+                requested = False
                 continue
-            if env.kind == SHUTDOWN:
-                log("worker.shutdown", cells_done=cells_done)
-                return
-            if env.kind != ASSIGN_CELLS:
-                raise FabricError(
-                    f"worker {me} got unexpected {env.kind}")
-            lease_id = env.payload["lease"]
-            log("lease.recv", lease=lease_id,
-                cells=len(env.payload["cells"]))
-            for cell in env.payload["cells"]:
-                _apply_chaos(config, cells_done, recorder)
-                x, seed = cell["x"], cell["seed"]
-                compute_started = time.monotonic()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
-                try:
-                    if config.serialize_compute:
-                        with _COMPUTE_LOCK:
-                            result = compute_cell(spec, x, seed,
-                                                  instrument=instrument)
-                    else:
+            lease_id, cell = backlog.popleft()
+            _apply_chaos(config, cells_done, recorder)
+            if not backlog:
+                # The lease's last cell: ask for the next one now, so
+                # the round trip overlaps this cell's compute.
+                send(REQUEST_WORK)
+                requested = True
+            x, seed = cell["x"], cell["seed"]
+            compute_started = time.monotonic()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+            try:
+                if config.serialize_compute:
+                    with _COMPUTE_LOCK:
                         result = compute_cell(spec, x, seed,
                                               instrument=instrument)
-                except Exception as exc:
-                    send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
-                         si=cell["si"], x=x, seed=seed, ok=False,
-                         error=f"{type(exc).__name__}: {exc}")
-                    log("cell.failed", lease=lease_id, xi=cell["xi"],
-                        si=cell["si"], error=type(exc).__name__)
-                    continue
-                wall = time.monotonic() - compute_started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
-                cells_done += 1
-                log("cell.compute", t=compute_started, dur=wall,
-                    xi=cell["xi"], si=cell["si"], x=x, seed=seed)
-                serialize_started = time.monotonic()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+                else:
+                    result = compute_cell(spec, x, seed,
+                                          instrument=instrument)
+            except Exception as exc:
                 send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
-                     si=cell["si"], x=x, seed=seed, ok=True,
-                     cell=result.to_payload(), wall_s=wall)
-                log("cell.serialize", t=serialize_started,
-                    dur=time.monotonic() - serialize_started,  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
-                    xi=cell["xi"], si=cell["si"])
-                send(HEARTBEAT, cells_done=cells_done)
-            send(REQUEST_WORK)
+                     si=cell["si"], x=x, seed=seed, ok=False,
+                     error=f"{type(exc).__name__}: {exc}")
+                log("cell.failed", lease=lease_id, xi=cell["xi"],
+                    si=cell["si"], error=type(exc).__name__)
+                continue
+            wall = time.monotonic() - compute_started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+            cells_done += 1
+            log("cell.compute", t=compute_started, dur=wall,
+                xi=cell["xi"], si=cell["si"], x=x, seed=seed)
+            serialize_started = time.monotonic()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+            send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
+                 si=cell["si"], x=x, seed=seed, ok=True,
+                 cell=result.to_payload(), wall_s=wall)
+            log("cell.serialize", t=serialize_started,
+                dur=time.monotonic() - serialize_started,  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+                xi=cell["xi"], si=cell["si"])
     except (ChannelClosed, _ChaosTriggered):
         log("worker.channel_closed", cells_done=cells_done)
         return  # coordinator died or chaos fired: just vanish
@@ -771,11 +791,15 @@ WAIT_TIMEOUT = 0.1
 
 @dataclass
 class _Lease:
+    """Every cell one worker holds: its current lease's and, once it has
+    asked ahead, the next lease's, so a revocation requeues both."""
+
     lease_id: int
+    """The newest lease folded in."""
     worker_id: str
     outstanding: "set[tuple[int, int]]"
     granted: float = 0.0
-    """Coordinator clock at assignment."""
+    """Coordinator clock at the newest assignment."""
 
 
 @dataclass
@@ -994,7 +1018,8 @@ class Coordinator:
 
     def _assign(self, worker: _Worker, now: float) -> None:
         """Lease the next batch to ``worker``, or park it when the queue
-        holds nothing left to compute (no reply: it waits)."""
+        holds nothing left to compute (no reply: it waits).  A worker
+        still holding cells has its lease extended by the batch."""
         # Never more than a fair share of what is left, so the sweep's
         # last cells spread over the fleet instead of queueing behind
         # one worker's full lease while the others park.
@@ -1009,9 +1034,12 @@ class Coordinator:
         worker.parked = not batch
         if not batch:
             return
+        # A worker asks for its next lease while its last cell computes:
+        # the new batch joins the cells it still holds.
+        held = worker.lease.outstanding if worker.lease is not None else set()
         lease = _Lease(lease_id=self._next_lease,
                        worker_id=worker.handle.worker_id,
-                       outstanding={(c["xi"], c["si"]) for c in batch},
+                       outstanding=held | {(c["xi"], c["si"]) for c in batch},
                        granted=now)
         self._next_lease += 1
         worker.lease = lease
@@ -1279,6 +1307,9 @@ def execute_sweep_fabric(spec: ExperimentSpec,
         if telemetry is not None:
             telemetry.finalize(state="failed")
         raise
+    finally:
+        if cache is not None:
+            cache.close()
     result = merge_cells(spec, seed_list, cells)
     if obs_session is not None:
         fold_obs(obs_session, spec, seed_list, cells)

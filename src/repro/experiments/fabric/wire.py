@@ -49,8 +49,11 @@ from dataclasses import dataclass, field
 from repro.errors import FabricError
 
 #: Version stamped into every envelope; receivers reject mismatches
-#: instead of guessing, so mixed-version fleets fail loudly.
-PROTOCOL_VERSION = 3
+#: instead of guessing, so mixed-version fleets fail loudly.  (4: a
+#: leased worker asks for its next lease while its last cell computes,
+#: and that ``REQUEST_WORK`` extends its lease; a version-3 coordinator
+#: would replace the lease and lose track of the first one's cells.)
+PROTOCOL_VERSION = 4
 
 # -- message kinds ----------------------------------------------------------
 

@@ -110,11 +110,19 @@ def test_parallel_run_populates_cache_for_serial_reader(tmp_path):
     assert timing.cells_computed == 0
 
 
+def _segment_lines(root):
+    """The one segment a serial sweep leaves, and its entry lines."""
+    [segment] = root.rglob("*.seg")
+    return segment, segment.read_bytes().splitlines(keepends=True)
+
+
 def test_corrupted_cache_entry_is_recomputed(tmp_path):
     execute_sweep(TINY, seeds=2, cache_dir=tmp_path)
-    cache_files = sorted(tmp_path.rglob("*.json"))
-    assert len(cache_files) == 6
-    cache_files[0].write_text("{ not json")
+    segment, lines = _segment_lines(tmp_path)
+    assert len(lines) == 6
+    digest = lines[0].split(b" ", 1)[0]
+    lines[0] = digest + b" { not json\n"
+    segment.write_bytes(b"".join(lines))
 
     result, timing = execute_sweep(TINY, seeds=2, cache_dir=tmp_path)
     assert timing.cells_computed == 1
@@ -124,10 +132,12 @@ def test_corrupted_cache_entry_is_recomputed(tmp_path):
 
 def test_tampered_digest_is_a_miss(tmp_path):
     execute_sweep(TINY, seeds=1, cache_dir=tmp_path)
-    victim = sorted(tmp_path.rglob("*.json"))[0]
-    payload = json.loads(victim.read_text())
+    segment, lines = _segment_lines(tmp_path)
+    digest, body = lines[0].split(b" ", 1)
+    payload = json.loads(body)
     payload["digest"] = "0" * 64
-    victim.write_text(json.dumps(payload))
+    lines[0] = digest + b" " + json.dumps(payload).encode() + b"\n"
+    segment.write_bytes(b"".join(lines))
 
     _result, timing = execute_sweep(TINY, seeds=1, cache_dir=tmp_path)
     assert timing.cells_computed == 1
@@ -138,15 +148,42 @@ def test_cache_roundtrip_preserves_exact_floats(tmp_path):
     cache = CellCache(tmp_path)
     digest = cell_digest("tiny-exec", TINY.fingerprint(), 1.0, 0)
     cache.store(digest, cell, scenario="tiny-exec", x=1.0, seed=0)
-    loaded = cache.load(digest)
-    assert loaded is not None
-    assert loaded.makespans == cell.makespans  # bit-exact via repr round-trip
-    assert loaded.labels == cell.labels
-    assert loaded.events == cell.events
+    cache.close()
+    for reader in (cache, CellCache(tmp_path)):
+        loaded = reader.load(digest, scenario="tiny-exec")
+        assert loaded is not None
+        assert loaded.makespans == cell.makespans  # bit-exact via repr
+        assert loaded.labels == cell.labels
+        assert loaded.events == cell.events
+    # Partitioned by scenario: another scenario's reader never sees it.
+    assert CellCache(tmp_path).load(digest, scenario="other") is None
 
 
 def test_cache_load_missing_entry_returns_none(tmp_path):
-    assert CellCache(tmp_path).load("ab" * 32) is None
+    assert CellCache(tmp_path).load("ab" * 32, scenario="tiny-exec") is None
+
+
+def test_store_after_load_is_visible_to_the_same_cache(tmp_path):
+    cell = compute_cell(TINY, 1.0, seed=0)
+    cache = CellCache(tmp_path)
+    digest = cell_digest("tiny-exec", TINY.fingerprint(), 1.0, 0)
+    assert cache.load(digest, scenario="tiny-exec") is None  # index built
+    cache.store(digest, cell, scenario="tiny-exec", x=1.0, seed=0)
+    assert cache.load(digest, scenario="tiny-exec").makespans \
+        == cell.makespans
+    cache.close()
+
+
+def test_scenario_names_cannot_leave_the_cache_root(tmp_path):
+    cell = compute_cell(TINY, 1.0, seed=0)
+    root = tmp_path / "cache"
+    for name in ("..", "../escape", "a/b", ""):
+        cache = CellCache(root)
+        cache.store("ab" * 32, cell, scenario=name, x=1.0, seed=0)
+        cache.close()
+        assert CellCache(root).load("ab" * 32, scenario=name) is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+    assert len(list(root.iterdir())) == 4
 
 
 def test_payload_label_mismatch_rejected():

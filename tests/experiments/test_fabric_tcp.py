@@ -40,18 +40,8 @@ from repro.experiments.fabric import (
 )
 from repro.experiments.fabric.wire import _SocketChannel
 from repro.experiments.scenarios import ExperimentSpec
-from tests.experiments.test_fabric import TINY, _canon, _tiny_build
+from tests.experiments.test_fabric import SLOW, TINY, _canon, _tiny_build
 
-
-def _slow_build(x, seed):
-    # Slow enough that a late joiner reliably finds work left to lease.
-    time.sleep(0.15)
-    return _tiny_build(x, seed)
-
-
-SLOW = ExperimentSpec(name="slow-fabric", title="slow fabric sweep",
-                      xlabel="n", x_values=(0.0, 1.0, 2.0),
-                      build=_slow_build, paper_claim="toy", default_seeds=2)
 
 _HEADER = struct.Struct(">I")
 
@@ -63,11 +53,13 @@ def test_tcp_kill_chaos_matches_serial():
     """One worker SIGKILLed mid-sweep; the merge stays byte-identical
     (the acceptance-criterion run, minus the CLI wrapper)."""
     # kill:1:1 fires only when w1 starts a *second* cell.  w0 is served
-    # first (a 3-cell lease); on TINY's millisecond cells a w1 whose
-    # first request comes 0.1 s late finds the queue drained by w0, and
-    # nobody dies.  On SLOW's 0.15 s cells w1 still gets a 2-cell lease
-    # for any request lag under about 0.45 s.
-    config = FabricConfig(workers=2, transport="tcp",
+    # first; on TINY's millisecond cells a w1 whose first request comes
+    # 0.1 s late finds the queue drained by w0, and nobody dies.  On
+    # SLOW's 0.15 s cells, with 2-cell leases, w0 asks for its second
+    # lease at 0.15 s and its third at 0.45 s, and w1 is leased a cell
+    # while another is still queued (so it dies) for any request lag
+    # under about 0.45 s.
+    config = FabricConfig(workers=2, transport="tcp", lease_size=2,
                           chaos=WorkerChaos.parse("kill:1:1"))
     result, _timing, stats = execute_sweep_fabric(SLOW, seeds=2,
                                                   config=config)
@@ -285,6 +277,21 @@ def test_gate_survives_non_ascii_token(gate):
     channel.send(Envelope(kind=HELLO, sender="?",
                           payload={"token": "sésame€"}))
     _pump_until(gate, lambda _peers: gate.rejected >= 1)
+    channel.close()
+
+
+def test_gate_refuses_a_version_3_hello(gate):
+    """A version-3 peer reads a leased worker's REQUEST_WORK as a new
+    lease, not an extension, so the gate refuses it with a reason."""
+    channel = _SocketChannel(_connect(gate.address))
+    channel.send(Envelope(kind=HELLO, sender="?", version=3,
+                          payload={"token": "sesame",
+                                   "fingerprint": TINY.fingerprint()}))
+    _pump_until(gate, lambda _peers: gate.rejected >= 1)
+    reply = channel.recv(timeout=5.0)
+    assert reply.kind == WELCOME and reply.payload["ok"] is False
+    assert "protocol version mismatch: got 3, speak 4" \
+        in reply.payload["error"]
     channel.close()
 
 

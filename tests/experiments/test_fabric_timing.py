@@ -9,9 +9,11 @@ tests drive :class:`Coordinator` internals directly
 with hand-built worker handles and an injected monotonic clock, so every
 boundary is exact -- no sleeps, no real transports.
 
-Also here: the worker-lifetime accounting regression (each id's *final*
-lifetime is recorded exactly once; the old ``setdefault`` on the
-shutdown path could freeze a stale value recorded at revoke time).
+Also here: the lease prefetch (a worker's next batch joins the lease it
+holds, so its death requeues both leases' cells once), and the
+worker-lifetime accounting regression (each id's *final* lifetime is
+recorded exactly once; the old ``setdefault`` on the shutdown path could
+freeze a stale value recorded at revoke time).
 """
 
 import json
@@ -120,6 +122,15 @@ def _lease(coord, worker_id, keys):
     coord._next_lease += 1
 
 
+def _queue(coord, keys):
+    """Register ``keys`` as pending cells waiting in the queue."""
+    for xi, si in keys:
+        record = {"xi": xi, "si": si, "x": float(xi), "seed": si,
+                  "digest": "d" * 64}
+        coord._cell_specs[(xi, si)] = record
+        coord.queue.append(record)
+
+
 # -- heartbeat exactly at the timeout ---------------------------------------
 
 
@@ -216,11 +227,7 @@ def test_lease_shrinks_to_a_fair_share_of_the_last_cells():
     coord = _coordinator(clock)
     first = _register(coord, "w0")
     second = _register(coord, "w1")
-    for xi in range(3):
-        record = {"xi": xi, "si": 0, "x": float(xi), "seed": 0,
-                  "digest": "d" * 64}
-        coord._cell_specs[(xi, 0)] = record
-        coord.queue.append(record)
+    _queue(coord, [(xi, 0) for xi in range(3)])
     first.push(REQUEST_WORK, "w0")
     second.push(REQUEST_WORK, "w1")
     coord._drive()
@@ -324,6 +331,84 @@ def test_result_after_revoke_and_recompute_is_a_counted_duplicate():
     assert coord.stats.duplicate_results == 1
     assert coord.cells[(0, 0)] is first
     assert coord.cell_walls == [0.1]  # the duplicate's wall is ignored
+
+
+def test_results_alone_keep_a_leased_worker():
+    # A leased worker sends no heartbeat: each CELL_RESULT resets the
+    # lease clock, so results 9.9 s apart never let a 10 s lease lapse.
+    clock = FakeClock()
+    coord = _coordinator(clock, lease_timeout=10.0)
+    channel = _register(coord, "w0", started=0.0)
+    keys = [(xi, 0) for xi in range(4)]
+    _lease(coord, "w0", keys)
+    payload = _cell_payload()
+    for k, (xi, si) in enumerate(keys, start=1):
+        clock.now = 9.9 * k - 0.05  # silent, but inside the window
+        coord._drive()
+        assert "w0" in coord._workers
+        channel.push(CELL_RESULT, "w0", lease=0, xi=xi, si=si, x=float(xi),
+                     seed=si, ok=True, cell=payload, wall_s=9.9)
+        clock.now = 9.9 * k
+        coord._drive()
+    assert coord.stats.workers_lost == 0
+    assert coord.stats.heartbeats == 0
+    assert coord._workers["w0"].lease is None
+    assert set(coord.cells) == set(keys)
+
+
+# -- lease prefetch ------------------------------------------------------------
+
+
+def test_prefetch_extends_the_lease_and_a_death_requeues_both_once():
+    # w0 asks for lease B as lease A's last cell starts; it dies holding
+    # that cell and all of B.  Each is requeued exactly once, and the
+    # parked w1 gets them in the same drive.
+    clock = FakeClock()
+    config = FabricConfig(workers=2, transport="thread", lease_size=2,
+                          max_worker_restarts=0)
+    coord = Coordinator(SPEC, [0], config=config, cache=None,
+                        instrument=False, clock=clock)
+    w0 = _register(coord, "w0")
+    w1 = _register(coord, "w1")
+    _queue(coord, [(xi, 0) for xi in range(4)])
+    payload = _cell_payload()
+
+    w0.push(REQUEST_WORK, "w0")
+    coord._drive()  # lease A: cells 0 and 1
+    assert [c["xi"] for c in w0.sent[0].payload["cells"]] == [0, 1]
+    lease_a = w0.sent[0].payload["lease"]
+
+    clock.now = 1.0
+    w0.push(CELL_RESULT, "w0", lease=lease_a, xi=0, si=0, x=0.0, seed=0,
+            ok=True, cell=payload, wall_s=1.0)
+    w0.push(REQUEST_WORK, "w0")  # cell 1, A's last, starts: prefetch
+    coord._drive()  # lease B: a fair share of the two left, cell 2
+    lease_b = w0.sent[1].payload["lease"]
+    assert lease_b != lease_a
+    assert [c["xi"] for c in w0.sent[1].payload["cells"]] == [2]
+    held = coord._workers["w0"].lease
+    assert held.outstanding == {(1, 0), (2, 0)}
+    assert held.lease_id == lease_b and held.granted == 1.0
+
+    w1.push(REQUEST_WORK, "w1")
+    w1.push(CELL_RESULT, "w1", lease=2, xi=3, si=0, x=3.0, seed=0, ok=True,
+            cell=payload, wall_s=0.5)
+    w1.push(REQUEST_WORK, "w1")  # nothing left: w1 parks
+    coord._drive()
+    assert coord._workers["w1"].parked
+    assert coord._workers["w1"].lease is None
+
+    clock.now = 2.0
+    coord._workers["w0"].handle.is_alive = lambda: False
+    coord._drive()
+    assert "w0" not in coord._workers
+    assert coord.stats.revoked_leases == 1
+    assert coord.stats.requeued_cells == 2
+    assert [env.kind for env in w1.sent] == [ASSIGN_CELLS, ASSIGN_CELLS]
+    assert [(c["xi"], c["si"]) for c in w1.sent[1].payload["cells"]] \
+        == [(1, 0), (2, 0)]
+    assert coord._workers["w1"].lease.outstanding == {(1, 0), (2, 0)}
+    assert not coord.queue
 
 
 def test_all_workers_lost_with_no_restart_budget_raises():

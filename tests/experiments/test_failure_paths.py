@@ -10,12 +10,15 @@ Three bugfixes are locked in here:
   concurrent sweep invocations can never leave a half-written perf file,
   and an unparseable existing file is preserved (``.corrupt``) rather
   than silently clobbered or crashed on;
-* every flavor of cache-entry corruption -- empty file, truncated JSON,
-  binary garbage, digest mismatch, wrong ``CACHE_FORMAT``, mismatched
-  payload structure -- is a silent recompute, never an exception.
+* every flavor of cache-entry corruption -- emptied entry, truncated JSON,
+  an unfinished tail line, binary garbage, digest mismatch, wrong
+  ``CACHE_FORMAT``, mismatched payload structure, another entry's line
+  in its place -- is a silent recompute, never an exception.
 """
 
 import json
+import os
+import sys
 import threading
 
 import pytest
@@ -174,52 +177,74 @@ def test_concurrent_bench_appends_never_corrupt_the_file(tmp_path):
 
 
 # -- cache corruption corpus --------------------------------------------------
+#
+# A cache entry is one ``<digest> <json>`` line of a writer's segment.
+# Each corruption rewrites the segment's *last* line -- the victim --
+# given that line and the segment's first entry (another cell's).
 
 
-def _store_one(tmp_path):
-    cell = compute_cell(OK, 0.0, seed=0)
-    cache = CellCache(tmp_path)
-    digest = cell_digest(OK.name, OK.fingerprint(), 0.0, 0)
-    cache.store(digest, cell, scenario=OK.name, x=0.0, seed=0)
-    return cache, digest, cache.path_for(digest)
-
-
-def _valid_payload(path):
-    return json.loads(path.read_text())
+def _rewrite(line, change):
+    """The line with its JSON payload passed through ``change``."""
+    digest, body = line.rstrip(b"\n").split(b" ", 1)
+    return digest + b" " + json.dumps(change(json.loads(body))).encode() \
+        + b"\n"
 
 
 CORRUPTIONS = {
-    "empty-file": lambda path: "",
-    "truncated-json": lambda path: path.read_text()[: len(path.read_text()) // 2],
-    "binary-garbage": lambda path: "\x00\xff\x01 not even text",
-    "json-scalar": lambda path: "42",
-    "json-array": lambda path: "[1, 2, 3]",
-    "digest-mismatch": lambda path: json.dumps(
-        {**_valid_payload(path), "digest": "0" * 64}),
-    "wrong-format": lambda path: json.dumps(
-        {**_valid_payload(path), "format": CACHE_FORMAT + 1}),
-    "missing-cell-key": lambda path: json.dumps(
-        {k: v for k, v in _valid_payload(path).items() if k != "cell"}),
-    "label-series-mismatch": lambda path: json.dumps(
-        {**_valid_payload(path),
-         "cell": {**_valid_payload(path)["cell"],
-                  "labels": ["somebody-else"]}}),
+    "empty-file": lambda line, other: b"\n",  # the entry's bytes are gone
+    "truncated-json": lambda line, other: line[: len(line) // 2] + b"\n",
+    "truncated-tail": lambda line, other: line[:-1],  # the newline never landed
+    "binary-garbage": lambda line, other: b"\x00\xff\x01 not even text\n",
+    "json-scalar": lambda line, other: line.split(b" ", 1)[0] + b" 42\n",
+    "json-array": lambda line, other: line.split(b" ", 1)[0] + b" [1, 2, 3]\n",
+    "digest-mismatch": lambda line, other: _rewrite(
+        line, lambda p: {**p, "digest": "0" * 64}),
+    "wrong-format": lambda line, other: _rewrite(
+        line, lambda p: {**p, "format": CACHE_FORMAT + 1}),
+    "missing-cell-key": lambda line, other: _rewrite(
+        line, lambda p: {k: v for k, v in p.items() if k != "cell"}),
+    "label-series-mismatch": lambda line, other: _rewrite(
+        line, lambda p: {**p, "cell": {**p["cell"],
+                                       "labels": ["somebody-else"]}}),
+    # Another cell's entry written twice, where the victim's line was.
+    "duplicate-digest": lambda line, other: other,
 }
+
+
+def _corrupt_last_line(root, corruption):
+    [segment] = root.rglob("*.seg")
+    lines = segment.read_bytes().splitlines(keepends=True)
+    lines[-1] = CORRUPTIONS[corruption](lines[-1], lines[0])
+    segment.write_bytes(b"".join(lines))
+
+
+def _store_two(tmp_path):
+    """A neighbour cell, then the victim (the segment's last line)."""
+    cache = CellCache(tmp_path)
+    digests = []
+    for x in (1.0, 0.0):
+        digest = cell_digest(OK.name, OK.fingerprint(), x, 0)
+        cache.store(digest, compute_cell(OK, x, seed=0), scenario=OK.name,
+                    x=x, seed=0)
+        digests.append(digest)
+    cache.close()
+    return digests
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_corrupted_cache_entry_is_a_silent_miss(tmp_path, corruption):
-    cache, digest, path = _store_one(tmp_path)
-    path.write_text(CORRUPTIONS[corruption](path))
-    assert cache.load(digest) is None  # never an exception
+    neighbour, victim = _store_two(tmp_path)
+    _corrupt_last_line(tmp_path, corruption)
+    cache = CellCache(tmp_path)
+    assert cache.load(victim, scenario=OK.name) is None  # never an exception
+    assert cache.load(neighbour, scenario=OK.name) is not None
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_corrupted_cache_entry_is_recomputed_in_a_sweep(tmp_path, corruption):
     _result, cold = execute_sweep(OK, seeds=1, cache_dir=tmp_path)
     assert cold.cells_computed == 3
-    victim = sorted(tmp_path.rglob("*.json"))[0]
-    victim.write_text(CORRUPTIONS[corruption](victim))
+    _corrupt_last_line(tmp_path, corruption)
 
     result, timing = execute_sweep(OK, seeds=1, cache_dir=tmp_path)
     assert timing.cells_computed == 1
@@ -227,3 +252,72 @@ def test_corrupted_cache_entry_is_recomputed_in_a_sweep(tmp_path, corruption):
     reference = execute_sweep(OK, seeds=1)[0]
     assert (json.dumps(result.to_dict(), sort_keys=True)
             == json.dumps(reference.to_dict(), sort_keys=True))
+    # The recomputed entry, appended to a new segment, outranks the
+    # corrupt line that still shares its digest.
+    _result, warm = execute_sweep(OK, seeds=1, cache_dir=tmp_path)
+    assert warm.cells_computed == 0
+
+
+def test_failed_append_leaves_no_torn_line_in_front_of_the_next(
+        tmp_path, monkeypatch):
+    cell = compute_cell(OK, 0.0, seed=0)
+    torn, whole = (cell_digest(OK.name, OK.fingerprint(), x, 0)
+                   for x in (0.0, 1.0))
+    real_write = os.write
+
+    def disk_full(fd, data):
+        real_write(fd, bytes(data[:10]))
+        raise OSError(28, "No space left on device")
+
+    cache = CellCache(tmp_path)
+    monkeypatch.setattr(os, "write", disk_full)
+    with pytest.raises(OSError):
+        cache.store(torn, cell, scenario=OK.name, x=0.0, seed=0)
+    monkeypatch.undo()
+    cache.store(whole, cell, scenario=OK.name, x=1.0, seed=0)
+    cache.close()
+    assert len(list(tmp_path.rglob("*.seg"))) == 2
+    reader = CellCache(tmp_path)
+    assert reader.load(torn, scenario=OK.name) is None
+    assert reader.load(whole, scenario=OK.name) is not None
+
+
+# -- concurrent writers ---------------------------------------------------------
+
+
+def test_concurrent_writers_share_a_cache_and_a_fresh_reader_sees_all(
+        tmp_path):
+    # More writers than cores, switching threads as often as possible:
+    # a lost or torn append would show as a missing entry.
+    cells = {x: compute_cell(OK, x, seed=0) for x in OK.x_values}
+    writers, seeds_each = 4, 6
+    start = threading.Barrier(writers)
+
+    def write(first_seed):
+        cache = CellCache(tmp_path)
+        start.wait(timeout=10)
+        for seed in range(first_seed, first_seed + seeds_each):
+            for x in OK.x_values:
+                cache.store(cell_digest(OK.name, OK.fingerprint(), x, seed),
+                            cells[x], scenario=OK.name, x=x, seed=seed)
+        cache.close()
+
+    threads = [threading.Thread(target=write, args=(w * seeds_each,))
+               for w in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(list(tmp_path.rglob("*.seg"))) == writers  # one per writer
+    reader = CellCache(tmp_path)
+    for seed in range(writers * seeds_each):
+        for x in OK.x_values:
+            got = reader.load(cell_digest(OK.name, OK.fingerprint(), x, seed),
+                              scenario=OK.name)
+            assert got is not None and got.makespans == cells[x].makespans
