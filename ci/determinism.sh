@@ -11,7 +11,8 @@
 #
 # Sections:
 #   1. lowered == disable_lowering() on the perf-gate scenarios (for
-#      ext-faults also its trace and sim metrics), and the fig4/fig7
+#      ext-faults also its trace and sim metrics, and an untraced
+#      ext-faults result equal to the traced one), and the fig4/fig7
 #      goldens;
 #   2. fig7 over a transport x {plain, obs, telemetry, chaos} matrix:
 #      result JSON, trace and sim metrics must `cmp` equal to the
@@ -99,6 +100,10 @@ with disable_lowering():
 sys.exit(code)
 EOF
 same_obs faults-lowered faults-oracle
+# Tracing must not change a faulted result: the untraced sweep's JSON
+# is the traced one's byte for byte.
+sweep faults-plain ext-faults --no-cache
+cmp "$OUT/faults-lowered.json" "$OUT/faults-plain.json"
 
 echo "## 2. fig7 transport matrix"
 sweep serial fig7 --no-cache --jobs 1

@@ -29,7 +29,10 @@ helpers (:func:`emit`, :func:`count`, :func:`observe_value`), which are
 no-ops unless a session has been activated with :func:`observing`.  The
 disabled cost is a single module-global read per call site, and --
 guarded by ``benchmarks/test_obs_overhead.py`` -- a disabled run records
-exactly zero events.
+exactly zero events.  The strategy loop is the exception: its run
+binds one :class:`SessionSink` (via :func:`repro.simkernel.plan.lower`)
+that builds each of its records in one pass, with
+:class:`RecordSink` -- the module helpers -- as the reference.
 
 Usage::
 
@@ -47,14 +50,14 @@ from typing import Any, Iterator
 
 from repro.obs.hooks import SimHooks, TraceHooks
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.obs.trace import TraceRecorder, jsonable
+from repro.obs.trace import TraceRecorder, exact, jsonable
 
 __all__ = [
     "DEFAULT_BUCKETS", "MetricsRegistry", "ObsSession", "PAYBACK_BUCKETS",
     "SimHooks", "TraceHooks", "TraceRecorder", "active", "count", "emit",
-    "emit_check", "emit_decision", "emitted_total", "gauge",
-    "iteration_sink", "jsonable", "kernel_hooks", "observe_value",
-    "observing",
+    "RecordSink", "SessionSink", "emit_check", "emit_decision",
+    "emitted_total", "gauge", "jsonable", "kernel_hooks",
+    "observe_value", "observing",
 ]
 
 #: Bucket bounds for payback-distance histograms (iterations; the
@@ -78,8 +81,8 @@ class ObsSession:
 #: need no plumbing).  Mutated only by :func:`observing`.
 _ACTIVE: "ObsSession | None" = None
 
-#: Total records emitted through :func:`emit` (and :func:`iteration_sink`
-#: sinks) by this process -- the "zero events when disabled" benchmark
+#: Total records emitted through :func:`emit` (and :class:`SessionSink`
+#: builders) by this process -- the "zero events when disabled" benchmark
 #: assertion reads this.
 _EMITTED_TOTAL = [0]
 
@@ -106,8 +109,8 @@ def observing(session: ObsSession) -> Iterator[ObsSession]:
 
 
 def emitted_total() -> int:
-    """Records emitted through :func:`emit` (and :func:`iteration_sink`
-    sinks) in this process so far."""
+    """Records emitted through :func:`emit` (and :class:`SessionSink`
+    builders) in this process so far."""
     return _EMITTED_TOTAL[0]
 
 
@@ -119,27 +122,6 @@ def emit(kind: str, t: float, **fields: Any) -> None:
     session.trace.emit(kind, t, **fields)
     # Per-process diagnostics counter, never read by sim logic.
     _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
-
-
-def iteration_sink(session: ObsSession):
-    """The strategy loop's per-iteration emitter, bound to ``session``.
-
-    ``sink(t, source, iteration, start, compute_end, active)`` has the
-    effect of ``emit("iteration", t, ...)`` plus
-    ``count("strategy.iterations_total")`` (see
-    :meth:`TraceRecorder.emit_iteration` for ``active``), with the
-    recorder and counter looked up once per run instead of per record.
-    """
-    record = session.trace.emit_iteration
-    counter = session.metrics.counter("strategy.iterations_total")
-
-    def sink(t, source, iteration, start, compute_end, active):
-        record(t, source, iteration, start, compute_end, active)
-        counter.inc()
-        # Per-process diagnostics counter, never read by sim logic.
-        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
-
-    return sink
 
 
 def count(name: str, amount: float = 1.0) -> None:
@@ -230,6 +212,230 @@ def emit_check(t: float, *, source: str, iteration: int, policy: str,
                           PAYBACK_BUCKETS).observe(check.payback)
     else:
         metrics.counter("decision.epochs_rejected_total").inc()
+
+
+class RecordSink:
+    """The strategy loop's record emitters, through :func:`emit` and
+    :func:`count` -- the reference the one-pass :class:`SessionSink`
+    builders are pinned to.
+
+    Each method emits one record (no-op unless a session is observing):
+
+    * ``iteration(t, source, iteration, start, compute_end, active)`` --
+      ``emit("iteration", t, ..., end=t, ...)`` and the
+      ``strategy.iterations_total`` count;
+    * ``decision(...)`` / ``check(...)`` -- :func:`emit_decision` /
+      :func:`emit_check`;
+    * ``rebalance(t, source, iteration, active, chunks, rates)`` -- DLB's
+      partition over ``active``, its host-keyed maps spelled with ``str``
+      keys, and the ``dlb.rebalances_total`` count;
+    * ``record(kind, t, source, iteration, fields)`` --
+      ``emit(kind, t, source=source, iteration=iteration, **fields)``;
+    * ``count(name, amount=1.0)`` -- :func:`count`.
+
+    :func:`repro.simkernel.plan.lower` binds one sink per run: this one
+    on generic plans (inside ``disable_lowering()``, so the oracle runs
+    keep :meth:`TraceRecorder.emit` as the reference) and on plans with
+    no session, a :class:`SessionSink` otherwise.
+    """
+
+    __slots__ = ()
+
+    def iteration(self, t, source, iteration, start, compute_end, active):
+        emit("iteration", t, source=source, iteration=iteration,
+             start=start, end=t, compute_end=compute_end, active=active)
+        count("strategy.iterations_total")
+
+    def decision(self, t, source, iteration, policy, decision, active,
+                 spares):
+        emit_decision(t, source=source, iteration=iteration, policy=policy,
+                      decision=decision, active=active, spares=spares)
+
+    def check(self, t, source, iteration, policy, check, cost, active,
+              candidate):
+        emit_check(t, source=source, iteration=iteration, policy=policy,
+                   check=check, cost=cost, active=active,
+                   candidate=candidate)
+
+    def rebalance(self, t, source, iteration, active, chunks, rates):
+        if _ACTIVE is None:
+            return
+        emit("rebalance", t, source=source, iteration=iteration,
+             chunks={str(h): chunks[h] for h in active},
+             rates={str(h): rates[h] for h in active})
+        count("dlb.rebalances_total")
+
+    def record(self, kind, t, source, iteration, fields):
+        emit(kind, t, source=source, iteration=iteration, **fields)
+
+    def count(self, name, amount=1.0):
+        count(name, amount)
+
+
+class _Counters(dict):
+    """Name -> :class:`~repro.obs.metrics.Counter` of one registry,
+    each looked up (and so created) on first use, then held."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, name: str):
+        counter = self[name] = self.registry.counter(name)
+        return counter
+
+
+class SessionSink(RecordSink):
+    """:class:`RecordSink` bound to ``session``: each record is built in
+    one pass, as one dict display in :meth:`TraceRecorder.emit`'s key
+    order, and appended to the session's recorder.
+
+    A record whose values are all JSON-exact (see
+    :func:`~repro.obs.trace.exact`: finite floats, ints, strs, bools,
+    ``None`` and lists of them, with ``t`` a float) keeps them as given:
+    lists are shared with the caller, not copied, so the caller must not
+    mutate them afterwards.  Any other record is appended by
+    :meth:`TraceRecorder.emit`, the reference, from the same fields.
+    Either way the record equals the one ``emit`` appends, advances
+    :func:`emitted_total` by one, and the counts match the reference's.
+    The recorder and registry are bound once per run and each counter
+    on first use (so a metric appears only once counted, as with the
+    reference).
+    """
+
+    __slots__ = ("_trace", "_emit_iteration", "_counts", "_histogram",
+                 "_iterations", "_keys_for", "_keys")
+
+    def __init__(self, session: ObsSession) -> None:
+        self._trace = session.trace
+        self._emit_iteration = session.trace.emit_iteration
+        self._counts = _Counters(session.metrics)
+        self._histogram = session.metrics.histogram
+        self._iterations = self._counts["strategy.iterations_total"]
+        # DLB's str host keys, kept while its member set is unchanged.
+        self._keys_for: "list[int] | None" = None
+        self._keys: "list[str]" = []
+
+    def iteration(self, t, source, iteration, start, compute_end, active):
+        self._emit_iteration(t, source, iteration, start, compute_end,
+                             active)
+        self._iterations.value += 1.0
+        # Per-process diagnostics counter, never read by sim logic.
+        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+
+    def decision(self, t, source, iteration, policy, decision, active,
+                 spares):
+        trace = self._trace
+        moves = decision.moves
+        gates = [g.to_record() for g in decision.gates]
+        moved = [{"out_host": m.out_host, "in_host": m.in_host,
+                  "process_improvement": m.process_improvement,
+                  "app_improvement": m.app_improvement,
+                  "payback": m.payback} for m in moves] if moves else []
+        old = decision.old_iteration_time
+        new = decision.new_iteration_time
+        reason = decision.rejected_reason
+        if type(t) is float and type(active) is list \
+                and type(spares) is list \
+                and exact((t, source, iteration, policy, old, new, reason,
+                           active, spares)) \
+                and all(map(exact, map(dict.values, gates))) \
+                and all(map(exact, map(dict.values, moved))):
+            trace.records.append({
+                "kind": "decision", "t": t, **trace.context,
+                "source": source, "iteration": iteration, "policy": policy,
+                "active": active, "spares": spares,
+                "old_iteration_time": old, "new_iteration_time": new,
+                "accepted": bool(moves), "rejected_reason": reason,
+                "moves": moved, "gates": gates})
+        else:
+            trace.emit("decision", t, source=source, iteration=iteration,
+                       policy=policy, active=active, spares=spares,
+                       old_iteration_time=old, new_iteration_time=new,
+                       accepted=bool(moves), rejected_reason=reason,
+                       moves=moved, gates=gates)
+        # Per-process diagnostics counter, never read by sim logic.
+        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        counts = self._counts
+        counts["decision.epochs_total"].value += 1.0
+        counts["decision.gates_evaluated_total"].value += len(gates)
+        if moves:
+            counts["decision.moves_total"].value += len(moves)
+            histogram = self._histogram("decision.payback_iterations",
+                                        PAYBACK_BUCKETS)
+            for move in moves:
+                histogram.observe(move.payback)
+        else:
+            counts["decision.epochs_rejected_total"].value += 1.0
+
+    def check(self, t, source, iteration, policy, check, cost, active,
+              candidate):
+        trace = self._trace
+        accepted = check.accepted
+        reason = check.reason
+        gain = check.app_improvement
+        payback = check.payback
+        if type(t) is float and type(active) is list \
+                and type(candidate) is list \
+                and exact((t, source, iteration, policy, active, candidate,
+                           cost, accepted, reason, gain, payback)):
+            trace.records.append({
+                "kind": "decision", "t": t, **trace.context,
+                "source": source, "iteration": iteration, "policy": policy,
+                "active": active, "candidate": candidate, "cost": cost,
+                "accepted": accepted, "rejected_reason": reason,
+                "app_improvement": gain, "payback": payback})
+        else:
+            trace.emit("decision", t, source=source, iteration=iteration,
+                       policy=policy, active=active, candidate=candidate,
+                       cost=cost, accepted=accepted, rejected_reason=reason,
+                       app_improvement=gain, payback=payback)
+        # Per-process diagnostics counter, never read by sim logic.
+        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        counts = self._counts
+        counts["decision.epochs_total"].value += 1.0
+        if accepted:
+            self._histogram("decision.payback_iterations",
+                            PAYBACK_BUCKETS).observe(payback)
+        else:
+            counts["decision.epochs_rejected_total"].value += 1.0
+
+    def rebalance(self, t, source, iteration, active, chunks, rates):
+        trace = self._trace
+        if active != self._keys_for:
+            self._keys = [str(h) for h in active]
+            self._keys_for = list(active)
+        keys = self._keys
+        chunks = dict(zip(keys, map(chunks.__getitem__, active)))
+        rates = dict(zip(keys, map(rates.__getitem__, active)))
+        if type(t) is float and exact((t, source, iteration,
+                                       *chunks.values(), *rates.values())):
+            trace.records.append({
+                "kind": "rebalance", "t": t, **trace.context,
+                "source": source, "iteration": iteration,
+                "chunks": chunks, "rates": rates})
+        else:
+            trace.emit("rebalance", t, source=source, iteration=iteration,
+                       chunks=chunks, rates=rates)
+        # Per-process diagnostics counter, never read by sim logic.
+        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        self._counts["dlb.rebalances_total"].value += 1.0
+
+    def record(self, kind, t, source, iteration, fields):
+        trace = self._trace
+        if type(t) is float \
+                and exact((t, source, iteration, *fields.values())):
+            trace.records.append({
+                "kind": kind, "t": t, **trace.context,
+                "source": source, "iteration": iteration, **fields})
+        else:
+            trace.emit(kind, t, source=source, iteration=iteration,
+                       **fields)
+        # Per-process diagnostics counter, never read by sim logic.
+        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+
+    def count(self, name, amount=1.0):
+        self._counts[name].inc(amount)
 
 
 def kernel_hooks() -> "TraceHooks | None":

@@ -123,6 +123,9 @@ class MetricsRegistry:
         self.counters: "dict[str, Counter]" = {}
         self.gauges: "dict[str, Gauge]" = {}
         self.histograms: "dict[str, Histogram]" = {}
+        #: Histogram name -> the ``bounds`` tuple it was declared with,
+        #: so re-declaring with that same tuple skips re-validation.
+        self._declared: "dict[str, tuple]" = {}
 
     def __len__(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)
@@ -143,12 +146,21 @@ class MetricsRegistry:
 
     def histogram(self, name: str,
                   bounds: "Iterable[float]" = DEFAULT_BUCKETS) -> Histogram:
+        """The histogram ``name``, declared with ``bounds`` on first use.
+
+        Bounds are validated once, at declaration: a later call passing
+        the same (immutable) tuple object returns the histogram at once,
+        any other bounds must convert to the declared ones.
+        """
         try:
             histogram = self.histograms[name]
         except KeyError:
             histogram = self.histograms[name] = Histogram(bounds)
+            if type(bounds) is tuple:
+                self._declared[name] = bounds
             return histogram
-        if histogram.bounds != tuple(float(b) for b in bounds):
+        if bounds is not self._declared.get(name) \
+                and histogram.bounds != tuple(float(b) for b in bounds):
             raise ObservabilityError(
                 f"histogram {name!r} re-declared with different bounds")
         return histogram

@@ -66,6 +66,22 @@ def jsonable(value: Any) -> Any:
     raise ObservabilityError(f"cannot serialize trace value {value!r}")
 
 
+def exact(values: "Iterable[Any]") -> bool:
+    """Whether :func:`jsonable` would return every one of ``values``
+    unchanged: each is a finite ``float``, an ``int``, a ``str``, a
+    ``bool``, ``None``, or a ``list`` of such values (recursively).  A
+    tuple, a dict, a subclass or a non-finite float is not exact."""
+    for v in values:
+        tp = type(v)
+        if tp is float:
+            if v - v != 0.0:
+                return False
+        elif not (tp is int or tp is str or tp is bool or v is None
+                  or (tp is list and exact(v))):
+            return False
+    return True
+
+
 class TraceRecorder:
     """Append-only store of structured trace records.
 

@@ -15,11 +15,13 @@ returns a :class:`SimPlan` whose bindings are specialized to it:
   compute binding: :meth:`SimPlan.iteration` pauses revoked hosts
   itself, on every platform.
 * ``plan.obs_on`` -- whether an :mod:`repro.obs` session is active;
-  strategies guard their per-iteration ``obs.emit``/``obs.count`` calls
-  on it, so the disabled cost is one attribute read, not a kwargs dict
-  per record.  ``plan.emit_iteration`` is the loop's ``iteration``
-  record: bound to the session's recorder and counter once per run
-  (:func:`repro.obs.iteration_sink`) instead of looked up per record.
+  strategies guard their per-iteration records on it, so the disabled
+  cost is one attribute read, not a kwargs dict per record.
+  ``plan.sink`` emits the run's records: a
+  :class:`repro.obs.SessionSink` bound to the session's recorder and
+  counters once per run, which builds each record in one pass, or the
+  reference :class:`repro.obs.RecordSink` (through ``obs.emit``) on
+  generic plans and when nothing observes.
 * ``plan.kind`` -- which rate and iteration bindings back the plan.
   ``"batch-kernel"``: per-host query loops bound to the batch entry
   points of :mod:`repro.load.kernels` (one flat pass over cached
@@ -89,16 +91,15 @@ class SimPlan:
     * :meth:`iteration` -- one BSP compute + communication phase,
       revoked hosts pausing;
     * :attr:`obs_on` -- gate for per-iteration trace emission;
-    * :meth:`emit_iteration` -- the loop's ``iteration`` record and
-      ``strategy.iterations_total`` count (called only when
-      :attr:`obs_on`);
+    * :attr:`sink` -- the run's record emitters (the per-iteration and
+      per-epoch ones called only when :attr:`obs_on`);
     * :attr:`fault_free` -- whether the revocation hooks can be skipped;
     * :attr:`kind` -- which of the two bindings backs the above.
     """
 
     __slots__ = ("platform", "kind", "fault_free", "obs_on",
                  "iteration", "predicted_rates", "decision_rates",
-                 "emit_iteration")
+                 "sink")
 
     def __init__(self, platform: "Platform", kind: str,
                  session: "obs.ObsSession | None") -> None:
@@ -133,13 +134,13 @@ class SimPlan:
             self.iteration = iteration
             self.predicted_rates = batch.rates_map
             self.decision_rates = batch.rate_view
-            self.emit_iteration = (None if session is None
-                                   else obs.iteration_sink(session))
+            self.sink = (obs.RecordSink() if session is None
+                         else obs.SessionSink(session))
         else:
             self.iteration = self._iteration_generic
             self.predicted_rates = self._rates_generic
             self.decision_rates = self._decision_rates_eager
-            self.emit_iteration = self._emit_iteration_generic
+            self.sink = obs.RecordSink()
 
     # -- generic (unlowered) reference ----------------------------------
 
@@ -153,13 +154,6 @@ class SimPlan:
         compute_end = max(recovery.compute_finish(platform, h, start, flops)
                           for h, flops in chunks.items())
         return compute_end, compute_end + comm_time
-
-    @staticmethod
-    def _emit_iteration_generic(t, source, iteration, start, compute_end,
-                                active):
-        obs.emit("iteration", t, source=source, iteration=iteration,
-                 start=start, end=t, compute_end=compute_end, active=active)
-        obs.count("strategy.iterations_total")
 
     def _rates_generic(self, t, window=0.0, indices=None):
         hosts = self.platform.hosts
@@ -179,8 +173,8 @@ def lower(platform: "Platform",
     platform carries no fault plan.  ``obs_on``: an obs session is
     active; the executor activates sessions *around* a strategy run,
     never inside one, so the run-start reading -- and the session's
-    recorder and counter bound into ``emit_iteration`` -- hold for the
-    whole run.
+    recorder and counters bound into ``sink`` -- hold for the whole
+    run.
 
     Inside :func:`disable_lowering` the plan is generic, with emission
     always on and going through :func:`repro.obs.emit` per record.

@@ -140,7 +140,7 @@ class Strategy:
         iteration = splan.iteration
         fault_free = splan.fault_free
         obs_on = splan.obs_on
-        emit_iteration = splan.emit_iteration
+        emit_iteration = splan.sink.iteration
         name = self.name
         before = self._before_iteration
         after = self._after_iteration
@@ -232,15 +232,16 @@ class Strategy:
 
     # -- shared machinery -------------------------------------------------
 
-    def _declare(self, kind: str, t: float, iteration: int, host: int,
-                 **fields) -> None:
-        """Emit a ``fault.revocation`` or ``fault.stall`` record and its
-        counters; a stall also adds its ``stalled`` seconds."""
-        obs.emit("fault." + kind, t, source=self.name, iteration=iteration,
-                 host=host, **fields)
-        obs.count(f"faults.{kind}s_total")
+    def _declare(self, kind: str, t: float, iteration: int,
+                 fields: dict) -> None:
+        """Emit a ``fault.revocation`` or ``fault.stall`` record of
+        ``fields`` (``host`` first) and its counters; a stall also adds
+        its ``stalled`` seconds."""
+        sink = self._splan.sink
+        sink.record("fault." + kind, t, self.name, iteration, fields)
+        sink.count(f"faults.{kind}s_total")
         if kind == "stall":
-            obs.count("faults.stall_seconds_total", fields["stalled"])
+            sink.count("faults.stall_seconds_total", fields["stalled"])
 
     @staticmethod
     def check_fit(platform: Platform, app: ApplicationSpec) -> None:

@@ -26,7 +26,6 @@ checkpoint write would hit an outage is deferred to a later epoch.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.app.iterative import ApplicationSpec
 from repro.core.decision import evaluate_reconfiguration
 from repro.core.policy import PolicyParams, greedy_policy
@@ -105,19 +104,19 @@ class CrStrategy(Strategy):
         old_iter = chunk / min(map(rates.__getitem__, active)) + comm_time
         new_iter = chunk / min(map(rates.__getitem__, candidate)) + comm_time
         check = evaluate_reconfiguration(old_iter, new_iter, cost, policy)
+        sink = self._splan.sink
         if self._splan.obs_on:
-            obs.emit_check(t, source=self.name, iteration=i,
-                           policy=policy.name, check=check, cost=cost,
-                           active=active, candidate=candidate)
+            sink.check(t, self.name, i, policy.name, check, cost, active,
+                       candidate)
         if not check.accepted:
             return t, active, chunks, 0.0, ""
         if plan is not None and not plan.store_available(t):
             # The checkpoint write would hit the outage: defer the
             # migration to a later epoch.
-            obs.emit("fault.store_outage", t, source=self.name,
-                     iteration=i, action="deferred",
-                     until=plan.store_ready_time(t))
-            obs.count("faults.store_outage_deferrals_total")
+            sink.record("fault.store_outage", t, self.name, i,
+                        {"action": "deferred",
+                         "until": plan.store_ready_time(t)})
+            sink.count("faults.store_outage_deferrals_total")
             return t, active, chunks, 0.0, ""
         result = self._result
         start_t = t
@@ -125,9 +124,10 @@ class CrStrategy(Strategy):
         result.overhead_time += cost
         t += cost
         result.progress.record(t, i, "checkpoint")
-        obs.emit("checkpoint", t, source=self.name, iteration=i,
-                 new_active=candidate, cost=cost, start=start_t, end=t)
-        obs.count("cr.restarts_total")
+        sink.record("checkpoint", t, self.name, i,
+                    {"new_active": candidate, "cost": cost, "start": start_t,
+                     "end": t})
+        sink.count("cr.restarts_total")
         return t, candidate, {h: chunk for h in candidate}, cost, "checkpoint"
 
     # -- helpers -----------------------------------------------------------
@@ -143,9 +143,10 @@ class CrStrategy(Strategy):
         platform = self._platform
         app = self._app
         result = self._result
+        sink = self._splan.sink
         for h in sorted(victims):
-            self._declare("revocation", t, iteration, h,
-                          until=plan.return_time(h, t))
+            self._declare("revocation", t, iteration,
+                          {"host": h, "until": plan.return_time(h, t)})
         n = app.n_processes
         pool = range(len(platform))
         while True:
@@ -156,16 +157,17 @@ class CrStrategy(Strategy):
             ret = min(plan.return_time(h, t)
                       for h in plan.revoked_at(t, pool))
             for h in sorted(victims):
-                self._declare("stall", t, iteration, h, stalled=ret - t,
-                              reason="insufficient-hosts")
+                self._declare("stall", t, iteration,
+                              {"host": h, "stalled": ret - t,
+                               "reason": "insufficient-hosts"})
             result.overhead_time += ret - t
             t = ret
         ready = plan.store_ready_time(t)
         if ready > t:
-            obs.emit("fault.store_outage", t, source=self.name,
-                     iteration=iteration, action="waited", until=ready,
-                     waited=ready - t)
-            obs.count("faults.store_outage_waits_total")
+            sink.record("fault.store_outage", t, self.name, iteration,
+                        {"action": "waited", "until": ready,
+                         "waited": ready - t})
+            sink.count("faults.store_outage_waits_total")
             result.overhead_time += ready - t
             t = ready
         rates = self._splan.predicted_rates(t, self.policy.history_window,
@@ -176,10 +178,11 @@ class CrStrategy(Strategy):
         t += cost
         result.restart_count += 1
         result.overhead_time += cost
-        obs.emit("fault.recovery", t, source=self.name, iteration=iteration,
-                 action="cr-restart", hosts=sorted(victims),
-                 new_active=list(candidate), cost=cost, start=start, end=t)
-        obs.count("faults.recoveries_total")
+        sink.record("fault.recovery", t, self.name, iteration,
+                    {"action": "cr-restart", "hosts": sorted(victims),
+                     "new_active": candidate, "cost": cost, "start": start,
+                     "end": t})
+        sink.count("faults.recoveries_total")
         result.progress.record(t, iteration - 1, "checkpoint",
                                "fault restart")
         return t, candidate, {h: app.chunk_flops for h in candidate}

@@ -25,7 +25,6 @@ the first one returns.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.simkernel.plan import SimPlan, lower
 from repro.strategies.base import Strategy
 
@@ -60,11 +59,8 @@ class DlbStrategy(Strategy):
             total_rate = sum(rates.values())
             flops = self._app.flops_per_iteration
             chunks = {h: flops * rates[h] / total_rate for h in active}
-        if splan.obs_on and obs.active() is not None:
-            obs.emit("rebalance", t, source=self.name, iteration=i,
-                     chunks={str(h): chunks[h] for h in active},
-                     rates={str(h): rates[h] for h in active})
-            obs.count("dlb.rebalances_total")
+        if splan.obs_on:
+            splan.sink.rebalance(t, self.name, i, active, chunks, rates)
         return t, active, chunks
 
     def _on_revocation(self, t, hosts, i, active, chunks):
@@ -77,12 +73,15 @@ class DlbStrategy(Strategy):
 
     def _drop_member(self, t, iteration, host) -> None:
         """Declare ``host`` revoked and repartition over the survivors."""
-        self._declare("revocation", t, iteration, host,
-                      until=self._faults.return_time(host, t))
+        until = self._faults.return_time(host, t)
+        self._declare("revocation", t, iteration,
+                      {"host": host, "until": until})
         self._down.add(host)
-        obs.emit("fault.recovery", t, source=self.name, iteration=iteration,
-                 action="dlb-repartition", hosts=[host], cost=0.0)
-        obs.count("faults.recoveries_total")
+        sink = self._splan.sink
+        sink.record("fault.recovery", t, self.name, iteration,
+                    {"action": "dlb-repartition", "hosts": [host],
+                     "cost": 0.0})
+        sink.count("faults.recoveries_total")
         self._result.progress.record(t, iteration - 1, "stall",
                                      f"host{host} revoked, repartition")
 
@@ -95,6 +94,7 @@ class DlbStrategy(Strategy):
         plan = self._faults
         members = self._members
         down = self._down
+        sink = self._splan.sink
         revoked = plan.revoked_at(t, members)
         for h in members:
             if h in revoked:
@@ -102,21 +102,19 @@ class DlbStrategy(Strategy):
                     self._drop_member(t, i, h)
             elif h in down:
                 down.discard(h)
-                obs.emit("fault.return", t, source=self.name, iteration=i,
-                         host=h)
-                obs.count("faults.returns_total")
+                sink.record("fault.return", t, self.name, i, {"host": h})
+                sink.count("faults.returns_total")
         while all(h in down for h in members):
             ret = min(plan.return_time(h, t) for h in members)
             for h in sorted(members):
-                self._declare("stall", t, i, h, stalled=ret - t,
-                              reason="all-revoked")
+                self._declare("stall", t, i, {"host": h, "stalled": ret - t,
+                                              "reason": "all-revoked"})
             self._result.overhead_time += ret - t
             t = ret
             revoked = plan.revoked_at(t, members)
             for h in members:
                 if h not in revoked and h in down:
                     down.discard(h)
-                    obs.emit("fault.return", t, source=self.name, iteration=i,
-                             host=h)
-                    obs.count("faults.returns_total")
+                    sink.record("fault.return", t, self.name, i, {"host": h})
+                    sink.count("faults.returns_total")
         return t

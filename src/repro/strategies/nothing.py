@@ -39,10 +39,11 @@ class NothingStrategy(Strategy):
                 if stalled > 0.0:
                     events.append((max(onset, start), h, onset, until, stalled))
         for detect, h, onset, until, stalled in sorted(events):
-            self._declare("revocation", detect, i, h, onset=onset,
-                          until=until)
-            self._declare("stall", detect, i, h, stalled=stalled,
-                          reason="no-adaptation")
+            self._declare("revocation", detect, i,
+                          {"host": h, "onset": onset, "until": until})
+            self._declare("stall", detect, i,
+                          {"host": h, "stalled": stalled,
+                           "reason": "no-adaptation"})
             self._result.progress.record(detect, i, "stall",
                                          f"host{h} revoked")
         return None

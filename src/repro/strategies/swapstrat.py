@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro import obs
 from repro.core.decision import decide_swaps
 from repro.core.policy import PolicyParams, greedy_policy
 from repro.faults.recovery import (TransferSequencer, attempt_transfer,
@@ -138,7 +137,8 @@ class SwapStrategy(Strategy):
         platform = self._platform
         app = self._app
         policy = self.policy
-        obs_on = self._splan.obs_on
+        splan = self._splan
+        obs_on = splan.obs_on
         if active is not self._spares_for:
             self._spares_base = [h for h in self._pool if h not in active]
             self._spares_for = active
@@ -146,13 +146,12 @@ class SwapStrategy(Strategy):
         if plan is not None:
             # A revoked spare is not a viable swap-in candidate.
             spares = plan.alive(spares, t)
-        rates = self._splan.decision_rates(t, policy.history_window, active)
+        rates = splan.decision_rates(t, policy.history_window, active)
         decision = decide_swaps(active, spares, rates, chunks,
                                 self._comm_time, self._swap_cost_one, policy)
-        if obs_on and obs.active() is not None:
-            obs.emit_decision(t, source=self.name, iteration=i,
-                              policy=policy.name, decision=decision,
-                              active=active, spares=spares)
+        if obs_on:
+            splan.sink.decision(t, self.name, i, policy.name, decision,
+                                active, spares)
         if decision.moves:
             spawn = self._spawn
             if plan is None:
@@ -182,12 +181,12 @@ class SwapStrategy(Strategy):
                 t += overhead
                 result.progress.record(t, i, "swap", detail)
                 for move in moves if obs_on else ():
-                    obs.emit(
-                        "swap", t, source=self.name, iteration=i,
-                        out_host=move.out_host, in_host=move.in_host,
-                        process_improvement=move.process_improvement,
-                        app_improvement=move.app_improvement,
-                        payback=move.payback, start=iter_end, end=t)
+                    splan.sink.record("swap", t, self.name, i, {
+                        "out_host": move.out_host, "in_host": move.in_host,
+                        "process_improvement": move.process_improvement,
+                        "app_improvement": move.app_improvement,
+                        "payback": move.payback, "start": iter_end,
+                        "end": t})
             elif overhead > 0.0:
                 # Every accepted move failed its transfer; the pause
                 # was still paid.
@@ -211,9 +210,10 @@ class SwapStrategy(Strategy):
         """
         plan = self._faults
         result = self._result
+        sink = self._splan.sink
         for h in sorted(victims):
-            self._declare("revocation", t, iteration, h,
-                          until=plan.return_time(h, t))
+            self._declare("revocation", t, iteration,
+                          {"host": h, "until": plan.return_time(h, t)})
         spares = plan.alive([h for h in self._pool if h not in active], t)
         rates = self._splan.predicted_rates(t, self.policy.history_window,
                                             indices=spares)
@@ -225,7 +225,7 @@ class SwapStrategy(Strategy):
             t += elapsed
             result.overhead_time += elapsed
             if attempts > 1:
-                obs.count("faults.transfer_failures_total", attempts - 1)
+                sink.count("faults.transfer_failures_total", attempts - 1)
             if ok:
                 active = [in_host if h == out_host else h for h in active]
                 # The rebuild deliberately preserves the active-slot
@@ -234,11 +234,11 @@ class SwapStrategy(Strategy):
                 chunks = {in_host if h == out_host else h: f
                           for h, f in chunks.items()}  # simflow: disable=SF003
                 result.swap_count += 1
-                obs.emit("fault.recovery", t, source=self.name,
-                         iteration=iteration, action="swap-promote",
-                         out_host=out_host, in_host=in_host,
-                         attempts=attempts, start=start, end=t)
-                obs.count("faults.recoveries_total")
+                sink.record("fault.recovery", t, self.name, iteration, {
+                    "action": "swap-promote", "out_host": out_host,
+                    "in_host": in_host, "attempts": attempts,
+                    "start": start, "end": t})
+                sink.count("faults.recoveries_total")
                 result.progress.record(t, iteration - 1, "swap",
                                        f"promote {out_host}->{in_host}")
             else:
@@ -252,13 +252,14 @@ class SwapStrategy(Strategy):
         until = self._faults.return_time(host, t)
         if until <= t:
             # The host returned while we were retrying: resolved by wait.
-            obs.emit("fault.recovery", t, source=self.name,
-                     iteration=iteration, action="returned", host=host)
-            obs.count("faults.recoveries_total")
+            sink = self._splan.sink
+            sink.record("fault.recovery", t, self.name, iteration,
+                        {"action": "returned", "host": host})
+            sink.count("faults.recoveries_total")
             return
         self._declared_until[host] = until
-        self._declare("stall", t, iteration, host, stalled=until - t,
-                      reason=reason)
+        self._declare("stall", t, iteration,
+                      {"host": host, "stalled": until - t, "reason": reason})
         self._result.progress.record(t, iteration - 1, "stall",
                                      f"host{host} revoked ({reason})")
 
@@ -278,6 +279,7 @@ class SwapStrategy(Strategy):
         applied = []
         attempts_total = 0
         overhead = 0.0
+        sink = self._splan.sink
         for move in moves:
             # Cost 0 here: the whole batch is priced once, below.
             _elapsed, ok, attempts = attempt_transfer(plan, sequencer, 0.0)
@@ -285,13 +287,13 @@ class SwapStrategy(Strategy):
             overhead = link.serialized_time(attempts_total * state_bytes,
                                             attempts_total)
             if attempts > 1:
-                obs.count("faults.transfer_failures_total", attempts - 1)
+                sink.count("faults.transfer_failures_total", attempts - 1)
             if ok:
                 applied.append(move)
             else:
-                obs.emit("fault.transfer_failed", t + overhead,
-                         source=self.name, iteration=iteration,
-                         out_host=move.out_host, in_host=move.in_host,
-                         attempts=attempts)
-                obs.count("faults.transfer_aborts_total")
+                sink.record("fault.transfer_failed", t + overhead,
+                            self.name, iteration,
+                            {"out_host": move.out_host,
+                             "in_host": move.in_host, "attempts": attempts})
+                sink.count("faults.transfer_aborts_total")
         return applied, overhead

@@ -68,6 +68,28 @@ def test_registry_rejects_histogram_bound_redeclaration():
         registry.histogram("h", bounds=(1.0, 3.0))
 
 
+def test_histogram_bounds_are_validated_at_declaration_only():
+    registry = MetricsRegistry()
+    bounds = (1.0, 2.0)
+    declared = registry.histogram("h", bounds)
+    # The declaring tuple itself, equal bounds in another container, and
+    # ints that convert to the declared floats all reuse the histogram.
+    assert registry.histogram("h", bounds) is declared
+    assert registry.histogram("h", [1.0, 2.0]) is declared
+    assert registry.histogram("h", (1, 2)) is declared
+    with pytest.raises(ObservabilityError, match="re-declared"):
+        registry.histogram("h", (1.0, 3.0))
+    with pytest.raises(ObservabilityError, match="re-declared"):
+        registry.histogram("h", (1.0,))
+    # A histogram declared from a list (mutable, so never trusted by
+    # identity) is re-validated on every call.
+    listed = [0.5]
+    registry.histogram("l", listed)
+    listed.append(9.0)
+    with pytest.raises(ObservabilityError, match="re-declared"):
+        registry.histogram("l", listed)
+
+
 def test_to_dict_is_key_sorted_and_json_stable():
     registry = MetricsRegistry()
     registry.counter("zeta").inc()

@@ -1,0 +1,268 @@
+"""The one-pass record builders of :class:`repro.obs.SessionSink` are
+pinned to the reference: for the same fields each appends the record
+``TraceRecorder.emit(kind, t, **fields)`` appends (same keys, same
+order, same values) and counts what :class:`repro.obs.RecordSink`
+counts through ``obs.emit``/``obs.count``."""
+
+import json
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.core.decision import (GateOutcome, ReconfigurationCheck,
+                                 SwapDecision, SwapMove)
+from repro.errors import ObservabilityError
+from repro.obs.trace import TraceRecorder, exact, jsonable
+
+CONTEXT = {"scenario": "ext-faults", "x": 0.5, "seed": 3,
+           "series": "swap-greedy"}
+
+
+class Hosts(NamedTuple):
+    first: int
+    second: int
+    third: int
+
+
+# -- strategies ------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Finite, infinite and NaN floats, some as numpy scalars.
+anyfloat = st.one_of(
+    finite, st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    finite.map(np.float64),
+    st.sampled_from([np.float64("inf"), np.float64("nan")]))
+#: Paybacks a histogram accepts: finite or infinite, never NaN.
+payback = st.one_of(finite, st.sampled_from([float("inf"), float("-inf")]),
+                    finite.map(np.float64))
+maybe = st.one_of(st.none(), anyfloat)
+host = st.integers(min_value=0, max_value=63)
+hosts = st.one_of(
+    st.lists(host, max_size=6),
+    st.lists(host, max_size=6).map(tuple),
+    st.tuples(host, host, host).map(lambda t: Hosts(*t)))
+times = st.one_of(finite, st.sampled_from([float("inf"), float("nan")]),
+                  finite.map(np.float64), st.integers(0, 10**6))
+
+moves = st.lists(st.builds(SwapMove, host, host, anyfloat, anyfloat, payback),
+                 max_size=3).map(tuple)
+gates = st.lists(st.builds(GateOutcome, host, host,
+                           st.sampled_from(["process", "application",
+                                            "accepted"]),
+                           st.booleans(), st.text(max_size=8), anyfloat,
+                           maybe, maybe), max_size=4).map(tuple)
+decisions = st.builds(SwapDecision, moves, anyfloat, anyfloat,
+                      st.text(max_size=8), gates)
+checks = st.one_of(
+    st.builds(ReconfigurationCheck, st.just(True), anyfloat, payback,
+              st.just("")),
+    st.builds(ReconfigurationCheck, st.just(False), anyfloat, anyfloat,
+              st.text(max_size=8)))
+
+
+# -- helpers ---------------------------------------------------------------
+
+def _dumps(records):
+    """Records as JSON in insertion order: equal key order, equal bytes."""
+    return [json.dumps(r) for r in records]
+
+
+def _reference(kind, t, **fields) -> TraceRecorder:
+    ref = TraceRecorder()
+    ref.set_context(**CONTEXT)
+    ref.emit(kind, t, **fields)
+    return ref
+
+
+def _both(emit):
+    """Run ``emit(sink)`` on a :class:`SessionSink` and on the reference
+    :class:`RecordSink`, each in a fresh session; return both sessions
+    and how far :func:`obs.emitted_total` advanced for the fast one."""
+    fast, slow = obs.ObsSession(), obs.ObsSession()
+    for session in (fast, slow):
+        session.trace.set_context(**CONTEXT)
+    # A SessionSink binds the loop's iteration counter at run start.
+    slow.metrics.counter("strategy.iterations_total")
+    sink = obs.SessionSink(fast)
+    before = obs.emitted_total()
+    emit(sink)
+    emitted = obs.emitted_total() - before
+    with obs.observing(slow):
+        emit(obs.RecordSink())
+    return fast, slow, emitted
+
+
+def _assert_same(fast, slow, ref):
+    assert _dumps(fast.trace.records) == _dumps(ref.records)
+    assert _dumps(slow.trace.records) == _dumps(ref.records)
+    assert fast.metrics.to_json() == slow.metrics.to_json()
+
+
+# -- builders vs TraceRecorder.emit ----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(t=times, iteration=st.integers(0, 999), decision=decisions,
+       active=hosts, spares=hosts)
+def test_decision_builder_is_emit(t, iteration, decision, active, spares):
+    fast, slow, emitted = _both(lambda sink: sink.decision(
+        t, "swap-greedy", iteration, "greedy", decision, active, spares))
+    ref = _reference(
+        "decision", t, source="swap-greedy", iteration=iteration,
+        policy="greedy", active=list(active), spares=list(spares),
+        old_iteration_time=decision.old_iteration_time,
+        new_iteration_time=decision.new_iteration_time,
+        accepted=bool(decision.moves),
+        rejected_reason=decision.rejected_reason,
+        moves=[{"out_host": m.out_host, "in_host": m.in_host,
+                "process_improvement": m.process_improvement,
+                "app_improvement": m.app_improvement,
+                "payback": m.payback} for m in decision.moves],
+        gates=[g.to_record() for g in decision.gates])
+    _assert_same(fast, slow, ref)
+    assert emitted == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=times, check=checks, cost=anyfloat, active=hosts, candidate=hosts)
+def test_check_builder_is_emit(t, check, cost, active, candidate):
+    fast, slow, emitted = _both(lambda sink: sink.check(
+        t, "cr", 4, "greedy", check, cost, active, candidate))
+    ref = _reference(
+        "decision", t, source="cr", iteration=4, policy="greedy",
+        active=list(active), candidate=list(candidate), cost=cost,
+        accepted=check.accepted, rejected_reason=check.reason,
+        app_improvement=check.app_improvement, payback=check.payback)
+    _assert_same(fast, slow, ref)
+    assert emitted == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=times, data=st.data())
+def test_rebalance_builder_is_emit(t, data):
+    active = data.draw(st.lists(host, max_size=6, unique=True))
+    chunks = {h: data.draw(anyfloat) for h in active}
+    rates = {h: data.draw(anyfloat) for h in active}
+    fast, slow, emitted = _both(lambda sink: sink.rebalance(
+        t, "dlb", 2, active, chunks, rates))
+    ref = _reference(
+        "rebalance", t, source="dlb", iteration=2,
+        chunks={str(h): chunks[h] for h in active},
+        rates={str(h): rates[h] for h in active})
+    _assert_same(fast, slow, ref)
+    assert emitted == 1
+
+
+fields = st.dictionaries(
+    st.sampled_from(["host", "until", "stalled", "reason", "action",
+                     "hosts", "new_active", "cost", "start", "end",
+                     "seed"]),
+    st.one_of(host, anyfloat, st.text(max_size=6), hosts, st.none(),
+              st.booleans()),
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=times, kind=st.sampled_from(["swap", "checkpoint",
+                                      "fault.revocation", "fault.stall",
+                                      "fault.recovery", "fault.return"]),
+       fields=fields)
+def test_record_builder_is_emit(t, kind, fields):
+    # ``seed`` collides with a context key: the field wins, in the
+    # context key's position, as in ``emit``.
+    fast, slow, emitted = _both(
+        lambda sink: sink.record(kind, t, "nothing", 9, fields))
+    ref = _reference(kind, t, source="nothing", iteration=9, **fields)
+    _assert_same(fast, slow, ref)
+    assert emitted == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=times, start=anyfloat, compute_end=anyfloat, active=hosts)
+def test_iteration_builder_is_emit(t, start, compute_end, active):
+    shared = jsonable(active)
+    fast, slow, emitted = _both(lambda sink: sink.iteration(
+        t, "cr", 7, start, compute_end, shared))
+    ref = _reference("iteration", t, source="cr", iteration=7, start=start,
+                     end=t, compute_end=compute_end, active=active)
+    # ``emit_iteration`` keeps a finite time as given (an ``int`` stays
+    # an ``int``); the loop passes float times, so compare those only.
+    if type(t) is float and type(start) is float \
+            and type(compute_end) is float:
+        _assert_same(fast, slow, ref)
+    assert fast.metrics.to_json() == slow.metrics.to_json()
+    assert emitted == 1
+
+
+def test_empty_moves_and_none_gates():
+    decision = SwapDecision((), 2.0, 2.0, "process", (
+        GateOutcome(1, 9, "process", False, "below threshold", 0.01),))
+    fast, slow, _ = _both(lambda sink: sink.decision(
+        1.0, "swap-greedy", 1, "greedy", decision, [1, 2], [9]))
+    record = fast.trace.records[0]
+    assert record["moves"] == [] and record["accepted"] is False
+    assert record["gates"][0]["app_improvement"] is None
+    assert record["gates"][0]["payback"] is None
+    assert fast.metrics.to_dict()["counters"][
+        "decision.epochs_rejected_total"] == 1.0
+    assert _dumps(fast.trace.records) == _dumps(slow.trace.records)
+
+
+def test_nonfinite_payback_is_spelled_inf():
+    inf = float("inf")
+    decision = SwapDecision((SwapMove(1, 9, 0.5, inf, inf),), 2.0, 1.0, "",
+                            (GateOutcome(1, 9, "accepted", True, "", 0.5,
+                                         inf, inf),))
+    fast, _slow, _ = _both(lambda sink: sink.decision(
+        1.0, "swap-greedy", 1, "greedy", decision, [1], [9]))
+    record = fast.trace.records[0]
+    assert record["moves"][0]["payback"] == "inf"
+    assert record["moves"][0]["app_improvement"] == "inf"
+    assert record["gates"][0]["payback"] == "inf"
+
+
+def test_exact_lists_are_shared_not_copied():
+    active, spares = [1, 2], [3, 4]
+    decision = SwapDecision((), 1.0, 1.0, "process", ())
+    fast, _slow, _ = _both(lambda sink: sink.decision(
+        1.0, "swap-greedy", 1, "greedy", decision, active, spares))
+    record = fast.trace.records[0]
+    assert record["active"] is active and record["spares"] is spares
+
+
+def test_builders_reject_what_emit_rejects():
+    sink = obs.SessionSink(obs.ObsSession())
+    with pytest.raises(ObservabilityError):
+        sink.record("fault.stall", 1.0, "nothing", 1, {"host": object()})
+
+
+# -- exact ---------------------------------------------------------------
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+              anyfloat),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_values, max_size=4))
+def test_exact_values_are_what_jsonable_keeps(values):
+    # ``exact`` admits a value only if ``jsonable`` returns it unchanged
+    # (lists compare equal; dicts and tuples are never exact).
+    if exact(values):
+        assert jsonable(values) == values
+        assert json.dumps(jsonable(values)) == json.dumps(values)
+
+
+def test_exact_rejects_what_jsonable_converts():
+    for value in (float("inf"), float("nan"), np.float64(1.0), (1, 2),
+                  {"a": 1.0}, [1, float("-inf")], Hosts(1, 2, 3), object()):
+        assert not exact([value])
+    assert exact([1, "a", 2.5, None, True, [3, [4.0]]])
+    assert exact([])
