@@ -14,9 +14,9 @@
 #      ext-faults also its trace and sim metrics, and an untraced
 #      ext-faults result equal to the traced one), and the fig4/fig7
 #      goldens;
-#   2. fig7 over a transport x {plain, obs, telemetry, chaos} matrix:
-#      result JSON, trace and sim metrics must `cmp` equal to the
-#      serial run's;
+#   2. fig7 over a transport x {plain, obs, telemetry, chaos} matrix
+#      (process with a crash, tcp with a SIGKILL): result JSON, trace
+#      and sim metrics must `cmp` equal to the serial run's;
 #   3. warm-cache resume, a fabric resume from a serial run's cache,
 #      a remote TCP worker joining mid-run, and the handshake gate
 #      refusing wrong tokens and fingerprints;
@@ -112,8 +112,7 @@ cmp "$OUT/serial.json" "$OUT/serial-obs.json"
 
 # name|flags|chaos spec
 MATRIX=(
-  "thread|--jobs 2 --fabric-transport thread|crash:0:2"
-  "process|--jobs 4|kill:0:2"
+  "process|--jobs 4|crash:0:2"
   "tcp|--jobs 2 --fabric-transport tcp|kill:0:2"
 )
 for row in "${MATRIX[@]}"; do

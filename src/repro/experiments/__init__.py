@@ -13,7 +13,8 @@ is imported by module name where it is used, so computing a cell never
 loads it:
 
 * :mod:`repro.experiments.fabric` -- the coordinator/worker sweep fabric
-  (typed messages, leases, heartbeats; ``execute_sweep_fabric``).
+  (typed messages, leases, worker-loss recovery;
+  ``execute_sweep_fabric``).
 * :mod:`repro.experiments.report` -- tables and ASCII charts.
 """
 

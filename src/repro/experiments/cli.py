@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "byte-identical (default: 1, the in-process "
                              "serial reference)")
     parser.add_argument("--fabric-transport",
-                        choices=("thread", "process", "tcp"), default=None,
+                        choices=("process", "tcp"), default=None,
                         help="run on the fabric over this transport, at "
                              "any --jobs (default with --jobs N > 1: "
                              "process; 'tcp' binds --listen and accepts "

@@ -6,9 +6,10 @@ the wire layer became a trust boundary worth its own module:
 * :mod:`repro.experiments.fabric.wire` -- envelopes, framing, the
   restricted unpickler, and the HELLO/WELCOME handshake.  Everything
   that decides what a byte stream may become.
-* :mod:`repro.experiments.fabric.core` -- workers, transports, the
-  coordinator, and :func:`execute_sweep_fabric`.  Everything that
-  schedules work among admitted peers.
+* :mod:`repro.experiments.fabric.core` -- workers, the ``process``
+  and ``tcp`` transports, the coordinator, and
+  :func:`execute_sweep_fabric`.  Everything that schedules work among
+  admitted peers.
 * ``python -m repro.experiments.fabric`` -- the remote-worker
   bootstrap CLI (see :mod:`repro.experiments.fabric.__main__`).
 
@@ -23,14 +24,12 @@ from repro.experiments.fabric.core import (  # noqa: F401
     FabricStats,
     ProcessTransport,
     TcpTransport,
-    ThreadTransport,
     WorkerChaos,
     WorkerConfig,
     WorkerHandle,
     _Lease,
     _Worker,
     execute_sweep_fabric,
-    make_transport,
     run_remote_worker,
     worker_main,
 )
@@ -38,7 +37,6 @@ from repro.experiments.fabric.wire import (  # noqa: F401
     ASSIGN_CELLS,
     CELL_RESULT,
     COORDINATOR,
-    HEARTBEAT,
     HELLO,
     MAX_FRAME_BYTES,
     MESSAGE_KINDS,
@@ -64,7 +62,6 @@ __all__ = [
     "Envelope",
     "FabricConfig",
     "FabricStats",
-    "HEARTBEAT",
     "HELLO",
     "HandshakeInfo",
     "MAX_FRAME_BYTES",
@@ -74,7 +71,6 @@ __all__ = [
     "REQUEST_WORK",
     "SHUTDOWN",
     "TcpTransport",
-    "ThreadTransport",
     "WELCOME",
     "WorkerChaos",
     "WorkerConfig",
@@ -82,7 +78,6 @@ __all__ = [
     "check_hello",
     "client_handshake",
     "execute_sweep_fabric",
-    "make_transport",
     "restricted_loads",
     "run_remote_worker",
     "welcome_payload",

@@ -9,8 +9,10 @@ entry point connects one worker to it::
 
 The worker handshakes (token, protocol version, spec fingerprint),
 resolves the coordinator's scenario from the local registry, serves
-cells until the sweep drains, and exits 0.  Every refusal -- wrong
-token, diverged checkout, unreachable coordinator -- is a one-line
+cells until the sweep drains, and exits 0.  The fingerprint covers the
+scenario spec and its builder source, not model code, so "the same
+checkout" is the operator's promise.  Every refusal -- wrong token,
+different scenario spec, unreachable coordinator -- is a one-line
 message on stderr and exit status 2, never a traceback.
 """
 

@@ -6,15 +6,10 @@ transport, and ``jobs == 1`` stays the in-process serial reference.  In
 the style of panda-yoda's Yoda/Droid split, a **coordinator** streams
 ``(x, seed)`` cells through a work queue with batched *leases*,
 **workers** pull cells and push results, and every conversation is a
-typed, versioned :class:`Envelope` carried by a pluggable transport:
+typed, versioned :class:`Envelope` carried by one of two transports:
 
-* ``thread``   -- daemon threads over ``multiprocessing.Pipe`` pairs.
-  Cell computation is serialized by a lock (the simulation uses
-  per-process ambient state -- the obs session, the kernel event tally
-  -- that threads would trample), so this transport exists to exercise
-  the full message protocol in tests, not for speedup.
 * ``process``  -- one ``multiprocessing.Process`` per worker over a
-  duplex ``Pipe``.  The real same-machine backend.
+  duplex ``Pipe``.  The same-machine backend.
 * ``tcp``      -- the cross-host story: the coordinator binds a TCP
   listener (``FabricConfig.listen``), launches its local fleet over
   loopback, and *additionally* accepts remote workers bootstrapped with
@@ -25,8 +20,8 @@ typed, versioned :class:`Envelope` carried by a pluggable transport:
 
 Protocol (see docs/FABRIC.md for the full schema):
 
-* worker -> coordinator: ``REQUEST_WORK``, ``CELL_RESULT``, ``HEARTBEAT``
-  (and, for TCP peers, the ``HELLO`` that opens the handshake)
+* worker -> coordinator: ``REQUEST_WORK``, ``CELL_RESULT`` (and, for
+  TCP peers, the ``HELLO`` that opens the handshake)
 * coordinator -> worker: ``ASSIGN_CELLS`` (a lease), ``SHUTDOWN`` (exit
   now), ``WELCOME`` (handshake verdict)
 
@@ -35,8 +30,9 @@ socket at once (``multiprocessing.connection.wait``), so a message or a
 worker's death (EOF) wakes it.  A worker asks for its next lease as
 its current lease's last cell starts (a one-deep prefetch), so the
 coordinator extends the lease it holds.  A ``REQUEST_WORK`` that finds
-nothing to lease is left unanswered: the worker *parks* until a revoked
-lease requeues cells or ``SHUTDOWN`` arrives.
+nothing to lease is left unanswered: the worker *parks*, silent in a
+blocking receive, until a revoked lease requeues cells or ``SHUTDOWN``
+arrives (or its channel reaches EOF because the coordinator died).
 
 Only a worker holding a lease can lose it: one whose process died, or
 that has been silent longer than :attr:`FabricConfig.lease_timeout`
@@ -54,7 +50,7 @@ Worker-loss testing reuses the :mod:`repro.faults` vocabulary at the
 fabric layer: a :class:`WorkerChaos` revokes one worker after it has
 computed a configured number of cells -- by crashing it, hard-killing
 the process (``SIGKILL``), or hanging it (alive but silent, the
-heartbeat-expiry path).
+lease-expiry path).
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ import secrets
 import signal
 import socket
 import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -85,13 +80,13 @@ from repro.experiments.fabric.wire import (COORDINATOR, WELCOME,
                                            check_hello, client_handshake,
                                            welcome_payload)
 from repro.experiments.fabric.wire import (ASSIGN_CELLS, CELL_RESULT,  # noqa: F401  (re-exported protocol surface)
-                                           HEARTBEAT, HELLO, MAX_FRAME_BYTES,
+                                           HELLO, MAX_FRAME_BYTES,
                                            MESSAGE_KINDS, PROTOCOL_VERSION,
                                            REQUEST_WORK, SHUTDOWN)
 from repro.experiments.runner import SweepResult
 from repro.experiments.scenarios import ExperimentSpec
 from repro.obs.metrics import wall_stats
-from repro.obs.runtime import HEARTBEAT_BUCKETS, RunTelemetry, RuntimeRecorder
+from repro.obs.runtime import RunTelemetry, RuntimeRecorder
 
 # -- fault injection --------------------------------------------------------
 
@@ -105,10 +100,9 @@ class WorkerChaos:
 
     The fabric-layer analogue of a :mod:`repro.faults` host revocation:
     ``crash`` exits the worker loop abruptly (no message, channel
-    closed), ``kill`` delivers ``SIGKILL`` to the worker process (process
-    transports only -- a genuinely hard death), and ``hang`` leaves the
-    worker alive but silent, which only the coordinator's lease-expiry
-    clock can detect.
+    closed), ``kill`` delivers ``SIGKILL`` to the worker process (a
+    genuinely hard death), and ``hang`` leaves the worker alive but
+    silent, which only the coordinator's lease-expiry clock can detect.
     """
 
     mode: str
@@ -191,18 +185,13 @@ class FabricConfig:
             raise FabricError(f"workers must be >= 1, got {self.workers}")
         if self.lease_size < 1:
             raise FabricError(f"lease_size must be >= 1, got {self.lease_size}")
-        if self.transport not in ("thread", "process", "tcp"):
+        if self.transport not in ("process", "tcp"):
             raise FabricError(
                 f"unknown transport {self.transport!r}; pick from "
-                f"('thread', 'process', 'tcp')")
+                f"('process', 'tcp')")
         if self.handshake_timeout <= 0:
             raise FabricError(
                 f"handshake_timeout must be > 0, got {self.handshake_timeout}")
-        if (self.chaos is not None and self.chaos.mode == "kill"
-                and self.transport == "thread"):
-            raise FabricError(
-                "chaos mode 'kill' needs a process transport (SIGKILL "
-                "from a thread worker would take down the coordinator)")
 
 
 @dataclass
@@ -215,7 +204,6 @@ class FabricStats:
     leases: int = 0
     requeued_cells: int = 0
     revoked_leases: int = 0
-    heartbeats: int = 0
     work_requests: int = 0
     workers_started: int = 0
     workers_lost: int = 0
@@ -236,7 +224,6 @@ class FabricStats:
             "leases": self.leases,
             "requeued_cells": self.requeued_cells,
             "revoked_leases": self.revoked_leases,
-            "heartbeats": self.heartbeats,
             "work_requests": self.work_requests,
             "workers_started": self.workers_started,
             "workers_lost": self.workers_lost,
@@ -256,18 +243,11 @@ class WorkerConfig:
     """Per-worker knobs shipped to the worker side of the channel."""
 
     worker_id: str
-    serialize_compute: bool = False
-    """Thread transport only: hold the module compute lock around
-    :func:`compute_cell` (ambient obs/session state is per-process)."""
     chaos: "WorkerChaos | None" = None
     runtime_dir: "str | None" = None
     """Run directory of the runtime telemetry plane
     (:mod:`repro.obs.runtime`), or None for no telemetry.  The worker
     appends wall-clock spans to its own ``spans-worker-<id>.jsonl``."""
-
-
-#: Guards compute_cell for thread-transport workers (see module doc).
-_COMPUTE_LOCK = threading.Lock()
 
 
 class _ChaosTriggered(Exception):
@@ -297,7 +277,8 @@ def _apply_chaos(config: WorkerConfig, cells_done: int,
 
 def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                 config: WorkerConfig) -> None:
-    """The worker loop every transport runs (thread, process, or remote).
+    """The worker loop every transport runs (process, or tcp local and
+    remote).
 
     Pull-based: request work, compute each leased cell, push a
     ``CELL_RESULT`` per cell (success or failure -- a failing cell is
@@ -306,9 +287,9 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
     next ``REQUEST_WORK`` goes out as the lease's *last* cell starts, so
     the lease round trip overlaps that cell's compute; at most one
     request is ever outstanding.  A request the coordinator cannot
-    serve yet goes unanswered; once out of cells, the parked worker
-    heartbeats once a second until a lease or ``SHUTDOWN`` arrives.
-    A leased worker sends no heartbeat: its results keep it alive.
+    serve yet goes unanswered: once out of cells, the parked worker
+    blocks in ``channel.recv()``, silent, until a lease or ``SHUTDOWN``
+    arrives, or the channel's EOF says the coordinator is gone.
 
     Every result carries ``wall_s`` -- the wall-clock seconds the cell
     took *in this worker* -- feeding the coordinator's per-cell wall
@@ -343,10 +324,7 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                 if not requested:
                     send(REQUEST_WORK)
                     requested = True
-                env = channel.recv(timeout=1.0)
-                if env is None:
-                    send(HEARTBEAT, cells_done=cells_done)
-                    continue
+                env = channel.recv()
                 if env.kind == SHUTDOWN:
                     log("worker.shutdown", cells_done=cells_done)
                     return
@@ -370,13 +348,7 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
             x, seed = cell["x"], cell["seed"]
             compute_started = time.monotonic()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
             try:
-                if config.serialize_compute:
-                    with _COMPUTE_LOCK:
-                        result = compute_cell(spec, x, seed,
-                                              instrument=instrument)
-                else:
-                    result = compute_cell(spec, x, seed,
-                                          instrument=instrument)
+                result = compute_cell(spec, x, seed, instrument=instrument)
             except Exception as exc:
                 send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
                      si=cell["si"], x=x, seed=seed, ok=False,
@@ -437,11 +409,12 @@ def run_remote_worker(address: str, token: str, *,
 
     When ``spec`` is None (the CLI path) the scenario named in the
     WELCOME is resolved from this checkout's registry and its
-    fingerprint is verified against the coordinator's, so two diverged
-    checkouts refuse to mix cells instead of silently breaking
-    byte-identical determinism.  Tests pass an unregistered ``spec``
-    directly; its fingerprint then rides in the HELLO and the
-    *coordinator* performs the same refusal.
+    fingerprint is verified against the coordinator's, so checkouts
+    whose scenario spec or builder source differ refuse to mix cells.
+    The fingerprint does not cover model code: a checkout that differs
+    only in, say, a strategy is admitted and contributes its numbers.
+    Tests pass an unregistered ``spec`` directly; its fingerprint then
+    rides in the HELLO and the *coordinator* performs the same refusal.
     """
     host, port = _parse_listen(address)
     try:
@@ -515,41 +488,12 @@ class WorkerHandle:
     through process state."""
 
 
-class _LocalTransport:
-    """Workers this process launches itself: no listener, no strangers."""
+class ProcessTransport:
+    """One ``multiprocessing.Process`` per worker over a duplex pipe.
 
-    def poll_peers(self) -> "list[tuple[object, Envelope]]":
-        return []  # channels are created pairwise at launch
-
-    def waitables(self) -> list:
-        return []
-
-    def close(self) -> None:
-        pass
-
-
-class ThreadTransport(_LocalTransport):
-    """Daemon threads over in-process pipes (protocol tests)."""
-
-    name = "thread"
-
-    def launch(self, spec, instrument, config: WorkerConfig) -> WorkerHandle:
-        coord_conn, worker_conn = multiprocessing.Pipe(duplex=True)
-        config = replace(config, serialize_compute=True)
-        thread = threading.Thread(
-            target=worker_main,
-            args=(_PipeChannel(worker_conn), spec, instrument, config),
-            name=f"fabric-{config.worker_id}", daemon=True)
-        thread.start()
-        return WorkerHandle(
-            worker_id=config.worker_id, channel=_PipeChannel(coord_conn),
-            waitable=coord_conn, is_alive=thread.is_alive, kill=lambda: None,
-            join=lambda timeout: thread.join(timeout),
-            started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
-
-
-class ProcessTransport(_LocalTransport):
-    """One ``multiprocessing.Process`` per worker over a duplex pipe."""
+    Every channel is created pairwise at launch: no listener, no
+    strangers to admit.
+    """
 
     name = "process"
 
@@ -571,6 +515,15 @@ class ProcessTransport(_LocalTransport):
             waitable=parent_conn, is_alive=process.is_alive, kill=kill,
             join=lambda timeout: process.join(timeout),
             started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
+
+    def poll_peers(self) -> "list[tuple[object, Envelope]]":
+        return []
+
+    def waitables(self) -> list:
+        return []
+
+    def close(self) -> None:
+        pass
 
 
 def _parse_listen(text: str) -> "tuple[str, int]":
@@ -763,23 +716,6 @@ class TcpTransport:
             pass
 
 
-def make_transport(name: str, *,
-                   handshake: "HandshakeInfo | None" = None,
-                   listen: str = "127.0.0.1:0",
-                   handshake_timeout: float = 5.0):
-    if name == "thread":
-        return ThreadTransport()
-    if name == "process":
-        return ProcessTransport()
-    if name == "tcp":
-        if handshake is None:
-            raise FabricError(
-                "tcp transport needs a HandshakeInfo (token + fingerprint)")
-        return TcpTransport(handshake, listen=listen,
-                            handshake_timeout=handshake_timeout)
-    raise FabricError(f"unknown transport {name!r}")
-
-
 # -- the coordinator --------------------------------------------------------
 
 #: Longest the coordinator blocks in ``wait`` (seconds).  Messages and
@@ -855,9 +791,9 @@ class Coordinator:
 
     # -- worker lifecycle ---------------------------------------------------
 
-    def _make_transport(self):
-        if self.config.transport != "tcp":
-            return make_transport(self.config.transport)
+    def _open_transport(self):
+        if self.config.transport == "process":
+            return ProcessTransport()
         runtime_dir = None
         if self.telemetry is not None and self.telemetry.run_dir is not None:
             runtime_dir = str(self.telemetry.run_dir)
@@ -870,8 +806,8 @@ class Coordinator:
             runtime_dir=runtime_dir,
             chaos=(self.config.chaos.to_wire()
                    if self.config.chaos is not None else None))
-        transport = make_transport(
-            "tcp", handshake=handshake, listen=self.config.listen,
+        transport = TcpTransport(
+            handshake, listen=self.config.listen,
             handshake_timeout=self.config.handshake_timeout)
         # stderr, deliberately: stdout carries the CLI's deterministic
         # sweep summary, which CI byte-compares across transports.
@@ -1100,7 +1036,6 @@ class Coordinator:
             self.on_cell(*key)
 
     def _handle(self, worker: _Worker, env: Envelope, now: float) -> None:
-        silent_for = now - worker.last_seen
         worker.last_seen = now
         if env.kind == REQUEST_WORK:
             self.stats.work_requests += 1
@@ -1109,17 +1044,6 @@ class Coordinator:
                 self._assign(worker, now)
             else:
                 worker.parked = True
-        elif env.kind == HEARTBEAT:
-            self.stats.heartbeats += 1
-            # Heartbeat latency: how long this worker had been silent
-            # when the beat landed -- the lease-expiry clock's margin.
-            self._tel_event("heartbeat", worker_id=env.sender,
-                            latency_s=silent_for,
-                            cells_done=env.payload.get("cells_done"))
-            if self.telemetry is not None:
-                self.telemetry.metrics.histogram(
-                    "runtime.heartbeat_latency_seconds",
-                    HEARTBEAT_BUCKETS).observe(silent_for)
         elif env.kind == CELL_RESULT:
             self._on_result(worker, env)
         else:
@@ -1150,7 +1074,7 @@ class Coordinator:
         if len(self.cells) >= total:
             return self.cells  # fully warm cache: no fleet needed
 
-        self._transport = self._make_transport()
+        self._transport = self._open_transport()
         try:
             for _ in range(self.stats.workers):
                 self._launch_worker()
@@ -1264,7 +1188,7 @@ def execute_sweep_fabric(spec: ExperimentSpec,
     merged :class:`SweepResult` is **byte-identical** to the serial
     reference for any worker count, transport, injected worker loss, or
     cache state.  Returns ``(result, timing, stats)``; ``stats`` carries
-    the fabric's operational counters (leases, requeues, heartbeats,
+    the fabric's operational counters (leases, requeues, work requests,
     worker lifetimes), which -- unlike the result -- legitimately vary
     run to run.
 
@@ -1337,8 +1261,6 @@ def execute_sweep_fabric(spec: ExperimentSpec,
             coordinator.stats.requeued_cells)
         metrics.counter("runtime.duplicate_results_total").inc(
             coordinator.stats.duplicate_results)
-        metrics.counter("runtime.heartbeats_total").inc(
-            coordinator.stats.heartbeats)
         lifetimes = coordinator.stats.worker_lifetimes
         for worker_id in sorted(lifetimes):
             metrics.histogram("runtime.worker_lifetime_seconds",

@@ -29,10 +29,12 @@ Three hardening layers, in the order a frame meets them:
   ``Envelope.from_wire`` on its first frame), it knows the run's
   shared secret token, and -- when it already holds a spec -- its
   :meth:`~repro.experiments.scenarios.ExperimentSpec.fingerprint`
-  matches the coordinator's, so two checkouts that would compute
-  *different bytes for the same cell* refuse to cooperate instead of
-  corrupting a sweep.  Mismatches are rejected with a reason the
-  operator can read; garbage is closed without ceremony.
+  matches the coordinator's, so two checkouts whose scenario spec or
+  builder source differ refuse to cooperate instead of mixing cells.
+  The fingerprint does not cover model code: two checkouts that share
+  a spec but differ in, say, a strategy still pass the gate.
+  Mismatches are rejected with a reason the operator can read; garbage
+  is closed without ceremony.
 """
 
 from __future__ import annotations
@@ -52,15 +54,16 @@ from repro.errors import FabricError
 #: instead of guessing, so mixed-version fleets fail loudly.  (4: a
 #: leased worker asks for its next lease while its last cell computes,
 #: and that ``REQUEST_WORK`` extends its lease; a version-3 coordinator
-#: would replace the lease and lose track of the first one's cells.)
-PROTOCOL_VERSION = 4
+#: would replace the lease and lose track of the first one's cells.
+#: 5: a parked worker sends nothing, and the kind a version-4 parked
+#: worker sent once a second is no longer in :data:`MESSAGE_KINDS`.)
+PROTOCOL_VERSION = 5
 
 # -- message kinds ----------------------------------------------------------
 
 REQUEST_WORK = "REQUEST_WORK"
 ASSIGN_CELLS = "ASSIGN_CELLS"
 CELL_RESULT = "CELL_RESULT"
-HEARTBEAT = "HEARTBEAT"
 SHUTDOWN = "SHUTDOWN"
 #: First message of a connecting TCP peer: token + optional fingerprint.
 HELLO = "HELLO"
@@ -69,7 +72,7 @@ HELLO = "HELLO"
 WELCOME = "WELCOME"
 
 MESSAGE_KINDS = frozenset({REQUEST_WORK, ASSIGN_CELLS, CELL_RESULT,
-                           HEARTBEAT, SHUTDOWN, HELLO, WELCOME})
+                           SHUTDOWN, HELLO, WELCOME})
 
 #: Sender id of the coordinator end of every channel.
 COORDINATOR = "coordinator"
@@ -152,7 +155,8 @@ def restricted_loads(frame: bytes):
 # A channel is one duplex coordinator<->worker conversation.  The
 # coordinator side needs non-blocking poll/recv (it multiplexes many
 # workers, blocking in ``multiprocessing.connection.wait`` on their
-# pipes and sockets); the worker side needs a blocking recv with timeout.
+# pipes and sockets); the worker side blocks in ``recv()``, with a
+# timeout only while it waits for its WELCOME.
 
 
 class ChannelClosed(FabricError):
@@ -162,7 +166,7 @@ class ChannelClosed(FabricError):
 
 
 class _PipeChannel:
-    """Thread- and process-transport channel half: one end of a
+    """Process-transport channel half: one end of a
     ``multiprocessing.Pipe``."""
 
     def __init__(self, conn) -> None:
@@ -332,9 +336,9 @@ class HandshakeInfo:
     """Everything the coordinator's admission gate knows about the run.
 
     The token is the shared secret remote workers must present; the
-    scenario/fingerprint pair lets both sides prove they would compute
-    identical bytes for identical cells (the fingerprint covers the
-    builder's source -- see ``ExperimentSpec.fingerprint``).  The
+    scenario/fingerprint pair lets both sides prove they hold the same
+    scenario spec and builder source (see ``ExperimentSpec.fingerprint``;
+    model code is not covered, so it cannot prove identical bytes).  The
     remaining fields ride in the WELCOME so a bootstrapped remote
     worker can assemble its own ``WorkerConfig`` without a second
     round-trip.
@@ -371,7 +375,8 @@ def check_hello(env: Envelope, info: HandshakeInfo) -> "str | None":
     if fingerprint is not None and fingerprint != info.fingerprint:
         return (f"spec fingerprint mismatch: worker computed "
                 f"{str(fingerprint)[:12]}, coordinator sweeps "
-                f"{info.fingerprint[:12]} -- the checkouts differ")
+                f"{info.fingerprint[:12]} -- the scenario spec or its "
+                f"builder source differs")
     return None
 
 

@@ -235,8 +235,9 @@ class RecordSink:
 
     :func:`repro.simkernel.plan.lower` binds one sink per run: this one
     on generic plans (inside ``disable_lowering()``, so the oracle runs
-    keep :meth:`TraceRecorder.emit` as the reference) and on plans with
-    no session, a :class:`SessionSink` otherwise.
+    keep :meth:`TraceRecorder.emit` as the reference), a
+    :class:`SessionSink` on lowered plans with a session, and none on
+    lowered plans without one.
     """
 
     __slots__ = ()

@@ -22,8 +22,8 @@ The plane has four parts:
   shared *run directory*, flushed per line so a follower sees them live.
 * :func:`fleet_timeline` / :func:`wall_summary` -- render a run
   directory's span files as a Chrome trace-event document (one track per
-  worker, a coordinator track for leases and heartbeats) and nearest-rank
-  wall-time percentiles per span kind.
+  worker, a coordinator track for leases and worker lifecycle) and
+  nearest-rank wall-time percentiles per span kind.
 * :class:`MetricsSnapshotter` / :func:`prometheus_text` -- periodic
   :class:`~repro.obs.metrics.MetricsRegistry` snapshots to a JSONL
   series, exportable as a Prometheus-style textfile
@@ -72,9 +72,6 @@ RUNTIME_SCHEMA = 1
 
 #: Span-file glob inside a run directory.
 SPAN_GLOB = "spans-*.jsonl"
-
-#: Heartbeat-latency histogram bounds (seconds of host wall time).
-HEARTBEAT_BUCKETS = (0.005, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
 
 #: Per-cell wall-time histogram bounds (seconds of host wall time).
 CELL_WALL_BUCKETS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0)
@@ -281,7 +278,7 @@ def fleet_timeline(spans: SpanSet) -> dict:
 
     One ``pid`` (track) per span source -- the coordinator first, then
     workers in id order -- so chrome://tracing / ui.perfetto.dev shows
-    the fleet as parallel swimlanes: leases and heartbeats on the
+    the fleet as parallel swimlanes: leases and worker lifecycle on the
     coordinator lane, per-cell compute spans on each worker lane.
     Records with ``dur`` become complete ("X") slices; the rest become
     instant events.

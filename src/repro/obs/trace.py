@@ -120,10 +120,14 @@ class TraceRecorder:
         The strategy loop emits one per iteration, the bulk of a traced
         cell's records.  ``active`` must already be jsonable (a plain
         list of ints); the record keeps it as given, so the caller may
-        share one list across the records of one active set.  A
-        non-finite time takes :meth:`emit`, which spells it as a string.
+        share one list across the records of one active set.  As with
+        the other one-pass builders, only finite ``float`` times are
+        kept as given; any other time (non-finite, ``int``, a numpy
+        scalar) takes :meth:`emit`, which converts it.
         """
-        if t - t == 0.0 and start - start == 0.0 \
+        if type(t) is float and type(start) is float \
+                and type(compute_end) is float and t - t == 0.0 \
+                and start - start == 0.0 \
                 and compute_end - compute_end == 0.0:
             self.records.append({
                 "kind": "iteration", "t": t, **self.context,

@@ -15,13 +15,14 @@ returns a :class:`SimPlan` whose bindings are specialized to it:
   compute binding: :meth:`SimPlan.iteration` pauses revoked hosts
   itself, on every platform.
 * ``plan.obs_on`` -- whether an :mod:`repro.obs` session is active;
-  strategies guard their per-iteration records on it, so the disabled
-  cost is one attribute read, not a kwargs dict per record.
+  strategies guard every record and count on it, so the disabled cost
+  is one attribute read, not a fields dict per record.
   ``plan.sink`` emits the run's records: a
   :class:`repro.obs.SessionSink` bound to the session's recorder and
   counters once per run, which builds each record in one pass, or the
   reference :class:`repro.obs.RecordSink` (through ``obs.emit``) on
-  generic plans and when nothing observes.
+  generic plans.  A lowered plan that nothing observes has no sink
+  (``None``): ``obs_on`` is False, so nothing may call it.
 * ``plan.kind`` -- which rate and iteration bindings back the plan.
   ``"batch-kernel"``: per-host query loops bound to the batch entry
   points of :mod:`repro.load.kernels` (one flat pass over cached
@@ -90,9 +91,9 @@ class SimPlan:
       :func:`~repro.core.decision.decide_swaps`;
     * :meth:`iteration` -- one BSP compute + communication phase,
       revoked hosts pausing;
-    * :attr:`obs_on` -- gate for per-iteration trace emission;
-    * :attr:`sink` -- the run's record emitters (the per-iteration and
-      per-epoch ones called only when :attr:`obs_on`);
+    * :attr:`obs_on` -- gate for every record and count;
+    * :attr:`sink` -- the run's record emitters, called only when
+      :attr:`obs_on` (``None`` on a lowered plan with no session);
     * :attr:`fault_free` -- whether the revocation hooks can be skipped;
     * :attr:`kind` -- which of the two bindings backs the above.
     """
@@ -134,7 +135,7 @@ class SimPlan:
             self.iteration = iteration
             self.predicted_rates = batch.rates_map
             self.decision_rates = batch.rate_view
-            self.sink = (obs.RecordSink() if session is None
+            self.sink = (None if session is None
                          else obs.SessionSink(session))
         else:
             self.iteration = self._iteration_generic

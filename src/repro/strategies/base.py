@@ -140,7 +140,7 @@ class Strategy:
         iteration = splan.iteration
         fault_free = splan.fault_free
         obs_on = splan.obs_on
-        emit_iteration = splan.sink.iteration
+        emit_iteration = splan.sink.iteration if obs_on else None
         name = self.name
         before = self._before_iteration
         after = self._after_iteration
@@ -236,7 +236,9 @@ class Strategy:
                  fields: dict) -> None:
         """Emit a ``fault.revocation`` or ``fault.stall`` record of
         ``fields`` (``host`` first) and its counters; a stall also adds
-        its ``stalled`` seconds."""
+        its ``stalled`` seconds.  A no-op when nothing observes."""
+        if not self._splan.obs_on:
+            return
         sink = self._splan.sink
         sink.record("fault." + kind, t, self.name, iteration, fields)
         sink.count(f"faults.{kind}s_total")

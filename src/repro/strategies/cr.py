@@ -104,8 +104,9 @@ class CrStrategy(Strategy):
         old_iter = chunk / min(map(rates.__getitem__, active)) + comm_time
         new_iter = chunk / min(map(rates.__getitem__, candidate)) + comm_time
         check = evaluate_reconfiguration(old_iter, new_iter, cost, policy)
+        obs_on = self._splan.obs_on
         sink = self._splan.sink
-        if self._splan.obs_on:
+        if obs_on:
             sink.check(t, self.name, i, policy.name, check, cost, active,
                        candidate)
         if not check.accepted:
@@ -113,10 +114,11 @@ class CrStrategy(Strategy):
         if plan is not None and not plan.store_available(t):
             # The checkpoint write would hit the outage: defer the
             # migration to a later epoch.
-            sink.record("fault.store_outage", t, self.name, i,
-                        {"action": "deferred",
-                         "until": plan.store_ready_time(t)})
-            sink.count("faults.store_outage_deferrals_total")
+            if obs_on:
+                sink.record("fault.store_outage", t, self.name, i,
+                            {"action": "deferred",
+                             "until": plan.store_ready_time(t)})
+                sink.count("faults.store_outage_deferrals_total")
             return t, active, chunks, 0.0, ""
         result = self._result
         start_t = t
@@ -124,10 +126,11 @@ class CrStrategy(Strategy):
         result.overhead_time += cost
         t += cost
         result.progress.record(t, i, "checkpoint")
-        sink.record("checkpoint", t, self.name, i,
-                    {"new_active": candidate, "cost": cost, "start": start_t,
-                     "end": t})
-        sink.count("cr.restarts_total")
+        if obs_on:
+            sink.record("checkpoint", t, self.name, i,
+                        {"new_active": candidate, "cost": cost,
+                         "start": start_t, "end": t})
+            sink.count("cr.restarts_total")
         return t, candidate, {h: chunk for h in candidate}, cost, "checkpoint"
 
     # -- helpers -----------------------------------------------------------
@@ -143,6 +146,7 @@ class CrStrategy(Strategy):
         platform = self._platform
         app = self._app
         result = self._result
+        obs_on = self._splan.obs_on
         sink = self._splan.sink
         for h in sorted(victims):
             self._declare("revocation", t, iteration,
@@ -164,10 +168,11 @@ class CrStrategy(Strategy):
             t = ret
         ready = plan.store_ready_time(t)
         if ready > t:
-            sink.record("fault.store_outage", t, self.name, iteration,
-                        {"action": "waited", "until": ready,
-                         "waited": ready - t})
-            sink.count("faults.store_outage_waits_total")
+            if obs_on:
+                sink.record("fault.store_outage", t, self.name, iteration,
+                            {"action": "waited", "until": ready,
+                             "waited": ready - t})
+                sink.count("faults.store_outage_waits_total")
             result.overhead_time += ready - t
             t = ready
         rates = self._splan.predicted_rates(t, self.policy.history_window,
@@ -178,11 +183,12 @@ class CrStrategy(Strategy):
         t += cost
         result.restart_count += 1
         result.overhead_time += cost
-        sink.record("fault.recovery", t, self.name, iteration,
-                    {"action": "cr-restart", "hosts": sorted(victims),
-                     "new_active": candidate, "cost": cost, "start": start,
-                     "end": t})
-        sink.count("faults.recoveries_total")
+        if obs_on:
+            sink.record("fault.recovery", t, self.name, iteration,
+                        {"action": "cr-restart", "hosts": sorted(victims),
+                         "new_active": candidate, "cost": cost,
+                         "start": start, "end": t})
+            sink.count("faults.recoveries_total")
         result.progress.record(t, iteration - 1, "checkpoint",
                                "fault restart")
         return t, candidate, {h: app.chunk_flops for h in candidate}

@@ -77,11 +77,12 @@ class DlbStrategy(Strategy):
         self._declare("revocation", t, iteration,
                       {"host": host, "until": until})
         self._down.add(host)
-        sink = self._splan.sink
-        sink.record("fault.recovery", t, self.name, iteration,
-                    {"action": "dlb-repartition", "hosts": [host],
-                     "cost": 0.0})
-        sink.count("faults.recoveries_total")
+        if self._splan.obs_on:
+            sink = self._splan.sink
+            sink.record("fault.recovery", t, self.name, iteration,
+                        {"action": "dlb-repartition", "hosts": [host],
+                         "cost": 0.0})
+            sink.count("faults.recoveries_total")
         self._result.progress.record(t, iteration - 1, "stall",
                                      f"host{host} revoked, repartition")
 
@@ -94,6 +95,7 @@ class DlbStrategy(Strategy):
         plan = self._faults
         members = self._members
         down = self._down
+        obs_on = self._splan.obs_on
         sink = self._splan.sink
         revoked = plan.revoked_at(t, members)
         for h in members:
@@ -102,8 +104,10 @@ class DlbStrategy(Strategy):
                     self._drop_member(t, i, h)
             elif h in down:
                 down.discard(h)
-                sink.record("fault.return", t, self.name, i, {"host": h})
-                sink.count("faults.returns_total")
+                if obs_on:
+                    sink.record("fault.return", t, self.name, i,
+                                {"host": h})
+                    sink.count("faults.returns_total")
         while all(h in down for h in members):
             ret = min(plan.return_time(h, t) for h in members)
             for h in sorted(members):
@@ -115,6 +119,8 @@ class DlbStrategy(Strategy):
             for h in members:
                 if h not in revoked and h in down:
                     down.discard(h)
-                    sink.record("fault.return", t, self.name, i, {"host": h})
-                    sink.count("faults.returns_total")
+                    if obs_on:
+                        sink.record("fault.return", t, self.name, i,
+                                    {"host": h})
+                        sink.count("faults.returns_total")
         return t

@@ -210,6 +210,7 @@ class SwapStrategy(Strategy):
         """
         plan = self._faults
         result = self._result
+        obs_on = self._splan.obs_on
         sink = self._splan.sink
         for h in sorted(victims):
             self._declare("revocation", t, iteration,
@@ -224,7 +225,7 @@ class SwapStrategy(Strategy):
                 plan, self._sequencer, self._swap_cost_one)
             t += elapsed
             result.overhead_time += elapsed
-            if attempts > 1:
+            if attempts > 1 and obs_on:
                 sink.count("faults.transfer_failures_total", attempts - 1)
             if ok:
                 active = [in_host if h == out_host else h for h in active]
@@ -234,11 +235,12 @@ class SwapStrategy(Strategy):
                 chunks = {in_host if h == out_host else h: f
                           for h, f in chunks.items()}  # simflow: disable=SF003
                 result.swap_count += 1
-                sink.record("fault.recovery", t, self.name, iteration, {
-                    "action": "swap-promote", "out_host": out_host,
-                    "in_host": in_host, "attempts": attempts,
-                    "start": start, "end": t})
-                sink.count("faults.recoveries_total")
+                if obs_on:
+                    sink.record("fault.recovery", t, self.name, iteration, {
+                        "action": "swap-promote", "out_host": out_host,
+                        "in_host": in_host, "attempts": attempts,
+                        "start": start, "end": t})
+                    sink.count("faults.recoveries_total")
                 result.progress.record(t, iteration - 1, "swap",
                                        f"promote {out_host}->{in_host}")
             else:
@@ -252,10 +254,11 @@ class SwapStrategy(Strategy):
         until = self._faults.return_time(host, t)
         if until <= t:
             # The host returned while we were retrying: resolved by wait.
-            sink = self._splan.sink
-            sink.record("fault.recovery", t, self.name, iteration,
-                        {"action": "returned", "host": host})
-            sink.count("faults.recoveries_total")
+            if self._splan.obs_on:
+                sink = self._splan.sink
+                sink.record("fault.recovery", t, self.name, iteration,
+                            {"action": "returned", "host": host})
+                sink.count("faults.recoveries_total")
             return
         self._declared_until[host] = until
         self._declare("stall", t, iteration,
@@ -279,6 +282,7 @@ class SwapStrategy(Strategy):
         applied = []
         attempts_total = 0
         overhead = 0.0
+        obs_on = self._splan.obs_on
         sink = self._splan.sink
         for move in moves:
             # Cost 0 here: the whole batch is priced once, below.
@@ -286,11 +290,11 @@ class SwapStrategy(Strategy):
             attempts_total += attempts
             overhead = link.serialized_time(attempts_total * state_bytes,
                                             attempts_total)
-            if attempts > 1:
+            if attempts > 1 and obs_on:
                 sink.count("faults.transfer_failures_total", attempts - 1)
             if ok:
                 applied.append(move)
-            else:
+            elif obs_on:
                 sink.record("fault.transfer_failed", t + overhead,
                             self.name, iteration,
                             {"out_host": move.out_host,

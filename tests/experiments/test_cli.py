@@ -86,7 +86,7 @@ REFUSALS = {"--listen": "--listen needs --fabric-transport tcp",
     ["--fabric-chaos", "crash:0:1"],
     ["--listen", "0.0.0.0:7777", "--jobs", "2"],
     ["--listen", "127.0.0.1:39999", "--fabric-token", "abc", "--jobs", "2"],
-    ["--fabric-token", "secret", "--fabric-transport", "thread"],
+    ["--fabric-token", "secret", "--fabric-transport", "process"],
     ["--listen", "0.0.0.0:7777", "--jobs", "1", "--fabric-transport",
      "process"],
 ])
@@ -100,16 +100,25 @@ def test_fabric_only_flags_need_fabric(flags):
 
 def test_jobs_sets_fabric_fleet_size(capsys):
     assert main(["fig4", "--seeds", "1", "--jobs", "2",
-                 "--fabric-transport", "thread", *QUIET]) == 0
+                 "--fabric-transport", "process", *QUIET]) == 0
     out = capsys.readouterr().out
-    assert "[fabric: 2 thread worker(s)" in out
+    assert "[fabric: 2 process worker(s)" in out
     assert "2 job(s)" in out
 
 
 def test_fabric_transport_selects_the_fabric_at_one_job(capsys):
-    assert main(["fig4", "--seeds", "1", "--fabric-transport", "thread",
+    assert main(["fig4", "--seeds", "1", "--fabric-transport", "process",
                  *QUIET]) == 0
-    assert "[fabric: 1 thread worker(s)" in capsys.readouterr().out
+    assert "[fabric: 1 process worker(s)" in capsys.readouterr().out
+
+
+def test_thread_transport_is_refused(capsys):
+    # Two transports remain; argparse refuses the third with usage (2).
+    with pytest.raises(SystemExit) as info:
+        main(["fig4", "--seeds", "1", "--fabric-transport", "thread",
+              *QUIET])
+    assert info.value.code == 2
+    assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
 def test_cache_and_bench_threading(tmp_path, capsys):

@@ -107,6 +107,17 @@ def test_envelope_rejects_version_mismatch():
         Envelope.from_wire(wire)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("version", 4, "protocol version mismatch: got 4, speak 5"),
+    ("kind", "HEARTBEAT", "unknown message kind 'HEARTBEAT'"),
+])
+def test_envelope_refuses_a_version_4_peer(field, value, match):
+    wire = Envelope(kind=REQUEST_WORK, sender="w0").to_wire()
+    wire[field] = value
+    with pytest.raises(FabricError, match=match):
+        Envelope.from_wire(wire)
+
+
 def test_envelope_rejects_malformed_wire():
     with pytest.raises(FabricError, match="malformed"):
         Envelope.from_wire({"kind": REQUEST_WORK})
@@ -114,8 +125,8 @@ def test_envelope_rejects_malformed_wire():
 
 def test_message_kinds_cover_the_protocol():
     assert MESSAGE_KINDS == {"REQUEST_WORK", "ASSIGN_CELLS", "CELL_RESULT",
-                             "HEARTBEAT", "SHUTDOWN",
-                             "HELLO", "WELCOME"}
+                             "SHUTDOWN", "HELLO", "WELCOME"}
+    assert PROTOCOL_VERSION == 5
 
 
 def test_chaos_parse():
@@ -136,10 +147,8 @@ def test_config_validation():
         FabricConfig(lease_size=0)
     with pytest.raises(FabricError):
         FabricConfig(transport="carrier-pigeon")
-    with pytest.raises(FabricError, match="kill"):
-        FabricConfig(transport="thread",
-                     chaos=WorkerChaos(mode="kill", worker="w0",
-                                       after_cells=0))
+    with pytest.raises(FabricError, match="unknown transport"):
+        FabricConfig(transport="thread")
     with pytest.raises(FabricError):
         FabricConfig(transport="tcp", handshake_timeout=0.0)
     assert FabricConfig(transport="tcp").listen == "127.0.0.1:0"
@@ -148,7 +157,7 @@ def test_config_validation():
 # -- byte-identity across transports ----------------------------------------
 
 
-@pytest.mark.parametrize("transport", ["thread", "process", "tcp"])
+@pytest.mark.parametrize("transport", ["process", "tcp"])
 def test_fabric_matches_serial_byte_identical(transport):
     result, timing, stats = execute_sweep_fabric(
         TINY, seeds=2, workers=3, transport=transport)
@@ -161,8 +170,8 @@ def test_fabric_matches_serial_byte_identical(transport):
 
 def test_single_worker_fabric_matches_serial():
     result, _timing, _stats = execute_sweep_fabric(
-        TINY, seeds=2, workers=1, transport="thread",
-        config=FabricConfig(workers=1, transport="thread", lease_size=2))
+        TINY, seeds=2, workers=1, transport="process",
+        config=FabricConfig(workers=1, transport="process", lease_size=2))
     assert _canon(result) == SERIAL
 
 
@@ -171,12 +180,12 @@ def test_single_worker_fabric_matches_serial():
 
 def test_fabric_populates_and_reuses_cache(tmp_path):
     cold, cold_timing, _ = execute_sweep_fabric(
-        TINY, seeds=2, workers=2, transport="thread", cache_dir=tmp_path)
+        TINY, seeds=2, workers=2, transport="process", cache_dir=tmp_path)
     assert cold_timing.cells_computed == 6
     assert cold_timing.cache_hits == 0
 
     warm, warm_timing, warm_stats = execute_sweep_fabric(
-        TINY, seeds=2, workers=2, transport="thread", cache_dir=tmp_path)
+        TINY, seeds=2, workers=2, transport="process", cache_dir=tmp_path)
     assert warm_timing.cells_computed == 0
     assert warm_timing.cache_hits == 6
     assert warm_stats.workers_started == 0  # fully warm: no fleet launched
@@ -186,12 +195,12 @@ def test_fabric_populates_and_reuses_cache(tmp_path):
 def test_fabric_and_serial_share_one_cache(tmp_path):
     execute_sweep(TINY, seeds=2, jobs=1, cache_dir=tmp_path)
     _result, timing, _ = execute_sweep_fabric(
-        TINY, seeds=2, workers=2, transport="thread", cache_dir=tmp_path)
+        TINY, seeds=2, workers=2, transport="process", cache_dir=tmp_path)
     assert timing.cells_computed == 0  # same content addresses
 
     # And the other way round: fabric-written cells serve a serial run.
     fresh = tmp_path / "fresh"
-    execute_sweep_fabric(TINY, seeds=2, workers=2, transport="thread",
+    execute_sweep_fabric(TINY, seeds=2, workers=2, transport="process",
                          cache_dir=fresh)
     _result, serial_timing = execute_sweep(TINY, seeds=2, cache_dir=fresh)
     assert serial_timing.cells_computed == 0
@@ -201,7 +210,7 @@ def test_fleet_never_outnumbers_the_pending_cells():
     # Three x values, one seed, four workers asked for: one worker per
     # pending cell, not a spare that would only park.
     _result, timing, stats = execute_sweep_fabric(
-        TINY, seeds=1, workers=4, transport="thread")
+        TINY, seeds=1, workers=4, transport="process")
     assert timing.cells_computed == 3
     assert stats.workers_started == 3
     assert stats.workers == 3
@@ -222,7 +231,7 @@ def test_worker_crash_mid_lease_requeues_and_stays_identical(tmp_path):
     from repro.obs.runtime import load_metrics_series
 
     config = FabricConfig(
-        workers=2, transport="thread", lease_size=2,
+        workers=2, transport="process", lease_size=2,
         chaos=WorkerChaos(mode="crash", worker="w0", after_cells=1))
     result, _timing, stats = execute_sweep_fabric(TINY, seeds=2,
                                                   config=config,
@@ -253,7 +262,7 @@ def test_hard_process_kill_requeues_and_stays_identical():
 
 def test_hung_worker_caught_by_lease_expiry():
     config = FabricConfig(
-        workers=2, transport="thread", lease_size=2, lease_timeout=0.5,
+        workers=2, transport="process", lease_size=2, lease_timeout=0.5,
         chaos=WorkerChaos(mode="hang", worker="w0", after_cells=1))
     result, _timing, stats = execute_sweep_fabric(TINY, seeds=2,
                                                   config=config)
@@ -264,7 +273,7 @@ def test_hung_worker_caught_by_lease_expiry():
 
 def test_losing_every_worker_raises_not_hangs():
     config = FabricConfig(
-        workers=1, transport="thread", lease_size=1, max_worker_restarts=0,
+        workers=1, transport="process", lease_size=1, max_worker_restarts=0,
         chaos=WorkerChaos(mode="crash", worker="w0", after_cells=0))
     with pytest.raises(FabricError, match="every fabric worker died"):
         execute_sweep_fabric(TINY, seeds=2, config=config)
@@ -274,7 +283,7 @@ def test_replacement_worker_finishes_after_fleet_attrition():
     # One worker, one restart: the replacement (w1, untargeted by the
     # chaos) must finish the whole grid alone.
     config = FabricConfig(
-        workers=1, transport="thread", lease_size=1, max_worker_restarts=1,
+        workers=1, transport="process", lease_size=1, max_worker_restarts=1,
         chaos=WorkerChaos(mode="crash", worker="w0", after_cells=2))
     result, _timing, stats = execute_sweep_fabric(TINY, seeds=2,
                                                   config=config)
@@ -299,12 +308,12 @@ def test_coordinator_crash_mid_run_resumes_from_cache(tmp_path):
             raise _CoordinatorDied
 
     with pytest.raises(_CoordinatorDied):
-        execute_sweep_fabric(TINY, seeds=2, workers=2, transport="thread",
+        execute_sweep_fabric(TINY, seeds=2, workers=2, transport="process",
                              cache_dir=tmp_path, on_cell=die_after_two)
 
     # Everything that fired on_cell was already on disk.
     result, timing, _ = execute_sweep_fabric(
-        TINY, seeds=2, workers=2, transport="thread", cache_dir=tmp_path)
+        TINY, seeds=2, workers=2, transport="process", cache_dir=tmp_path)
     assert timing.cache_hits >= 2
     assert timing.cells_computed <= 4
     assert _canon(result) == SERIAL
@@ -320,12 +329,12 @@ def test_rerun_after_coordinator_death_computes_zero_cells(tmp_path):
             raise _CoordinatorDied
 
     with pytest.raises(_CoordinatorDied):
-        execute_sweep_fabric(TINY, seeds=2, workers=2, transport="thread",
+        execute_sweep_fabric(TINY, seeds=2, workers=2, transport="process",
                              cache_dir=tmp_path,
                              on_cell=die_at_the_finish_line)
 
     result, timing, stats = execute_sweep_fabric(
-        TINY, seeds=2, workers=2, transport="thread", cache_dir=tmp_path)
+        TINY, seeds=2, workers=2, transport="process", cache_dir=tmp_path)
     assert timing.cells_computed == 0
     assert timing.cache_hits == 6
     assert stats.workers_started == 0
@@ -338,7 +347,7 @@ def test_rerun_after_coordinator_death_computes_zero_cells(tmp_path):
 def test_failing_cell_surfaces_with_coordinates():
     with pytest.raises(ExperimentError) as excinfo:
         execute_sweep_fabric(POISONED, seeds=1, workers=2,
-                             transport="thread")
+                             transport="process")
     message = str(excinfo.value)
     assert "poisoned-fabric" in message
     assert "x=1.0" in message
@@ -370,7 +379,7 @@ def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics(tmp_path):
     fabric_session = obs.ObsSession()
     run_dir = tmp_path / "rt"
     _result, _timing, stats = execute_sweep_fabric(
-        TINY, seeds=2, workers=2, transport="thread",
+        TINY, seeds=2, workers=2, transport="process",
         obs_session=fabric_session, runtime_dir=run_dir)
 
     # The simulation trace is merged in grid order, and the sim metrics
@@ -384,15 +393,12 @@ def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics(tmp_path):
     assert counters["runtime.leases_total"] == stats.leases
     assert counters["runtime.workers_started_total"] == 2
     assert counters["runtime.work_requests_total"] == stats.work_requests
-    # Only an idle or parked worker heartbeats; a leased one's results
-    # keep it alive, so a short sweep may count none.
-    assert counters["runtime.heartbeats_total"] == stats.heartbeats
     lifetimes = runtime["histograms"]["runtime.worker_lifetime_seconds"]
     assert lifetimes["count"] == 2
 
 
 def test_on_point_fires_in_grid_order():
     calls = []
-    execute_sweep_fabric(TINY, seeds=2, workers=2, transport="thread",
+    execute_sweep_fabric(TINY, seeds=2, workers=2, transport="process",
                          on_point=lambda x, s: calls.append((x, s)))
     assert calls == [(x, s) for x in (0.0, 1.0, 2.0) for s in (0, 1)]

@@ -290,7 +290,7 @@ def test_gate_refuses_a_version_3_hello(gate):
     _pump_until(gate, lambda _peers: gate.rejected >= 1)
     reply = channel.recv(timeout=5.0)
     assert reply.kind == WELCOME and reply.payload["ok"] is False
-    assert "protocol version mismatch: got 3, speak 4" \
+    assert "protocol version mismatch: got 3, speak 5" \
         in reply.payload["error"]
     channel.close()
 

@@ -2,7 +2,7 @@
 
 The fabric's lease-expiry rule is ``now - max(last_seen, granted) >
 lease_timeout`` (strictly greater), and it only applies to a worker
-holding a lease: a heartbeat landing *exactly* at the timeout keeps the
+holding a lease: a message landing *exactly* at the timeout keeps the
 worker, and a parked worker -- one whose ``REQUEST_WORK`` found the
 queue empty -- is never revoked however long it stays silent.  These
 tests drive :class:`Coordinator` internals directly
@@ -27,7 +27,6 @@ from repro.experiments.executor import CellResult, compute_cell
 from repro.experiments.fabric import (
     ASSIGN_CELLS,
     CELL_RESULT,
-    HEARTBEAT,
     REQUEST_WORK,
     Coordinator,
     Envelope,
@@ -93,7 +92,7 @@ class FakeChannel:
 
 
 def _coordinator(clock, *, lease_timeout=30.0, max_worker_restarts=0):
-    config = FabricConfig(workers=1, transport="thread",
+    config = FabricConfig(workers=1, transport="process",
                           lease_timeout=lease_timeout,
                           max_worker_restarts=max_worker_restarts)
     return Coordinator(SPEC, [0], config=config, cache=None,
@@ -131,20 +130,35 @@ def _queue(coord, keys):
         coord.queue.append(record)
 
 
-# -- heartbeat exactly at the timeout ---------------------------------------
+# -- a message exactly at the timeout ---------------------------------------
 
 
-def test_heartbeat_exactly_at_lease_timeout_keeps_worker():
+def test_request_exactly_at_lease_timeout_keeps_worker():
+    # w0 was leased a cell at t=0 and asks ahead for its next lease as
+    # that cell starts; the request lands at t=30.0 exactly, when the
+    # silence is NOT yet > timeout.  The empty queue parks w0, which
+    # keeps its lease, and its lease clock restarts at the request.
     clock = FakeClock()
     coord = _coordinator(clock, lease_timeout=30.0)
     channel = _register(coord, "w0", started=0.0)
-    channel.push(HEARTBEAT, "w0", cells_done=0)
-    clock.now = 30.0  # exactly the timeout: silence is NOT yet > timeout
+    _register(coord, "w1", started=0.0)  # fleet survivor
+    _lease(coord, "w0", [(0, 0)])
+    channel.push(REQUEST_WORK, "w0")
+    clock.now = 30.0
     coord._drive()
     assert "w0" in coord._workers
     assert coord.stats.workers_lost == 0
-    assert coord.stats.heartbeats == 1
-    assert coord._workers["w0"].last_seen == 30.0
+    assert coord.stats.work_requests == 1
+    worker = coord._workers["w0"]
+    assert worker.last_seen == 30.0
+    assert worker.parked and worker.lease.outstanding == {(0, 0)}
+    clock.now = 60.0
+    coord._drive()
+    assert "w0" in coord._workers
+    clock.now = 60.000001
+    coord._drive()
+    assert "w0" not in coord._workers
+    assert coord.stats.workers_lost == 1
 
 
 def test_silence_exactly_at_lease_timeout_keeps_worker():
@@ -236,9 +250,9 @@ def test_lease_shrinks_to_a_fair_share_of_the_last_cells():
 
 
 def test_parked_worker_silent_past_lease_timeout_is_kept():
-    # A parked worker heartbeats once a second, which can be longer
-    # than a short lease_timeout; without a lease it has nothing to
-    # lose.
+    # A parked worker sends nothing until it is leased work, which can
+    # take longer than a short lease_timeout; without a lease it has
+    # nothing to lose.
     clock = FakeClock()
     coord = _coordinator(clock, lease_timeout=0.5)
     channel = _register(coord, "w0")
@@ -334,8 +348,9 @@ def test_result_after_revoke_and_recompute_is_a_counted_duplicate():
 
 
 def test_results_alone_keep_a_leased_worker():
-    # A leased worker sends no heartbeat: each CELL_RESULT resets the
-    # lease clock, so results 9.9 s apart never let a 10 s lease lapse.
+    # A leased worker speaks only with results: each CELL_RESULT resets
+    # the lease clock, so results 9.9 s apart never let a 10 s lease
+    # lapse.
     clock = FakeClock()
     coord = _coordinator(clock, lease_timeout=10.0)
     channel = _register(coord, "w0", started=0.0)
@@ -351,7 +366,6 @@ def test_results_alone_keep_a_leased_worker():
         clock.now = 9.9 * k
         coord._drive()
     assert coord.stats.workers_lost == 0
-    assert coord.stats.heartbeats == 0
     assert coord._workers["w0"].lease is None
     assert set(coord.cells) == set(keys)
 
@@ -364,7 +378,7 @@ def test_prefetch_extends_the_lease_and_a_death_requeues_both_once():
     # that cell and all of B.  Each is requeued exactly once, and the
     # parked w1 gets them in the same drive.
     clock = FakeClock()
-    config = FabricConfig(workers=2, transport="thread", lease_size=2,
+    config = FabricConfig(workers=2, transport="process", lease_size=2,
                           max_worker_restarts=0)
     coord = Coordinator(SPEC, [0], config=config, cache=None,
                         instrument=False, clock=clock)
@@ -474,14 +488,14 @@ def test_shutdown_records_every_worker_exactly_once():
 
 
 def test_fake_clock_run_with_telemetry_is_byte_identical(tmp_path):
-    """End-to-end on the thread transport: telemetry on vs off."""
+    """End-to-end on the process transport: telemetry on vs off."""
     from repro.experiments.fabric import execute_sweep_fabric
 
     plain, _, _ = execute_sweep_fabric(SPEC, seeds=1, workers=2,
-                                       transport="thread")
+                                       transport="process")
     run_dir = tmp_path / "rt"
     traced, _, _ = execute_sweep_fabric(SPEC, seeds=1, workers=2,
-                                        transport="thread",
+                                        transport="process",
                                         runtime_dir=run_dir)
     assert json.dumps(plain.to_dict(), sort_keys=True) == \
         json.dumps(traced.to_dict(), sort_keys=True)

@@ -201,9 +201,9 @@ def test_benign_class_pickle_is_also_rejected(sock_pair):
 
 
 def test_restricted_loads_accepts_primitives():
-    data = {"kind": "HEARTBEAT", "sender": "w1",
-            "payload": {"cells_done": 3, "walls": [0.1, None, True]},
-            "version": 2}
+    data = {"kind": "CELL_RESULT", "sender": "w1",
+            "payload": {"xi": 3, "walls": [0.1, None, True]},
+            "version": 5}
     blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
     assert restricted_loads(blob) == data
 

@@ -239,7 +239,7 @@ def test_prometheus_text_counters_gauges_histograms():
     registry = MetricsRegistry()
     registry.counter("runtime.cells_done_total").inc(6)
     registry.gauge("runtime.active_workers").set(2)
-    hist = registry.histogram("runtime.heartbeat_latency_seconds",
+    hist = registry.histogram("runtime.worker_lifetime_seconds",
                               (0.1, 1.0))
     hist.observe(0.05)
     hist.observe(0.5)
@@ -250,13 +250,13 @@ def test_prometheus_text_counters_gauges_histograms():
     assert "repro_runtime_cells_done_total 6.0" in lines
     assert "repro_runtime_active_workers 2.0" in lines
     # Cumulative buckets plus the +Inf catch-all.
-    assert 'repro_runtime_heartbeat_latency_seconds_bucket{le="0.1"} 1' \
+    assert 'repro_runtime_worker_lifetime_seconds_bucket{le="0.1"} 1' \
         in lines
-    assert 'repro_runtime_heartbeat_latency_seconds_bucket{le="1.0"} 2' \
+    assert 'repro_runtime_worker_lifetime_seconds_bucket{le="1.0"} 2' \
         in lines
-    assert 'repro_runtime_heartbeat_latency_seconds_bucket{le="+Inf"} 3' \
+    assert 'repro_runtime_worker_lifetime_seconds_bucket{le="+Inf"} 3' \
         in lines
-    assert "repro_runtime_heartbeat_latency_seconds_count 3" in lines
+    assert "repro_runtime_worker_lifetime_seconds_count 3" in lines
     assert text.endswith("\n")
 
 

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -182,18 +182,19 @@ def test_record_builder_is_emit(t, kind, fields):
 
 @settings(max_examples=100, deadline=None)
 @given(t=times, start=anyfloat, compute_end=anyfloat, active=hosts)
+@example(t=3, start=1.0, compute_end=2.5, active=[1, 2])
+@example(t=np.float64(3.5), start=np.float64(1.0),
+         compute_end=np.float64(2.5), active=[1, 2])
+@example(t=4.0, start=1, compute_end=np.float64(2.5), active=(0,))
 def test_iteration_builder_is_emit(t, start, compute_end, active):
     shared = jsonable(active)
     fast, slow, emitted = _both(lambda sink: sink.iteration(
         t, "cr", 7, start, compute_end, shared))
     ref = _reference("iteration", t, source="cr", iteration=7, start=start,
                      end=t, compute_end=compute_end, active=active)
-    # ``emit_iteration`` keeps a finite time as given (an ``int`` stays
-    # an ``int``); the loop passes float times, so compare those only.
-    if type(t) is float and type(start) is float \
-            and type(compute_end) is float:
-        _assert_same(fast, slow, ref)
-    assert fast.metrics.to_json() == slow.metrics.to_json()
+    # Int and numpy times too: the record holds ``float(t)``, as emit's.
+    _assert_same(fast, slow, ref)
+    assert type(fast.trace.records[0]["t"]) in (float, str)
     assert emitted == 1
 
 

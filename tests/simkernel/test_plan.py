@@ -94,6 +94,35 @@ def test_obs_pass_keeps_emission_under_active_session():
     assert plan.obs_on
 
 
+def test_untraced_faulted_cell_runs_without_a_sink(monkeypatch):
+    """A lowered plan nothing observes has no sink: an untraced
+    ext-faults cell reaches every strategy's fault record sites with
+    ``sink is None`` and computes what the traced cell computes."""
+    from repro.experiments.executor import compute_cell
+    from repro.experiments.scenarios import get_scenario
+    from repro.strategies import cr, dlb, nothing, swapstrat
+
+    plans = []
+    for module in (nothing, swapstrat, dlb, cr):
+        def spy(platform, app=None, _lower=module.lower):
+            plans.append(_lower(platform, app))
+            return plans[-1]
+        monkeypatch.setattr(module, "lower", spy)
+    spec = get_scenario("ext-faults")
+    x = spec.x_values[-1]
+    untraced = compute_cell(spec, x, 1)
+    assert plans and not any(plan.fault_free for plan in plans)
+    assert all(plan.sink is None and not plan.obs_on for plan in plans)
+    del plans[:]
+    traced = compute_cell(spec, x, 1, instrument=True)
+    assert all(isinstance(plan.sink, obs.SessionSink) for plan in plans)
+    kinds = {record["kind"] for record in traced.trace_events}
+    assert {"checkpoint", "swap", "fault.revocation", "fault.stall",
+            "fault.recovery", "fault.return", "fault.store_outage"} <= kinds
+    assert traced.makespans == untraced.makespans
+    assert traced.events == untraced.events
+
+
 def test_fault_pass_keeps_hooks_with_fault_plan():
     from repro.faults.plan import FaultModel
 
