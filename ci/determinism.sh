@@ -23,7 +23,10 @@
 #   4. the runtime telemetry plane's exports (timeline, Prometheus,
 #      summary, tail);
 #   5. reruns, trace lint and report byte-stability on fig4, fig7 and
-#      ext-faults.
+#      ext-faults;
+#   6. every registered scenario, traced, over two fabric workers:
+#      result JSON, trace and sim metrics must `cmp` equal to the
+#      serial run's.
 set -euo pipefail
 
 OUT=${1:-ci-out}
@@ -244,5 +247,13 @@ cmp "$OUT/faults-1.jsonl" "$OUT/faults-j1.jsonl"
 python -m repro.obs lint "$OUT/faults-1.jsonl" \
   --metrics "$OUT/faults-1-metrics.json"
 python -m repro.analysis lint src/repro/obs
+
+echo "## 6. every scenario: serial vs two fabric workers"
+SCENARIOS=$(python -c "from repro.experiments.scenarios import ALL_SCENARIOS; print(' '.join(sorted(ALL_SCENARIOS)))")
+for scenario in $SCENARIOS; do
+  traced "all-$scenario-j1" "$scenario" --no-cache --jobs 1
+  traced "all-$scenario-j2" "$scenario" --no-cache --jobs 2
+  same_obs "all-$scenario-j1" "all-$scenario-j2"
+done
 
 echo "determinism matrix: all comparisons byte-identical"

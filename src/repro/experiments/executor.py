@@ -9,31 +9,32 @@ cell).  Cells never communicate, so the executor can
   the coordinator/worker fabric (:mod:`repro.experiments.fabric`) over
   its ``process`` transport, with ``jobs`` workers.  The merged
   :class:`~repro.experiments.runner.SweepResult` stays **bit-identical**
-  to the serial reference: results are keyed by grid coordinates and
-  merged in ``(x, seed)`` order, so completion order is irrelevant, and
-  floats cross process boundaries via pickle (exact) or JSON ``repr``
-  round-trips (also exact);
-* skip cells whose results are already on disk: the cache key is a
-  SHA-256 over the scenario name, the spec fingerprint (declarative
-  fields plus builder source), the cell coordinates, and the package
-  version, so edited scenarios or upgraded code never reuse stale
-  entries.  The store is append-only: each writer appends its cells as
-  ``<digest> <json>`` lines to a segment of its own, one per scenario
-  (:class:`CellCache`), so storing a cell creates no file.  Entries
-  that fail to parse or whose recorded digest does not match are
-  treated as misses and recomputed, never trusted.
+  to the serial reference: a :class:`SweepFold` folds each cell in
+  ``(x, seed)`` order as soon as its grid predecessors are in, so
+  completion order is irrelevant, and floats cross process boundaries
+  via pickle (exact) or JSON ``repr`` round-trips (also exact);
+* skip cells whose results are already on disk.  The cache key
+  (:func:`cell_digest`) is a SHA-256 over the scenario name, the spec
+  fingerprint (declarative fields, claim prose and builder source), the
+  cell coordinates, the package version string and the cache format.
+  It does not cover the model code a cell runs -- strategies, load
+  models, the decision core: after editing those, bump
+  ``repro._version`` or clear the cache, or stale entries are served
+  (docs/PERFORMANCE.md, "Staleness caveat").  The store is
+  append-only: each writer appends its cells as ``<digest> <json>``
+  lines to a segment of its own, one per scenario (:class:`CellCache`),
+  so storing a cell creates no file.  Entries that fail to parse or
+  whose recorded digest does not match are treated as misses and
+  recomputed, never trusted.
 
-``jobs=1`` executes the same ``compute_cell`` function in-process, in
-grid order -- that path is the reference implementation the equivalence
-tests compare against.  The fabric shares this module's planning, cache,
-merge and obs-fold functions, so both paths address and fold cells the
-same way.
-
-Every execution also produces a :class:`SweepTiming` -- wall time, cells
+Both modes run through one envelope, :func:`sweep_envelope`; only the
+*cell source* differs.  ``jobs=1`` executes ``compute_cell`` in-process,
+in grid order -- the reference implementation the equivalence tests
+compare against -- and the fabric's coordinator is the other source.
+Every run also produces a :class:`SweepTiming` -- wall time, cells
 computed vs. cache hits, simulated iterations, and kernel events per
 second (via :func:`repro.simkernel.engine.events_processed_total`) --
-which :func:`append_bench_record` folds into a ``BENCH_sweeps.json``
-perf-trajectory file.
+which :func:`append_bench_record` folds into ``BENCH_sweeps.json``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 from urllib.parse import quote
 
 import numpy as np
@@ -57,6 +58,9 @@ from repro.experiments.scenarios import ExperimentSpec
 from repro.obs.metrics import wall_stats
 from repro.simkernel import engine as _engine
 from repro.strategies.base import ExecutionResult
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime plane loads on demand
+    from repro.obs.runtime import RunTelemetry
 
 #: Cell payload schema version; bump to invalidate every cached entry.
 #: (2: cells carry observability payloads -- trace records + metrics.
@@ -167,7 +171,11 @@ def cell_digest(scenario: str, fingerprint: str, x: float, seed: int, *,
     the payback ablation).  Instrumented cells carry trace/metrics
     payloads that plain cells lack, so the flag participates in the key --
     a traced run never "hits" an untraced entry (which would silently
-    drop its records) and vice versa.
+    drop its records) and vice versa.  Of the code that computes a cell,
+    the key covers only the builder's source (in the fingerprint) and
+    ``__version__``: an edited strategy or other model module reuses
+    stale entries until the version is bumped (docs/PERFORMANCE.md,
+    "Staleness caveat").
     """
     hasher = sha256()
     for part in (scenario, fingerprint, repr(float(x)), str(int(seed)),
@@ -195,7 +203,9 @@ class CellCache:
     re-validates with the payload structure, so a truncated, garbled or
     foreign line is a cache miss, not a wrong answer.  A line counts
     only once its newline is written: an unfinished tail (a writer that
-    died mid-append) is skipped.
+    died mid-append) is skipped.  An entry is only as fresh as its
+    :func:`cell_digest`: a valid entry computed by since-edited model
+    code is still served.
     """
 
     def __init__(self, root: "str | os.PathLike", *,
@@ -432,18 +442,6 @@ def append_bench_record(path: "str | os.PathLike",
 # -- the executor -----------------------------------------------------------
 
 
-def _normalize_seeds(spec: ExperimentSpec,
-                     seeds: "Sequence[int] | int | None") -> "list[int]":
-    if seeds is None:
-        seeds = range(spec.default_seeds)
-    elif isinstance(seeds, int):
-        seeds = range(seeds)
-    seed_list = list(seeds)
-    if not seed_list:
-        raise ExperimentError("need at least one seed")
-    return seed_list
-
-
 #: One not-yet-computed cell: grid coordinates, values, and cache digest
 #: (``""`` when caching is off).
 PendingCell = "tuple[int, int, float, int, str]"
@@ -453,7 +451,7 @@ def plan_cells(spec: ExperimentSpec, seed_list: "list[int]",
                cache: "CellCache | None", *, instrument: bool = False,
                on_point: "Callable[[float, int], None] | None" = None,
                ) -> "tuple[dict[tuple[int, int], CellResult], list[PendingCell]]":
-    """Grid-order cache scan shared by the serial executor and the fabric.
+    """Grid-order cache scan of a sweep (:func:`sweep_envelope` runs it).
 
     Returns ``(cells, pending)``: the cache hits keyed by ``(xi, si)``
     and the grid-ordered list of cells still to compute (with the digest
@@ -479,21 +477,6 @@ def plan_cells(spec: ExperimentSpec, seed_list: "list[int]",
     return cells, pending
 
 
-def fold_obs(obs_session: "obs.ObsSession", spec: ExperimentSpec,
-             seed_list: "list[int]",
-             cells: "dict[tuple[int, int], CellResult]") -> None:
-    """Fold per-cell trace records and metrics into ``obs_session``.
-
-    Strictly grid order, exactly like :func:`merge_cells`: completion
-    order, worker count, and cache state cannot reorder the merged trace.
-    """
-    for xi, _x in enumerate(spec.x_values):
-        for si, _seed in enumerate(seed_list):
-            cell = cells[(xi, si)]
-            obs_session.trace.extend(cell.trace_events)
-            obs_session.metrics.merge_dict(cell.metrics)
-
-
 def cell_failure(spec: ExperimentSpec, x: float, seed: int,
                  exc: BaseException) -> ExperimentError:
     """The error raised when one cell's computation fails.
@@ -507,42 +490,222 @@ def cell_failure(spec: ExperimentSpec, x: float, seed: int,
         f"{type(exc).__name__}: {exc}")
 
 
-def merge_cells(spec: ExperimentSpec, seed_list: "list[int]",
-                cells: "dict[tuple[int, int], CellResult]") -> SweepResult:
-    """Aggregate cells into a :class:`SweepResult`, in grid order.
+class SweepFold:
+    """Folds a sweep's cells into its result in grid order, as they arrive.
 
-    This is the serial runner's aggregation loop verbatim, reading cell
-    results instead of running strategies: per x, makespans accumulate in
-    seed order and series appear in first-encounter (builder) order, so
-    the output is byte-identical no matter how the cells were produced.
+    :meth:`add` takes cells in any order, each once: a cell that arrives
+    ahead of a grid predecessor waits in ``buffer``, and every cell is
+    folded, then dropped, once the cells before it are in.  Folding is
+    the serial runner's aggregation loop (per x, makespans in seed
+    order; series in first-encounter order) plus, with an
+    ``obs_session``, each cell's records and metrics, so every export is
+    byte-identical however the cells arrive.  For :class:`SweepTiming`,
+    the fold also sums the cells computed in this run.
     """
-    series: "dict[str, SeriesStats]" = {}
-    for xi, _x in enumerate(spec.x_values):
-        per_series_makespans: "dict[str, list[float]]" = {}
-        per_series_events: "dict[str, list[float]]" = {}
-        for si, _seed in enumerate(seed_list):
-            cell = cells[(xi, si)]
-            for label in cell.labels:
-                per_series_makespans.setdefault(label, []).append(
-                    cell.makespans[label])
-                per_series_events.setdefault(label, []).append(
-                    cell.events[label])
-        for label, makespans in per_series_makespans.items():
-            stats = series.setdefault(label, SeriesStats())
+
+    def __init__(self, spec: ExperimentSpec, seed_list: "list[int]",
+                 obs_session: "obs.ObsSession | None" = None) -> None:
+        self.spec = spec
+        self.seed_list = seed_list
+        self.obs_session = obs_session
+        self.total = len(spec.x_values) * len(seed_list)
+        #: Cells folded: the grid index (``xi * seeds + si``) of the next.
+        self.folded = 0
+        #: Cells that arrived ahead of a grid predecessor, by grid index.
+        self.buffer: "dict[int, CellResult]" = {}
+        self._series: "dict[str, SeriesStats]" = {}
+        #: The open x value's makespans and events, per label.
+        self._makespans: "dict[str, list[float]]" = {}
+        self._events: "dict[str, list[float]]" = {}
+        self.computed = self.iterations = self.engine_events = 0
+        self.walls: "list[float]" = []
+
+    def add(self, xi: int, si: int, cell: CellResult, *,
+            computed: bool = True, wall: "float | None" = None) -> bool:
+        """Take cell ``(xi, si)``; False if taken before (the first copy
+        wins).  ``computed=False`` marks a cell this run did not compute;
+        ``wall`` is the compute seconds, when known."""
+        index = xi * len(self.seed_list) + si
+        if index < self.folded or index in self.buffer:
+            return False
+        if computed:
+            self.computed += 1
+            self.iterations += cell.iterations
+            self.engine_events += cell.engine_events
+            if wall is not None:
+                self.walls.append(wall)
+        self.buffer[index] = cell
+        while self.folded in self.buffer:
+            self._fold(self.buffer.pop(self.folded))
+            self.folded += 1
+        return True
+
+    def _fold(self, cell: CellResult) -> None:
+        for label in cell.labels:
+            self._makespans.setdefault(label, []).append(
+                cell.makespans[label])
+            self._events.setdefault(label, []).append(cell.events[label])
+        if self.obs_session is not None:
+            self.obs_session.trace.extend(cell.trace_events)
+            self.obs_session.metrics.merge_dict(cell.metrics)
+        if (self.folded + 1) % len(self.seed_list):
+            return
+        # The x value's last seed: close its statistics.
+        for label, makespans in self._makespans.items():
+            stats = self._series.setdefault(label, SeriesStats())
             stats.mean.append(float(np.mean(makespans)))
             stats.std.append(float(np.std(makespans)))
             stats.raw.append(makespans)
-            stats.swap_counts.append(float(np.mean(per_series_events[label])))
+            stats.swap_counts.append(float(np.mean(self._events[label])))
+        self._makespans, self._events = {}, {}
 
-    lengths = {label: len(s.mean) for label, s in series.items()}
-    if len(set(lengths.values())) != 1:
-        raise ExperimentError(
-            f"{spec.name}: ragged series lengths {lengths} -- a variant "
-            f"was not produced at every x value")
+    def result(self) -> SweepResult:
+        """The merged :class:`SweepResult`, once every cell is folded."""
+        spec = self.spec
+        if self.folded < self.total:
+            raise ExperimentError(
+                f"{spec.name}: {self.total - self.folded} of {self.total} "
+                f"cells never reached the merge")
+        lengths = {label: len(s.mean) for label, s in self._series.items()}
+        if len(set(lengths.values())) != 1:
+            raise ExperimentError(
+                f"{spec.name}: ragged series lengths {lengths} -- a variant "
+                f"was not produced at every x value")
+        return SweepResult(name=spec.name, title=spec.title,
+                           xlabel=spec.xlabel, x_values=list(spec.x_values),
+                           series=self._series, seeds=self.seed_list,
+                           paper_claim=spec.paper_claim)
 
-    return SweepResult(name=spec.name, title=spec.title, xlabel=spec.xlabel,
-                       x_values=list(spec.x_values), series=series,
-                       seeds=seed_list, paper_claim=spec.paper_claim)
+
+def _fold_grid(fold: SweepFold,
+               cells: "dict[tuple[int, int], CellResult]") -> SweepFold:
+    for xi in range(len(fold.spec.x_values)):
+        for si in range(len(fold.seed_list)):
+            fold.add(xi, si, cells[(xi, si)], computed=False)
+    return fold
+
+
+def merge_cells(spec: ExperimentSpec, seed_list: "list[int]",
+                cells: "dict[tuple[int, int], CellResult]") -> SweepResult:
+    """:class:`SweepFold`'s result for a dict of cells keyed ``(xi, si)``."""
+    return _fold_grid(SweepFold(spec, seed_list), cells).result()
+
+
+def fold_obs(obs_session: "obs.ObsSession", spec: ExperimentSpec,
+             seed_list: "list[int]",
+             cells: "dict[tuple[int, int], CellResult]") -> None:
+    """Fold a dict of cells' records and metrics into ``obs_session``,
+    as :class:`SweepFold` does."""
+    _fold_grid(SweepFold(spec, seed_list, obs_session), cells)
+
+
+def sweep_envelope(spec: ExperimentSpec,
+                   seeds: "Sequence[int] | int | None",
+                   source: "Callable[..., None]", *, jobs: int, mode: str,
+                   cache_dir: "str | os.PathLike | None",
+                   on_point: "Callable[[float, int], None] | None",
+                   obs_session: "obs.ObsSession | None",
+                   runtime_dir: "str | os.PathLike | None",
+                   progress: bool, progress_stream=None,
+                   ) -> "tuple[SweepResult, SweepTiming]":
+    """Run one sweep around a cell source: the in-process loop
+    (``mode="pool"``) or the fabric's coordinator (``"fabric"``).
+    ``source(fold, pending, cache, telemetry)`` computes every pending
+    cell and hands each to the :class:`SweepFold` after storing it in
+    ``cache`` (when set).
+
+    Normalises the seeds, sets up the runtime plane and finalises it
+    (on success and on failure), opens and closes the cache, plans the
+    cells (hits go straight to the :class:`SweepFold`), and builds the
+    :class:`SweepTiming` and the ``runtime.*`` cell counters.
+    """
+    if seeds is None:
+        seeds = range(spec.default_seeds)
+    elif isinstance(seeds, int):
+        seeds = range(seeds)
+    seed_list = list(seeds)
+    if not seed_list:
+        raise ExperimentError("need at least one seed")
+    cells_total = len(spec.x_values) * len(seed_list)
+    telemetry = None
+    if runtime_dir is not None or progress:
+        # The runtime plane is tooling: a plain sweep never imports it.
+        from repro.obs.runtime import RunTelemetry
+
+        telemetry = RunTelemetry(
+            runtime_dir, progress=progress, total_cells=cells_total,
+            role="executor" if mode == "pool" else "coordinator",
+            progress_stream=progress_stream)
+    started = time.perf_counter()  # simlint: disable=SL001 (perf record of the host run, not simulated time)
+    fold = SweepFold(spec, seed_list, obs_session)
+    cache = (CellCache(cache_dir, telemetry=telemetry)
+             if cache_dir is not None else None)
+    try:
+        hits, pending = plan_cells(spec, seed_list, cache,
+                                   instrument=obs_session is not None,
+                                   on_point=on_point)
+        for key in list(hits):  # handed over, not kept
+            fold.add(*key, hits.pop(key), computed=False)
+        cache_hits = cells_total - len(pending)
+        if telemetry is not None:
+            telemetry.progress.cache_hits = cache_hits
+            telemetry.event("run.start", scenario=spec.name, jobs=jobs,
+                            cells_total=cells_total, pending=len(pending),
+                            cache_hits=cache_hits)
+            telemetry.tick(cache_hits, force=True)
+        source(fold, pending, cache, telemetry)
+        result = fold.result()
+    except BaseException:
+        if telemetry is not None:
+            telemetry.finalize(state="failed")
+        raise
+    finally:
+        if cache is not None:
+            cache.close()
+    wall = time.perf_counter() - started  # simlint: disable=SL001 (perf record of the host run, not simulated time)
+    stats = wall_stats(fold.walls)
+    timing = SweepTiming(
+        scenario=spec.name, jobs=jobs, wall_time=wall,
+        cells_total=cells_total, cells_computed=fold.computed,
+        cache_hits=cache_hits, iterations=fold.iterations,
+        engine_events=fold.engine_events, x_points=len(spec.x_values),
+        seeds=len(seed_list), mode=mode, cell_wall_p50=stats["p50"],
+        cell_wall_p95=stats["p95"], cell_wall_max=stats["max"])
+    if telemetry is not None:
+        telemetry.metrics.counter("runtime.cells_computed_total").inc(
+            fold.computed)
+        telemetry.metrics.counter("runtime.cache_hits_total").inc(
+            cache_hits)
+        telemetry.finalize(done=cells_total)
+    return result, timing
+
+
+def _compute_in_process(fold: SweepFold, pending: "list[PendingCell]",
+                        cache: "CellCache | None",
+                        telemetry: "RunTelemetry | None") -> None:
+    """The reference cell source: every pending cell, in grid order, in
+    this process.  Each is folded at once and dropped, so one computed
+    cell is alive at a time."""
+    spec, instrument = fold.spec, fold.obs_session is not None
+    for done, (xi, si, x, seed, digest) in enumerate(
+            pending, start=fold.total - len(pending) + 1):
+        # Wall time feeds the per-cell percentiles of SweepTiming and
+        # the runtime plane, never the deterministic CellResult.
+        cell_started = time.perf_counter()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+        try:
+            cell = compute_cell(spec, x, seed, instrument=instrument)
+        except Exception as exc:
+            raise cell_failure(spec, x, seed, exc) from exc
+        wall = time.perf_counter() - cell_started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+        if telemetry is not None:
+            telemetry.event("cell.compute", t=telemetry.now() - wall,
+                            dur=wall, xi=xi, si=si, x=x, seed=seed)
+        if cache is not None:
+            cache.store(digest, cell, scenario=spec.name, x=x, seed=seed)
+        fold.add(xi, si, cell, wall=wall)
+        del cell
+        if telemetry is not None:
+            telemetry.tick(done, active_workers=1)
 
 
 def execute_sweep(spec: ExperimentSpec,
@@ -604,80 +767,11 @@ def execute_sweep(spec: ExperimentSpec,
     if jobs > 1:
         from repro.experiments.fabric import execute_sweep_fabric
 
-        result, timing, _stats = execute_sweep_fabric(
+        return execute_sweep_fabric(
             spec, seeds, workers=jobs, transport="process",
             cache_dir=cache_dir, on_point=on_point, obs_session=obs_session,
-            runtime_dir=runtime_dir, progress=progress)
-        return result, timing
-    seed_list = _normalize_seeds(spec, seeds)
-    instrument = obs_session is not None
-    cells_total = len(spec.x_values) * len(seed_list)
-    telemetry = None
-    if runtime_dir is not None or progress:
-        # The runtime plane is tooling: a plain sweep never imports it.
-        from repro.obs.runtime import RunTelemetry
-
-        telemetry = RunTelemetry(runtime_dir, progress=progress,
-                                 role="executor", total_cells=cells_total)
-    started = time.perf_counter()  # simlint: disable=SL001 (perf record of the host run, not simulated time)
-    cache = (CellCache(cache_dir, telemetry=telemetry)
-             if cache_dir is not None else None)
-    try:
-        cells, pending = plan_cells(spec, seed_list, cache,
-                                    instrument=instrument, on_point=on_point)
-        walls: "list[float]" = []
-        if telemetry is not None:
-            telemetry.progress.cache_hits = cells_total - len(pending)
-            telemetry.event("run.start", scenario=spec.name, jobs=jobs,
-                            cells_total=cells_total, pending=len(pending),
-                            cache_hits=cells_total - len(pending))
-            telemetry.tick(len(cells), force=True)
-
-        for xi, si, x, seed, digest in pending:
-            # Wall time feeds the per-cell percentiles of SweepTiming and
-            # the runtime plane, never the deterministic CellResult.
-            cell_started = time.perf_counter()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
-            try:
-                cell = compute_cell(spec, x, seed, instrument=instrument)
-            except Exception as exc:
-                raise cell_failure(spec, x, seed, exc) from exc
-            wall = time.perf_counter() - cell_started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
-            walls.append(wall)
-            cells[(xi, si)] = cell
-            if telemetry is not None:
-                telemetry.event("cell.compute", t=telemetry.now() - wall,
-                                dur=wall, xi=xi, si=si, x=x, seed=seed)
-            if cache is not None:
-                cache.store(digest, cell, scenario=spec.name, x=x, seed=seed)
-            if telemetry is not None:
-                telemetry.tick(len(cells), active_workers=1)
-
-        result = merge_cells(spec, seed_list, cells)
-        if obs_session is not None:
-            fold_obs(obs_session, spec, seed_list, cells)
-    except BaseException:
-        if telemetry is not None:
-            telemetry.finalize(state="failed")
-        raise
-    finally:
-        if cache is not None:
-            cache.close()
-    wall = time.perf_counter() - started  # simlint: disable=SL001 (perf record of the host run, not simulated time)
-    computed = [cells[(xi, si)] for xi, si, _x, _seed, _d in pending]
-    stats = wall_stats(walls)
-    timing = SweepTiming(
-        scenario=spec.name, jobs=jobs, wall_time=wall,
-        cells_total=cells_total, cells_computed=len(pending),
-        cache_hits=cells_total - len(pending),
-        iterations=sum(cell.iterations for cell in computed),
-        engine_events=sum(cell.engine_events for cell in computed),
-        x_points=len(spec.x_values), seeds=len(seed_list),
-        cell_wall_p50=stats["p50"], cell_wall_p95=stats["p95"],
-        cell_wall_max=stats["max"])
-    if telemetry is not None:
-        telemetry.metrics.counter("runtime.cells_computed_total").inc(
-            len(pending))
-        telemetry.metrics.counter("runtime.cache_hits_total").inc(
-            cells_total - len(pending))
-        telemetry.finalize(done=len(cells))
-    return result, timing
+            runtime_dir=runtime_dir, progress=progress)[:2]
+    return sweep_envelope(spec, seeds, _compute_in_process, jobs=1,
+                          mode="pool", cache_dir=cache_dir,
+                          on_point=on_point, obs_session=obs_session,
+                          runtime_dir=runtime_dir, progress=progress)

@@ -38,13 +38,13 @@ Only a worker holding a lease can lose it: one whose process died, or
 that has been silent longer than :attr:`FabricConfig.lease_timeout`
 since the later of the assignment and its last message, has its leased
 cells *requeued* and (budget permitting) a replacement worker launched.
-Results are keyed by grid coordinates and merged by the executor's
-:func:`~repro.experiments.executor.merge_cells`, so a fabric run is
-**byte-identical** to the ``jobs=1`` serial reference no matter how
-cells were distributed, re-leased, or recomputed (duplicate results of a
-deterministic cell are equal; the first one wins).  Computed cells are
-written to the content-addressed cell cache *as they arrive*, so a run
-that loses its coordinator resumes from the cache.
+Each new result is written to the cell cache *as it arrives* (so a run
+that loses its coordinator resumes from the cache), then handed to the
+executor's :class:`~repro.experiments.executor.SweepFold`, which folds
+it in grid order: a fabric run is **byte-identical** to the ``jobs=1``
+serial reference however cells were distributed, re-leased, or
+recomputed (duplicates of a deterministic cell are equal; the first
+one wins).
 
 Worker-loss testing reuses the :mod:`repro.faults` vocabulary at the
 fabric layer: a :class:`WorkerChaos` revokes one worker after it has
@@ -63,15 +63,18 @@ import socket
 import sys
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import obs
 from repro.errors import ExperimentError, FabricError
-from repro.experiments.executor import (CellCache, CellResult, SweepTiming,
-                                        _normalize_seeds, cell_failure,
-                                        compute_cell, fold_obs, merge_cells,
+from repro.experiments.executor import (CellCache, CellResult,
+                                        PendingCell, SweepFold, SweepTiming,
+                                        cell_failure, compute_cell,
+                                        sweep_envelope)
+from repro.experiments.executor import (fold_obs, merge_cells,  # noqa: F401  (perfbench times these by their fabric.core names)
                                         plan_cells)
 from repro.experiments.fabric.wire import (COORDINATOR, WELCOME,
                                            ChannelClosed, Envelope,
@@ -85,8 +88,9 @@ from repro.experiments.fabric.wire import (ASSIGN_CELLS, CELL_RESULT,  # noqa: F
                                            REQUEST_WORK, SHUTDOWN)
 from repro.experiments.runner import SweepResult
 from repro.experiments.scenarios import ExperimentSpec
-from repro.obs.metrics import wall_stats
-from repro.obs.runtime import RunTelemetry, RuntimeRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime plane loads on demand
+    from repro.obs.runtime import RunTelemetry, RuntimeRecorder
 
 # -- fault injection --------------------------------------------------------
 
@@ -217,23 +221,6 @@ class FabricStats:
     worker_lifetimes: "dict[str, float]" = field(default_factory=dict)
     """Seconds between launch and loss/shutdown, per worker id."""
 
-    def to_dict(self) -> dict:
-        return {
-            "transport": self.transport,
-            "workers": self.workers,
-            "leases": self.leases,
-            "requeued_cells": self.requeued_cells,
-            "revoked_leases": self.revoked_leases,
-            "work_requests": self.work_requests,
-            "workers_started": self.workers_started,
-            "workers_lost": self.workers_lost,
-            "duplicate_results": self.duplicate_results,
-            "remote_workers_joined": self.remote_workers_joined,
-            "handshakes_rejected": self.handshakes_rejected,
-            "worker_lifetimes": {wid: self.worker_lifetimes[wid]
-                                 for wid in sorted(self.worker_lifetimes)},
-        }
-
 
 # -- the worker -------------------------------------------------------------
 
@@ -301,6 +288,8 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
     me = config.worker_id
     recorder: "RuntimeRecorder | None" = None
     if config.runtime_dir is not None:
+        from repro.obs.runtime import RuntimeRecorder
+
         try:
             recorder = RuntimeRecorder.for_worker(config.runtime_dir, me)
         except OSError:  # telemetry must never take a worker down
@@ -754,30 +743,34 @@ class _Worker:
 
 
 class Coordinator:
-    """Owns the work queue, the leases, and the liveness clock."""
+    """Owns the work queue, the leases, and the liveness clock.  Each
+    new result goes to the cache, then to ``fold``; of a finished cell,
+    the coordinator keeps only its coordinates (:attr:`done`)."""
 
     def __init__(self, spec: ExperimentSpec, seed_list: "list[int]", *,
                  config: FabricConfig, cache: "CellCache | None",
-                 instrument: bool,
                  on_cell: "Callable[[int, int], None] | None" = None,
                  telemetry: "RunTelemetry | None" = None,
+                 fold: "SweepFold | None" = None,
                  clock: "Callable[[], float]" = time.monotonic) -> None:
         self.spec = spec
         self.seed_list = seed_list
         self.config = config
         self.cache = cache
-        self.instrument = instrument
         self.on_cell = on_cell
         self.telemetry = telemetry
+        self._runtime_dir = (str(telemetry.run_dir) if telemetry is not None
+                             and telemetry.run_dir is not None else None)
+        self.fold = fold if fold is not None else SweepFold(spec, seed_list)
+        #: Workers trace their cells when the fold has a session to fill.
+        self.instrument = self.fold.obs_session is not None
         #: The liveness/lease clock.  ``time.monotonic`` in production;
         #: boundary-timing tests inject a fake monotonic clock here.
         self._clock = clock
         self.stats = FabricStats(transport=config.transport,
                                  workers=config.workers)
-        self.cells: "dict[tuple[int, int], CellResult]" = {}
-        #: Wall seconds per computed cell, as reported by the worker
-        #: that computed it (first result wins, like the cell itself).
-        self.cell_walls: "list[float]" = []
+        #: Coordinates of the cells computed so far (first result wins).
+        self.done: "set[tuple[int, int]]" = set()
         #: Grid-order queue of cells still to assign.
         self.queue: "deque[dict]" = deque()
         #: Cell coordinates -> full cell record (for requeuing).
@@ -794,16 +787,13 @@ class Coordinator:
     def _open_transport(self):
         if self.config.transport == "process":
             return ProcessTransport()
-        runtime_dir = None
-        if self.telemetry is not None and self.telemetry.run_dir is not None:
-            runtime_dir = str(self.telemetry.run_dir)
         handshake = HandshakeInfo(
             token=self.config.token
             or secrets.token_hex(16),  # simlint: disable=SL001,SF002 (handshake shared secret, not a simulation draw)
             scenario=self.spec.name,
             fingerprint=self.spec.fingerprint(),
             instrument=self.instrument,
-            runtime_dir=runtime_dir,
+            runtime_dir=self._runtime_dir,
             chaos=(self.config.chaos.to_wire()
                    if self.config.chaos is not None else None))
         transport = TcpTransport(
@@ -871,13 +861,11 @@ class Coordinator:
 
     def _launch_worker(self) -> None:
         worker_id = self._mint_worker_id()
-        runtime_dir = None
-        if self.telemetry is not None and self.telemetry.run_dir is not None:
-            runtime_dir = str(self.telemetry.run_dir)
         config = WorkerConfig(worker_id=worker_id,
                               chaos=self.config.chaos,
-                              runtime_dir=runtime_dir)
-        with self._tel_span("worker.launch", worker_id=worker_id):
+                              runtime_dir=self._runtime_dir)
+        with (self.telemetry.span("worker.launch", worker_id=worker_id)
+              if self.telemetry is not None else nullcontext()):
             handle = self._transport.launch(self.spec, self.instrument,
                                             config)
         self._workers[worker_id] = _Worker(handle=handle,
@@ -912,7 +900,7 @@ class Coordinator:
             self._tel_count("runtime.leases_revoked_total")
             requeued = 0
             for key in sorted(worker.lease.outstanding):
-                if key not in self.cells:
+                if key not in self.done:
                     self.queue.append(self._cell_specs[key])
                     self.stats.requeued_cells += 1
                     requeued += 1
@@ -921,7 +909,7 @@ class Coordinator:
         worker.handle.kill()
         worker.handle.channel.close()
         self._serve_parked(now)
-        incomplete = len(self.cells) < len(self._cell_specs)
+        incomplete = len(self.done) < len(self._cell_specs)
         if incomplete and self._failure is None:
             if self._restarts < self.config.max_worker_restarts:
                 self._restarts += 1
@@ -931,7 +919,7 @@ class Coordinator:
                     f"{self.spec.name}: every fabric worker died and the "
                     f"restart budget ({self.config.max_worker_restarts}) "
                     f"is spent with "
-                    f"{len(self._cell_specs) - len(self.cells)} cells "
+                    f"{len(self._cell_specs) - len(self.done)} cells "
                     f"incomplete")
 
     # -- runtime telemetry (no-ops when the plane is off) -------------------
@@ -939,12 +927,6 @@ class Coordinator:
     def _tel_event(self, kind: str, **fields) -> None:
         if self.telemetry is not None:
             self.telemetry.event(kind, **fields)
-
-    def _tel_span(self, kind: str, **fields):
-        if self.telemetry is not None:
-            return self.telemetry.span(kind, **fields)
-        from repro.obs.runtime import _NullSpan
-        return _NullSpan()
 
     def _tel_count(self, name: str, amount: float = 1.0) -> None:
         if self.telemetry is not None:
@@ -964,7 +946,7 @@ class Coordinator:
         batch = []
         while self.queue and len(batch) < size:
             cell = self.queue.popleft()
-            if (cell["xi"], cell["si"]) in self.cells:
+            if (cell["xi"], cell["si"]) in self.done:
                 continue  # completed by a revoked-but-live worker meanwhile
             batch.append(cell)
         worker.parked = not batch
@@ -1012,26 +994,28 @@ class Coordinator:
                                          payload["seed"], exc)
             self._failure.__cause__ = exc
             return
+        if key not in self._cell_specs:  # its grid index names another cell
+            raise FabricError(f"result for cell {key}, which no lease carried")
         if worker.lease is not None:
             worker.lease.outstanding.discard(key)
             if not worker.lease.outstanding:
                 worker.lease = None
-        if key in self.cells:
+        if key in self.done:
             self.stats.duplicate_results += 1
             self._tel_event("cell.duplicate", xi=key[0], si=key[1],
                             worker_id=env.sender)
             return  # deterministic recompute of a re-leased cell
         cell = CellResult.from_payload(payload["cell"])
-        self.cells[key] = cell
+        self.done.add(key)
         wall = payload.get("wall_s")
-        if isinstance(wall, (int, float)):
-            self.cell_walls.append(float(wall))
         self._tel_event("cell.result", xi=key[0], si=key[1],
                         worker_id=env.sender, wall_s=wall)
         if self.cache is not None:
             digest = self._cell_specs[key]["digest"]
             self.cache.store(digest, cell, scenario=self.spec.name,
                              x=payload["x"], seed=payload["seed"])
+        self.fold.add(*key, cell, wall=(
+            float(wall) if isinstance(wall, (int, float)) else None))
         if self.on_cell is not None:
             self.on_cell(*key)
 
@@ -1053,37 +1037,27 @@ class Coordinator:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> "dict[tuple[int, int], CellResult]":
-        cells, pending = plan_cells(self.spec, self.seed_list, self.cache,
-                                    instrument=self.instrument)
-        self.cells.update(cells)
+    def run(self, pending: "list[PendingCell]") -> None:
+        """Compute every cell of ``pending`` on the fleet."""
         for xi, si, x, seed, digest in pending:
             record = {"xi": xi, "si": si, "x": x, "seed": seed,
                       "digest": digest}
             self.queue.append(record)
             self._cell_specs[(xi, si)] = record
-        total = len(self.spec.x_values) * len(self.seed_list)
         # No more workers than cells: a spare would only park.
         self.stats.workers = min(self.config.workers, len(pending))
-        if self.telemetry is not None:
-            self.telemetry.progress.cache_hits = len(self.cells)
-            self._tel_event("run.start", total=total,
-                            pending=len(pending), cache_hits=len(self.cells))
-            self.telemetry.tick(len(self.cells), active_workers=0,
-                                stragglers=0, force=True)
-        if len(self.cells) >= total:
-            return self.cells  # fully warm cache: no fleet needed
+        if not pending:
+            return  # fully warm cache: no fleet needed
 
         self._transport = self._open_transport()
         try:
             for _ in range(self.stats.workers):
                 self._launch_worker()
-            while len(self.cells) < total and self._failure is None:
+            while len(self.done) < len(pending) and self._failure is None:
                 wait(self._waitables(), WAIT_TIMEOUT)
                 self._drive()
             if self._failure is not None:
                 raise self._failure
-            return self.cells
         finally:
             self._shutdown_fleet()
             self.stats.handshakes_rejected = getattr(
@@ -1141,7 +1115,8 @@ class Coordinator:
                                 timeout=self.config.lease_timeout)
                 self._lose_worker(worker_id, now, reason="lease-expired")
         if self.telemetry is not None:
-            self.telemetry.tick(len(self.cells),
+            self.telemetry.tick(self.fold.total - len(self._cell_specs)
+                                + len(self.done),
                                 active_workers=len(self._workers),
                                 stragglers=self._stragglers(now))
 
@@ -1184,8 +1159,10 @@ def execute_sweep_fabric(spec: ExperimentSpec,
     """Run a sweep on the coordinator/worker fabric.
 
     :func:`~repro.experiments.executor.execute_sweep` delegates here for
-    ``jobs > 1`` (``workers=jobs`` over the ``process`` transport).  The
-    merged :class:`SweepResult` is **byte-identical** to the serial
+    ``jobs > 1`` (``workers=jobs`` over the ``process`` transport), and
+    both run through :func:`~repro.experiments.executor.sweep_envelope`;
+    here a :class:`Coordinator` is the cell source.  The merged
+    :class:`SweepResult` is **byte-identical** to the serial
     reference for any worker count, transport, injected worker loss, or
     cache state.  Returns ``(result, timing, stats)``; ``stats`` carries
     the fabric's operational counters (leases, requeues, work requests,
@@ -1194,12 +1171,9 @@ def execute_sweep_fabric(spec: ExperimentSpec,
 
     ``on_cell(xi, si)`` fires after each newly computed cell has been
     stored (the resumability hook: everything already fired is on disk).
-
-    ``runtime_dir`` switches on the wall-clock telemetry plane
-    (:mod:`repro.obs.runtime`): coordinator and worker span files, the
-    Chrome fleet timeline, periodic metric snapshots, and a Prometheus
-    textfile land there.  ``progress`` prints a live ticker.  Neither
-    affects the deterministic result, traces, or metrics in any way.
+    With ``runtime_dir``, the workers' span files join the coordinator's
+    there; the other parameters are
+    :func:`~repro.experiments.executor.execute_sweep`'s.
     """
     if config is None:
         config = FabricConfig()
@@ -1207,65 +1181,29 @@ def execute_sweep_fabric(spec: ExperimentSpec,
         config = replace(config, workers=workers)
     if transport is not None:
         config = replace(config, transport=transport)
-    seed_list = _normalize_seeds(spec, seeds)
-    instrument = obs_session is not None
-    total = len(spec.x_values) * len(seed_list)
-    telemetry = RunTelemetry.create(runtime_dir, progress=progress,
-                                    total_cells=total,
-                                    progress_stream=progress_stream)
-    cache = (CellCache(cache_dir, telemetry=telemetry)
-             if cache_dir is not None else None)
-    started = time.perf_counter()  # simlint: disable=SL001 (perf record of the host run, not simulated time)
+    coordinator: "Coordinator | None" = None
 
-    if on_point is not None:
-        for x in spec.x_values:
-            for seed in seed_list:
-                on_point(x, seed)
-
-    coordinator = Coordinator(spec, seed_list, config=config, cache=cache,
-                              instrument=instrument, on_cell=on_cell,
-                              telemetry=telemetry)
-    try:
-        cells = coordinator.run()
-    except BaseException:
+    def run_fleet(fold, pending, cache, telemetry) -> None:
+        nonlocal coordinator
+        coordinator = Coordinator(
+            spec, fold.seed_list, config=config, cache=cache,
+            on_cell=on_cell, telemetry=telemetry, fold=fold)
+        coordinator.run(pending)
         if telemetry is not None:
-            telemetry.finalize(state="failed")
-        raise
-    finally:
-        if cache is not None:
-            cache.close()
-    result = merge_cells(spec, seed_list, cells)
-    if obs_session is not None:
-        fold_obs(obs_session, spec, seed_list, cells)
+            metrics, stats = telemetry.metrics, coordinator.stats
+            metrics.counter("runtime.cells_requeued_total").inc(
+                stats.requeued_cells)
+            metrics.counter("runtime.duplicate_results_total").inc(
+                stats.duplicate_results)
+            for _worker_id, lifetime in sorted(stats.worker_lifetimes.items()):
+                metrics.histogram("runtime.worker_lifetime_seconds",
+                                  LIFETIME_BUCKETS).observe(lifetime)
 
-    wall = time.perf_counter() - started  # simlint: disable=SL001 (perf record of the host run, not simulated time)
-    computed_keys = sorted(coordinator._cell_specs)
-    computed = [cells[key] for key in computed_keys]
-    walls = wall_stats(coordinator.cell_walls)
-    timing = SweepTiming(
-        scenario=spec.name, jobs=config.workers, wall_time=wall,
-        cells_total=total, cells_computed=len(computed_keys),
-        cache_hits=total - len(computed_keys),
-        iterations=sum(cell.iterations for cell in computed),
-        engine_events=sum(cell.engine_events for cell in computed),
-        x_points=len(spec.x_values), seeds=len(seed_list),
-        mode="fabric", cell_wall_p50=walls["p50"],
-        cell_wall_p95=walls["p95"], cell_wall_max=walls["max"])
-    if telemetry is not None:
-        metrics = telemetry.metrics
-        metrics.counter("runtime.cells_computed_total").inc(
-            len(computed_keys))
-        metrics.counter("runtime.cache_hits_total").inc(
-            total - len(computed_keys))
-        metrics.counter("runtime.cells_requeued_total").inc(
-            coordinator.stats.requeued_cells)
-        metrics.counter("runtime.duplicate_results_total").inc(
-            coordinator.stats.duplicate_results)
-        lifetimes = coordinator.stats.worker_lifetimes
-        for worker_id in sorted(lifetimes):
-            metrics.histogram("runtime.worker_lifetime_seconds",
-                              LIFETIME_BUCKETS).observe(lifetimes[worker_id])
-        telemetry.finalize(done=len(cells))
+    result, timing = sweep_envelope(
+        spec, seeds, run_fleet, jobs=config.workers, mode="fabric",
+        cache_dir=cache_dir, on_point=on_point, obs_session=obs_session,
+        runtime_dir=runtime_dir, progress=progress,
+        progress_stream=progress_stream)
     return result, timing, coordinator.stats
 
 

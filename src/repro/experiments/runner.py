@@ -136,35 +136,10 @@ def run_sweep(spec: ExperimentSpec,
               cache_dir=None,
               obs_session=None,
               ) -> SweepResult:
-    """Run a full sweep and aggregate makespans per (x, series).
-
-    Delegates to :func:`repro.experiments.executor.execute_sweep`; the
-    ``jobs=1`` default executes every cell in-process, in grid order (the
-    reference implementation), and the result is bit-identical for any
-    ``jobs`` / cache configuration.
-
-    Parameters
-    ----------
-    spec:
-        The scenario to run.
-    seeds:
-        Either an iterable of seeds, an int (``range(seeds)``), or None
-        (``range(spec.default_seeds)``).
-    on_point:
-        Optional progress callback invoked as ``on_point(x, seed)`` once
-        per (x, seed) cell (used by the CLI for progress output).
-    jobs:
-        Worker processes for cell execution (``>1`` fans cells out over
-        fabric worker processes; the spec's builder must then be
-        picklable).
-    cache_dir:
-        Root directory of the content-addressed cell cache, or None (the
-        default) to disable caching.
-    obs_session:
-        Optional :class:`repro.obs.ObsSession` that receives the run's
-        trace records and metrics, merged in grid order (see
-        docs/OBSERVABILITY.md).
-    """
+    """Run a full sweep and aggregate makespans per (x, series): the
+    result of :func:`repro.experiments.executor.execute_sweep`, which
+    documents the parameters, bit-identical for any ``jobs`` / cache
+    configuration."""
     from repro.experiments.executor import execute_sweep
 
     result, _timing = execute_sweep(spec, seeds=seeds, jobs=jobs,

@@ -139,9 +139,10 @@ class ExperimentSpec:
         Covers the declarative fields *and the source text of the builder
         function*, so editing a scenario invalidates its cached cells (see
         :mod:`repro.experiments.executor`).  It deliberately does not chase
-        the builder's transitive imports: changes to strategy or platform
-        internals are covered by the package version, which participates in
-        the cell cache key alongside this fingerprint.
+        the builder's transitive imports: the cell cache key adds only the
+        package version, which must be bumped by hand after editing
+        strategy or platform internals (docs/PERFORMANCE.md, "Staleness
+        caveat").
         """
         import hashlib
         import inspect

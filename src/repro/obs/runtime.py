@@ -61,6 +61,7 @@ import os
 import socket
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -614,10 +615,10 @@ class RunTelemetry:
     Bundles the coordinator-side :class:`RuntimeRecorder`, a runtime
     :class:`MetricsRegistry` (snapshotted periodically), and the
     :class:`ProgressTicker`.  Created by
-    :func:`~repro.experiments.executor.execute_sweep` /
-    :func:`~repro.experiments.fabric.execute_sweep_fabric` when the run
-    asks for ``runtime_dir`` and/or ``progress``; everything degrades to
-    cheap no-ops for the parts not enabled.
+    :func:`~repro.experiments.executor.sweep_envelope`, for serial and
+    fabric runs alike, when the run asks for ``runtime_dir`` and/or
+    ``progress``; everything degrades to cheap no-ops for the parts not
+    enabled.
     """
 
     def __init__(self, run_dir: "str | os.PathLike | None", *,
@@ -649,14 +650,6 @@ class RunTelemetry:
             stream=stream, interval=progress_interval, clock=clock)
         self._clock = clock
 
-    @classmethod
-    def create(cls, run_dir, *, progress: bool = False,
-               **kwargs) -> "RunTelemetry | None":
-        """A telemetry bundle, or None when nothing was asked for."""
-        if run_dir is None and not progress:
-            return None
-        return cls(run_dir, progress=progress, **kwargs)
-
     # -- emission helpers (all safe when parts are disabled) ------------
 
     def now(self) -> float:
@@ -669,7 +662,7 @@ class RunTelemetry:
     def span(self, kind: str, **fields: Any):
         if self.recorder is not None:
             return self.recorder.span(kind, **fields)
-        return _NullSpan()
+        return nullcontext()
 
     def tick(self, done: int, *, active_workers: int = 0,
              stragglers: int = 0, force: bool = False) -> None:
@@ -704,13 +697,3 @@ class RunTelemetry:
                    "bad_lines": len(spans.bad_lines)}
         (self.run_dir / "summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n")
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass

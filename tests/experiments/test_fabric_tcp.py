@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.errors import FabricError
-from repro.experiments.executor import execute_sweep, merge_cells
+from repro.experiments.executor import SweepFold, execute_sweep, plan_cells
 from repro.experiments.fabric import (
     COORDINATOR,
     HELLO,
@@ -79,15 +79,16 @@ class _LiveRun:
         self.spec = spec
         config = FabricConfig(workers=workers, transport="tcp",
                               token=token, lease_size=lease_size)
+        self.fold = SweepFold(spec, [0, 1])
         self.coordinator = Coordinator(spec, [0, 1], config=config,
-                                       cache=None, instrument=False)
-        self.cells = None
+                                       cache=None, fold=self.fold)
         self.error = None
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
+        _hits, pending = plan_cells(self.spec, [0, 1], None)
         try:
-            self.cells = self.coordinator.run()
+            self.coordinator.run(pending)
         except Exception as exc:  # surfaced by join()
             self.error = exc
 
@@ -107,7 +108,7 @@ class _LiveRun:
 
     def merged(self):
         assert self.error is None, f"coordinator failed: {self.error}"
-        return merge_cells(self.spec, [0, 1], self.cells)
+        return self.fold.result()
 
 
 def test_remote_worker_joins_mid_run_and_is_leased_work():

@@ -23,7 +23,7 @@ import pytest
 
 from repro.app.iterative import ApplicationSpec
 from repro.errors import FabricError
-from repro.experiments.executor import CellResult, compute_cell
+from repro.experiments.executor import CellResult, compute_cell, execute_sweep
 from repro.experiments.fabric import (
     ASSIGN_CELLS,
     CELL_RESULT,
@@ -95,8 +95,7 @@ def _coordinator(clock, *, lease_timeout=30.0, max_worker_restarts=0):
     config = FabricConfig(workers=1, transport="process",
                           lease_timeout=lease_timeout,
                           max_worker_restarts=max_worker_restarts)
-    return Coordinator(SPEC, [0], config=config, cache=None,
-                       instrument=False, clock=clock)
+    return Coordinator(SPEC, [0], config=config, cache=None, clock=clock)
 
 
 def _register(coord, worker_id, *, started=0.0, alive=True):
@@ -311,15 +310,17 @@ def test_result_already_queued_beats_the_revoke():
     clock.now = 11.0  # past the timeout
     coord._drive()
     assert "w0" in coord._workers
-    assert (0, 0) in coord.cells
-    assert coord.cell_walls == [0.25]
+    assert coord.done == {(0, 0)}
+    assert coord.fold.folded == 1
+    assert coord.fold.walls == [0.25]
     assert coord.stats.workers_lost == 0
 
 
 def test_result_after_revoke_and_recompute_is_a_counted_duplicate():
     # w0's lease expired and (0, 0) was recomputed by w1; the stale
     # result w0 pushed before dying must count as a duplicate and leave
-    # the first-won cell untouched.
+    # the first-won cell untouched: the fold keeps the first copy's
+    # makespan, never sees the second (marked with a different one).
     clock = FakeClock()
     coord = _coordinator(clock, lease_timeout=10.0)
     _register(coord, "w0", started=0.0)
@@ -335,16 +336,21 @@ def test_result_after_revoke_and_recompute_is_a_counted_duplicate():
                     seed=0, ok=True, cell=payload, wall_s=0.1)
     clock.now = 11.0
     coord._drive()
-    first = coord.cells[(0, 0)]
+    first = payload["makespans"]["nothing"]
+    assert coord.done == {(0, 0)}
+    assert coord.fold._series["nothing"].raw == [[first]]
     assert coord.stats.duplicate_results == 0
 
+    stale = json.loads(json.dumps(payload))
+    stale["makespans"]["nothing"] = first + 1.0
     w1_channel.push(CELL_RESULT, "w1", lease=0, xi=0, si=0, x=0.0,
-                    seed=0, ok=True, cell=payload, wall_s=9.9)
+                    seed=0, ok=True, cell=stale, wall_s=9.9)
     clock.now = 12.0
     coord._drive()
     assert coord.stats.duplicate_results == 1
-    assert coord.cells[(0, 0)] is first
-    assert coord.cell_walls == [0.1]  # the duplicate's wall is ignored
+    assert coord.fold._series["nothing"].raw == [[first]]
+    assert coord.fold.folded == 1 and len(coord.fold.buffer) == 0
+    assert coord.fold.walls == [0.1]  # the duplicate's wall is ignored
 
 
 def test_results_alone_keep_a_leased_worker():
@@ -367,7 +373,59 @@ def test_results_alone_keep_a_leased_worker():
         coord._drive()
     assert coord.stats.workers_lost == 0
     assert coord._workers["w0"].lease is None
-    assert set(coord.cells) == set(keys)
+    assert coord.done == set(keys)
+
+
+def test_result_for_a_cell_no_lease_carried_drops_the_worker():
+    # In a one-seed grid, a stray (0, 1) has (1, 0)'s grid index: the
+    # coordinator must treat it as a protocol error, never fold it.
+    clock = FakeClock()
+    coord = _coordinator(clock)
+    channel = _register(coord, "w0")
+    _register(coord, "w1")
+    _lease(coord, "w0", [(0, 0)])
+    channel.push(CELL_RESULT, "w0", lease=0, xi=0, si=1, x=0.0, seed=1,
+                 ok=True, cell=_cell_payload(), wall_s=0.1)
+    coord._drive()
+    assert "w0" not in coord._workers and "w1" in coord._workers
+    assert coord.done == set()
+    assert coord.fold.folded == 0 and not coord.fold.buffer
+    assert [c["xi"] for c in coord.queue] == [0]  # (0, 0) requeued
+
+
+# -- the reorder buffer --------------------------------------------------------
+
+
+def test_results_in_reverse_grid_order_wait_for_the_head():
+    # Every result but the grid's first arrives ahead of a predecessor
+    # and waits in the fold's buffer; the head's arrival folds them all,
+    # and the coordinator itself keeps only their coordinates.
+    clock = FakeClock()
+    seeds = [0, 1]
+    config = FabricConfig(workers=1, transport="process",
+                          max_worker_restarts=0)
+    coord = Coordinator(SPEC, seeds, config=config, cache=None, clock=clock)
+    channel = _register(coord, "w0")
+    keys = [(xi, si) for xi in range(len(SPEC.x_values))
+            for si in range(len(seeds))]
+    for key in keys:
+        coord._cell_specs[key] = {"xi": key[0], "si": key[1]}
+    for arrived, (xi, si) in enumerate(reversed(keys), start=1):
+        x, seed = SPEC.x_values[xi], seeds[si]
+        channel.push(CELL_RESULT, "w0", lease=0, xi=xi, si=si, x=x,
+                     seed=seed, ok=True,
+                     cell=compute_cell(SPEC, x, seed).to_payload(),
+                     wall_s=0.1)
+        coord._drive()
+        if arrived < len(keys):
+            assert len(coord.fold.buffer) == arrived
+            assert coord.fold.folded == 0
+    assert len(coord.fold.buffer) == 0
+    assert coord.fold.folded == len(keys)
+    assert coord.done == set(keys)
+    assert not hasattr(coord, "cells")
+    serial, _timing = execute_sweep(SPEC, seeds=seeds)
+    assert coord.fold.result().to_dict() == serial.to_dict()
 
 
 # -- lease prefetch ------------------------------------------------------------
@@ -380,8 +438,7 @@ def test_prefetch_extends_the_lease_and_a_death_requeues_both_once():
     clock = FakeClock()
     config = FabricConfig(workers=2, transport="process", lease_size=2,
                           max_worker_restarts=0)
-    coord = Coordinator(SPEC, [0], config=config, cache=None,
-                        instrument=False, clock=clock)
+    coord = Coordinator(SPEC, [0], config=config, cache=None, clock=clock)
     w0 = _register(coord, "w0")
     w1 = _register(coord, "w1")
     _queue(coord, [(xi, 0) for xi in range(4)])

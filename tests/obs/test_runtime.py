@@ -394,15 +394,10 @@ def test_tail_run_without_progress_file(tmp_path):
 # -- RunTelemetry -----------------------------------------------------------
 
 
-def test_run_telemetry_create_none_when_nothing_asked():
-    assert RunTelemetry.create(None, progress=False) is None
-
-
 def test_run_telemetry_progress_only_has_no_files(tmp_path):
     stream = io.StringIO()
-    tel = RunTelemetry.create(None, progress=True, total_cells=2,
-                              progress_stream=stream)
-    assert tel is not None
+    tel = RunTelemetry(None, progress=True, total_cells=2,
+                       progress_stream=stream)
     assert tel.recorder is None
     with tel.span("anything"):  # must be a harmless no-op
         pass

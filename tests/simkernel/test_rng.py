@@ -199,3 +199,12 @@ def test_serial_cli_sweep_loads_no_tooling():
     body = ("from repro.experiments import cli\n"
             "cli.main(['fig7', '--seeds', '1', '--no-cache', '--no-bench'])")
     assert _tooling_loaded_after(body) == "[]"
+
+
+def test_importing_the_fabric_leaves_the_runtime_plane_unloaded():
+    # The coordinator and its workers load the runtime plane only when a
+    # run asks for telemetry or a progress ticker.
+    code = ("import sys\n"
+            "import repro.experiments.fabric\n"
+            "print('repro.obs.runtime' in sys.modules)\n")
+    assert _run_fresh(code).strip() == "False"
