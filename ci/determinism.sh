@@ -246,7 +246,6 @@ cmp "$OUT/faults-1.jsonl" "$OUT/faults-j1.jsonl"
 # TL001-TL007, including TL007 on the fault records.
 python -m repro.obs lint "$OUT/faults-1.jsonl" \
   --metrics "$OUT/faults-1-metrics.json"
-python -m repro.analysis lint src/repro/obs
 
 echo "## 6. every scenario: serial vs two fabric workers"
 SCENARIOS=$(python -c "from repro.experiments.scenarios import ALL_SCENARIOS; print(' '.join(sorted(ALL_SCENARIOS)))")

@@ -1,35 +1,31 @@
-"""Correctness tooling for the reproduction: ``simlint`` + sanitizer.
+"""Correctness tooling for the reproduction: ``simlint`` + ``simflow``.
 
-Two layers keep the determinism discipline of :mod:`repro.simkernel`
-enforceable as the codebase grows (see ``docs/STATIC_ANALYSIS.md``):
+The byte-identity gates (reruns against the goldens, serial against the
+fabric, lowered against scalar) catch most determinism hazards; these
+two analyzers keep the rules for the ones those gates cannot see (see
+``docs/STATIC_ANALYSIS.md``, which records the planted mutant behind
+every rule):
 
 * :mod:`repro.analysis.linter` -- an AST-based static linter with rules
-  ``SL001``-``SL006`` targeting wall-clock calls, coroutine misuse, heap
-  encapsulation, float-time equality, raw unit literals, and shared
-  mutable state;
-* :mod:`repro.analysis.sanitizer` -- a runtime supervisor
-  (:class:`SanitizedSimulator`) that watches a live run for event-order
-  ties, corrupt delays, post-run scheduling, leaked resource slots, and
-  RNG draws that bypass the registry.
+  ``SL001`` (a random stream built or drawn outside the registry),
+  ``SL004`` (float-time equality) and ``SL005`` (raw unit literals);
+* :mod:`repro.analysis.flow` -- an interprocedural effect analysis with
+  rules ``SF003`` (unordered iteration feeding the event stream) and
+  ``SF004`` (purity contracts).
 
-Run both from the command line: ``python -m repro.analysis lint src/``
-and ``python -m repro.analysis sanitize``.
+Both judge the model closure
+(:func:`repro.experiments.executor.model_modules`); run them from the
+command line with ``python -m repro.analysis self-check``.
 """
 
 from repro.analysis.linter import (findings_to_dict, format_json, format_text,
                                    lint_paths, lint_source)
 from repro.analysis.rules import Finding, LintContext, Rule, all_rules
-from repro.analysis.sanitizer import (SanitizedSimulator, SanitizerError,
-                                      SanitizerFinding, SanitizerReport)
 
 __all__ = [
     "Finding",
     "LintContext",
     "Rule",
-    "SanitizedSimulator",
-    "SanitizerError",
-    "SanitizerFinding",
-    "SanitizerReport",
     "all_rules",
     "findings_to_dict",
     "format_json",

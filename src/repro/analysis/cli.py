@@ -1,16 +1,14 @@
 """Command-line front end: ``python -m repro.analysis``.
 
-One umbrella over the four analyzer families, with a shared finding
-schema (:mod:`repro.analysis.schema`), shared suppression comments, and
-shared exit codes (0 clean, 1 findings, 2 usage error)::
+One umbrella over the analyzer families, with a shared finding schema
+(:mod:`repro.analysis.schema`), shared suppression comments, and shared
+exit codes (0 clean, 1 findings, 2 usage error)::
 
     python -m repro.analysis lint src/            # SL: per-file AST lint
     python -m repro.analysis flow                 # SF: interprocedural flow
     python -m repro.analysis flow --effects-report  # the purity contract
-    python -m repro.analysis sanitize --seed 3    # SZ: runtime sanitizer
-    python -m repro.analysis trace lint t.jsonl   # TL: trace invariants
     python -m repro.analysis rules                # every code, all families
-    python -m repro.analysis self-check           # the CI gate (SL+SZ+SF)
+    python -m repro.analysis self-check           # the CI gate (SL+SF)
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
+from typing import Sequence
 
 from repro.analysis.linter import (findings_to_dict, format_json, format_text,
                                    lint_paths)
@@ -27,8 +26,8 @@ from repro.analysis.rules import all_rules
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Unified static/runtime analysis for the repro "
-                    "package (SL lint, SF flow, SZ sanitizer, TL trace).")
+        description="Unified static analysis for the repro package "
+                    "(SL lint, SF flow).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lint = sub.add_parser("lint", help="per-file AST lint (SL rules)")
@@ -36,42 +35,26 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json"), default="text")
 
     flow = sub.add_parser(
-        "flow", help="interprocedural effect/determinism/units analysis "
+        "flow", help="interprocedural effect and determinism analysis "
                      "(SF rules)")
     flow.add_argument("root", nargs="?", default=None,
                       help="package directory (default: the installed "
-                           "repro package)")
+                           "repro package's model closure)")
     flow.add_argument("--package", default=None,
                       help="package name for qualnames (default: the "
                            "directory name)")
     flow.add_argument("--format", choices=("text", "json"), default="text")
-    flow.add_argument("--baseline", metavar="FILE", default=None,
-                      help="previous --format json payload; matching "
-                           "findings (code, path, function) are filtered")
     flow.add_argument("--effects-report", action="store_true",
                       help="print the inferred effect-signature table for "
                            "the contract scope instead of findings")
 
-    sanitize = sub.add_parser("sanitize",
-                              help="run the demo scenario under the "
-                                   "runtime sanitizer (SZ rules)")
-    sanitize.add_argument("--seed", type=int, default=0)
-    sanitize.add_argument("--strict", action="store_true")
-    sanitize.add_argument("--format", choices=("text", "json"),
-                          default="text")
-
-    trace = sub.add_parser("trace",
-                           help="trace analytics and TL invariant lint "
-                                "(forwards to python -m repro.obs)")
-    trace.add_argument("args", nargs=argparse.REMAINDER)
-
     rules = sub.add_parser("rules",
                            help="list every diagnostic code of every "
-                                "family (SL, SF, SZ, TL)")
+                                "family (SL, SF, TL)")
     rules.add_argument("--format", choices=("text", "json"), default="text")
 
-    check = sub.add_parser("self-check", help="the CI gate: lint + "
-                                              "sanitizer demo + flow")
+    check = sub.add_parser("self-check", help="the CI gate: lint + flow "
+                                              "over the model closure")
     check.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -96,49 +79,39 @@ def _run_lint(paths, fmt: str) -> int:
     return 1 if findings else 0
 
 
-def _run_sanitize(seed: int, strict: bool, fmt: str) -> int:
-    from repro.analysis.demo import run_demo
-
-    outcome = run_demo(seed, strict=strict)
-    report = outcome.report
-    if fmt == "json":
-        payload = report.to_dict()
-        payload["makespan"] = outcome.makespan
-        payload["swap_count"] = outcome.result.swap_count
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.format())
-        print(f"demo scenario: makespan={outcome.makespan:.1f}s, "
-              f"swaps={outcome.result.swap_count}, seed={seed}")
-    return 1 if report.error_count else 0
-
-
 def _package_dir() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parent
 
 
-def _run_flow(root: "str | None", package: "str | None", fmt: str,
-              baseline: "str | None", effects: bool) -> int:
-    from repro.analysis import flow as flowpkg
+def model_files(modules: "Sequence[str]") -> "list[Path]":
+    """Source files of the installed package's ``modules``."""
+    package_dir = _package_dir()
+    files = []
+    for name in modules:
+        rel = package_dir.joinpath(*name.split(".")[1:])
+        files.append(rel / "__init__.py" if rel.is_dir()
+                     else rel.with_suffix(".py"))
+    return files
 
+
+def _run_flow(root: "str | None", package: "str | None", fmt: str,
+              effects: bool) -> int:
+    from repro.analysis import flow as flowpkg
+    from repro.experiments.executor import model_modules
+
+    modules = None
     if root is None:
         root_path = _package_dir()
         package = package or "repro"
+        modules = model_modules()
     else:
         root_path = Path(root)
 
-    baseline_keys = None
-    if baseline is not None:
-        try:
-            baseline_keys = flowpkg.load_baseline(baseline)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {baseline}: {exc}")
-            return 2
-
     try:
-        result = flowpkg.analyze_package(root_path, package=package)
+        result = flowpkg.analyze_package(root_path, package=package,
+                                         modules=modules)
     except FileNotFoundError as exc:
         print(f"error: {exc}")
         return 2
@@ -149,8 +122,6 @@ def _run_flow(root: "str | None", package: "str | None", fmt: str,
         return 0
 
     findings = result.findings
-    if baseline_keys is not None:
-        findings = flowpkg.apply_baseline(findings, baseline_keys)
     if fmt == "json":
         print(flowpkg.format_flow_json(findings, result.functions_analyzed))
     else:
@@ -161,14 +132,11 @@ def _run_flow(root: "str | None", package: "str | None", fmt: str,
 def _all_rule_catalogue() -> "list[tuple[str, str, str]]":
     """(code, name, summary) for every family, sorted by code."""
     from repro.analysis.flow.rules import FLOW_RULES
-    from repro.analysis.sanitizer import SANITIZER_RULES
     from repro.obs.analyze import TRACE_RULES
 
     rows = [(r.code, r.name, r.summary) for r in all_rules()]
     rows += [(code, name, summary)
              for code, (name, summary) in FLOW_RULES.items()]
-    rows += [(code, name, summary)
-             for code, (name, summary) in SANITIZER_RULES.items()]
     rows += [(code, f"trace-{code.lower()}", summary)
              for code, summary in TRACE_RULES.items()]
     return sorted(rows)
@@ -187,32 +155,28 @@ def _run_rules(fmt: str) -> int:
 
 def _self_check(fmt: str) -> int:
     from repro.analysis import flow as flowpkg
-    from repro.analysis.demo import run_demo
+    from repro.experiments.executor import model_modules
 
     package_dir = _package_dir()
-    findings, files_scanned = lint_paths([package_dir])
+    modules = model_modules()
+    findings, files_scanned = lint_paths(model_files(modules))
     # Report paths relative to the package root so output is stable
     # across checkouts.
     rel = [f.__class__(code=f.code, message=f.message,
                        path=str(Path(f.path).relative_to(package_dir.parent)),
                        line=f.line, column=f.column) for f in findings]
 
-    outcome = run_demo(0)
-    report = outcome.report
-    flow_result = flowpkg.analyze_package(package_dir, package="repro")
-    failed = bool(rel or report.error_count or flow_result.findings)
+    flow_result = flowpkg.analyze_package(package_dir, package="repro",
+                                          modules=modules)
+    failed = bool(rel or flow_result.findings)
 
     if fmt == "json":
         payload = findings_to_dict(rel, files_scanned)
-        payload["sanitizer"] = report.to_dict()
         payload["flow"] = flowpkg.flow_payload(
             flow_result.findings, flow_result.functions_analyzed)
         print(json.dumps(payload, indent=2))
     else:
         _print_lint(rel, files_scanned, fmt)
-        print(f"sanitizer demo: {report.error_count} errors, "
-              f"{report.warning_count} warnings over "
-              f"{report.events_processed} events")
         print(flowpkg.format_flow_text(flow_result.findings,
                                        flow_result.functions_analyzed))
     return 1 if failed else 0
@@ -227,13 +191,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return _run_lint(args.paths, args.format)
     if args.command == "flow":
         return _run_flow(args.root, args.package, args.format,
-                         args.baseline, args.effects_report)
-    if args.command == "sanitize":
-        return _run_sanitize(args.seed, args.strict, args.format)
-    if args.command == "trace":
-        from repro.obs.__main__ import main as obs_main
-
-        return obs_main(args.args)
+                         args.effects_report)
     if args.command == "rules":
         return _run_rules(args.format)
     assert args.command == "self-check"

@@ -1,7 +1,7 @@
-"""``simflow``: interprocedural effect, determinism, and units analysis.
+"""``simflow``: interprocedural effect and determinism analysis.
 
 Where :mod:`repro.analysis.rules` judges one AST node at a time, this
-package parses the *whole* ``repro`` tree, builds a call graph
+package parses a whole package (or its model closure), builds a call graph
 (:mod:`~repro.analysis.flow.graph`), infers per-function effect
 signatures by fixed point (:mod:`~repro.analysis.flow.effects`), and
 evaluates the interprocedural SF rules
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 from repro.analysis.flow.contracts import FlowContracts, default_contracts
 from repro.analysis.flow.effects import EffectAnalysis, analyze_effects
 from repro.analysis.flow.graph import PackageIndex
-from repro.analysis.flow.report import (apply_baseline, effects_report,
-                                        flow_payload, format_effects_report,
-                                        format_flow_json, format_flow_text,
-                                        format_rules, load_baseline)
+from repro.analysis.flow.report import (effects_report, flow_payload,
+                                        format_effects_report,
+                                        format_flow_json, format_flow_text)
 from repro.analysis.flow.rules import (FLOW_RULES, FlowFinding,
                                        run_flow_rules)
 
@@ -37,8 +37,7 @@ __all__ = [
     "FlowContracts", "default_contracts", "EffectAnalysis", "PackageIndex",
     "FlowFinding", "FLOW_RULES", "FlowResult", "analyze_package",
     "effects_report", "flow_payload", "format_effects_report",
-    "format_flow_json",
-    "format_flow_text", "format_rules", "apply_baseline", "load_baseline",
+    "format_flow_json", "format_flow_text",
 ]
 
 
@@ -76,12 +75,14 @@ def _relativize(findings: "list[FlowFinding]", root: Path,
 
 def analyze_package(root: "str | Path", package: "str | None" = None,
                     contracts: "FlowContracts | None" = None,
-                    relative_paths: bool = True) -> FlowResult:
-    """Run the full pipeline on a package directory."""
+                    relative_paths: bool = True,
+                    modules: "Collection[str] | None" = None) -> FlowResult:
+    """Run the full pipeline on a package directory (only ``modules``,
+    when given)."""
     from repro.analysis.linter import SuppressionIndex
 
     root = Path(root)
-    index = PackageIndex.build(root, package)
+    index = PackageIndex.build(root, package, modules)
     analysis = analyze_effects(index, contracts or default_contracts())
     findings = run_flow_rules(analysis)
 

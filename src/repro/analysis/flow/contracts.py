@@ -1,12 +1,8 @@
 """The repo-wide contracts the flow analyzer checks code against.
 
-These tables are the *interface* between simflow and the two tentpoles
-that consume its guarantees (ROADMAP items 1 and 2):
+These tables are the *interface* between simflow and the code that
+relies on its guarantees, the sweep fabric and scenario lowering:
 
-* :data:`PARALLEL_ROOTS` -- functions the sweep fabric executes in
-  worker processes.  Everything reachable from them must not mutate
-  state shared across cells (rule SF001), or two workers computing
-  different cells would observe each other.
 * :data:`ASSUMED_PURE` -- qualname prefixes the scenario-lowering /
   vectorization pass will treat as side-effect-free and freely
   reorderable, batchable, or specializable.  Any inferred effect on a
@@ -21,12 +17,7 @@ A fixture package under test can swap in its own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-#: Entry points the parallel executor runs inside worker processes.
-PARALLEL_ROOTS = (
-    "repro.experiments.executor.compute_cell",
-)
+from dataclasses import dataclass
 
 #: Qualname prefixes (``.`` suffix means "everything under") that the
 #: lowering/vectorization pass will assume pure: no IO, no RNG draws, no
@@ -61,10 +52,6 @@ SCHEDULE_SINKS = (
     "repro.simkernel.engine.Simulator._schedule",
 )
 
-#: Attribute names holding an optional observation hook/session: every
-#: use must be guarded by an ``is not None`` check (rule SF006).
-OPTIONAL_OBS_ATTRS = frozenset({"hooks"})
-
 #: Module prefixes whose inferred signatures the ``--effects-report``
 #: table covers (the purity contract the fabric and lowering PRs build
 #: on).
@@ -79,15 +66,10 @@ REPORT_SCOPE = (
 class FlowContracts:
     """Everything rule evaluation needs to know about the package."""
 
-    parallel_roots: "tuple[str, ...]" = PARALLEL_ROOTS
     assumed_pure: "tuple[str, ...]" = ASSUMED_PURE
     trace_sinks: "tuple[str, ...]" = TRACE_SINKS
     schedule_sinks: "tuple[str, ...]" = SCHEDULE_SINKS
-    optional_obs_attrs: frozenset = OPTIONAL_OBS_ATTRS
     report_scope: "tuple[str, ...]" = REPORT_SCOPE
-    #: dotted call names resolving to ``ObsSession | None`` accessors.
-    optional_session_calls: "tuple[str, ...]" = ("repro.obs.active",)
-    extra_dims: "dict[str, tuple]" = field(default_factory=dict)
 
     def is_assumed_pure(self, qualname: str) -> bool:
         return any(qualname == p or (p.endswith(".") and qualname.startswith(p))

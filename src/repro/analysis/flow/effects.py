@@ -7,7 +7,7 @@ Every function gets an **effect signature**: a subset of
 * ``reads-sim-state``     -- reads such state (ordering-sensitive);
 * ``consumes-rng-stream`` -- draws from a random stream;
 * ``sim-time-dependent``  -- touches the simulated clock
-  (``.now`` / ``._now`` / ``peek()``);
+  (the ``.now`` property, ``._now``, ``peek()``);
 * ``performs-io``         -- filesystem, stdout, wall clock, OS calls.
 
 The empty signature is *pure* -- the property the scenario-lowering and
@@ -18,11 +18,6 @@ point then closes them over the call graph: a function carries every
 effect of every callee.  Unresolved calls contribute effects through a
 conservative external table (``open`` is IO, ``random.random`` consumes
 RNG, an unknown attribute call contributes nothing).
-
-The same fixed point also infers **return dimensions** (seconds /
-bytes / flop vectors, see :mod:`repro.analysis.flow.dims`), so
-``platform.link.transfer_time(...)`` is known to yield seconds at every
-call site without annotations.
 """
 
 from __future__ import annotations
@@ -49,18 +44,6 @@ EFFECT_ORDER = (MUTATES_SHARED, READS_SIM_STATE, CONSUMES_RNG, SIM_TIME,
 
 def ordered(effects: "frozenset[str]") -> "list[str]":
     return [e for e in EFFECT_ORDER if e in effects]
-
-
-@dataclass(frozen=True)
-class EffectSite:
-    """One syntactic origin of a direct effect."""
-
-    effect: str
-    line: int
-    column: int
-    detail: str
-    #: for rng sites: "owned" / "unowned" (rule SF002 keys on this).
-    ownership: str = ""
 
 
 # -- external classification --------------------------------------------------
@@ -157,7 +140,8 @@ def _local_bindings(func: ast.AST) -> "set[str]":
 
 
 def _rng_locals(func: ast.AST) -> "set[str]":
-    """Names that plausibly hold an owned random stream."""
+    """Names bound to a random stream: an rng-named parameter, a
+    ``stream(...)``/``streams(...)``/``spawn(...)`` result, or an alias."""
     owned: "set[str]" = set()
     args = func.args
     for arg in (list(args.posonlyargs) + list(args.args)
@@ -173,9 +157,6 @@ def _rng_locals(func: ast.AST) -> "set[str]":
                            and isinstance(value.func, ast.Attribute)
                            and value.func.attr in STREAM_FACTORIES)
             from_owned = (isinstance(value, ast.Name) and value.id in owned)
-            if isinstance(value, ast.Tuple):
-                # ``a, b = rng.spawn(2)`` handled below via targets
-                pass
             if from_stream or from_owned:
                 for target in node.targets:
                     for t in ast.walk(target):
@@ -184,50 +165,32 @@ def _rng_locals(func: ast.AST) -> "set[str]":
     return owned
 
 
-def _is_rng_receiver(expr: ast.AST, owned: "set[str]") -> "str | None":
-    """Classify a sampler call's receiver: "owned", "unowned", or None
-    (not recognisably a random stream at all)."""
+def _is_rng_receiver(expr: ast.AST, owned: "set[str]") -> bool:
+    """Whether a sampler call's receiver is recognisably a random stream."""
     if isinstance(expr, ast.Name):
-        if expr.id in owned:
-            return "owned"
-        if "rng" in expr.id.lower() or "random" in expr.id.lower():
-            return "unowned"  # module-global / unknown provenance
-        return None
+        name = expr.id.lower()
+        return expr.id in owned or "rng" in name or "random" in name
     if isinstance(expr, ast.Attribute):
-        if "rng" in expr.attr.lower() or "random" in expr.attr.lower():
-            # self.rng / obj.rng: instance-owned stream
-            if isinstance(expr.value, ast.Name) and expr.value.id in (
-                    "self", "cls"):
-                return "owned"
-            return "owned"
-        return None
-    if isinstance(expr, ast.Call):
-        if (isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in STREAM_FACTORIES):
-            return "owned"
-        return None
-    return None
+        return "rng" in expr.attr.lower() or "random" in expr.attr.lower()
+    return (isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr in STREAM_FACTORIES)
 
 
 class _DirectEffectVisitor:
-    """Single walk of one function body collecting direct effect sites."""
+    """Single walk of one function body collecting its direct effects."""
 
     def __init__(self, index: PackageIndex, mod: ModuleInfo,
                  info: FunctionInfo) -> None:
         self.index = index
         self.mod = mod
         self.info = info
-        self.sites: "list[EffectSite]" = []
+        self.found: "set[str]" = set()
         self.locals = _local_bindings(info.node)
         self.rng_owned = _rng_locals(info.node)
         self.declared_global: "set[str]" = set()
-
-    def _site(self, effect: str, node: ast.AST, detail: str,
-              ownership: str = "") -> None:
-        self.sites.append(EffectSite(
-            effect=effect, line=getattr(node, "lineno", self.info.lineno),
-            column=getattr(node, "col_offset", 0) + 1, detail=detail,
-            ownership=ownership))
+        #: ids of call targets (``ast.walk`` visits a call before them).
+        self.called: "set[int]" = set()
 
     def _is_module_global(self, name: str) -> bool:
         if name in self.declared_global:
@@ -242,10 +205,10 @@ class _DirectEffectVisitor:
         self.index.shared_globals.setdefault(key, set()).add(
             self.info.qualname)
 
-    def run(self) -> "list[EffectSite]":
+    def run(self) -> "set[str]":
         for node in ast.walk(self.info.node):
             self._visit(node)
-        return self.sites
+        return self.found
 
     def _visit(self, node: ast.AST) -> None:
         if isinstance(node, ast.Global):
@@ -266,30 +229,26 @@ class _DirectEffectVisitor:
             if isinstance(target, ast.Name):
                 if target.id in self.declared_global:
                     self._register_shared(target.id)
-                    self._site(MUTATES_SHARED, node,
-                               f"rebinds module global {target.id}")
+                    self.found.add(MUTATES_SHARED)
             elif isinstance(target, ast.Subscript):
                 base = target.value
                 if (isinstance(base, ast.Name)
                         and self._is_module_global(base.id)):
                     self._register_shared(base.id)
-                    self._site(MUTATES_SHARED, node,
-                               f"writes into module global {base.id}")
+                    self.found.add(MUTATES_SHARED)
             elif isinstance(target, ast.Attribute):
                 base = target.value
                 if isinstance(base, ast.Name):
                     resolved = self.index.resolve_name(self.mod, base.id)
                     if resolved in self.index.classes:
-                        self._site(MUTATES_SHARED, node,
-                                   f"writes class attribute "
-                                   f"{base.id}.{target.attr}")
+                        self.found.add(MUTATES_SHARED)
                 if (isinstance(target, ast.Attribute)
                         and target.attr in ("now", "_now")):
-                    self._site(SIM_TIME, node,
-                               f"advances simulated clock .{target.attr}")
+                    self.found.add(SIM_TIME)
 
     def _check_call(self, node: ast.Call) -> None:
         func = node.func
+        self.called.add(id(func))
         dotted = _dotted_name(func)
         if dotted is not None:
             resolved = self.index.resolve_name(self.mod, dotted)
@@ -300,43 +259,33 @@ class _DirectEffectVisitor:
             if external is not None:
                 if (external in _SEEDED_OK
                         and not node.args and not node.keywords):
-                    self._site(CONSUMES_RNG, node,
-                               f"{external}() seeded from OS entropy",
-                               ownership="unowned")
+                    self.found.add(CONSUMES_RNG)
                     return
                 effect = external_call_effect(external)
-                if effect == CONSUMES_RNG:
-                    self._site(effect, node, f"call to {external}()",
-                               ownership="unowned")
-                    return
                 if effect is not None:
-                    self._site(effect, node, f"call to {external}()")
+                    self.found.add(effect)
                     return
         if isinstance(func, ast.Attribute):
             if func.attr == "peek":
-                self._site(SIM_TIME, node, "reads next-event time (peek)")
+                self.found.add(SIM_TIME)
             elif func.attr in RNG_SAMPLERS:
-                kind = _is_rng_receiver(func.value, self.rng_owned)
-                if kind is not None:
-                    self._site(CONSUMES_RNG, node,
-                               f"draws from stream via .{func.attr}()",
-                               ownership=kind)
+                if _is_rng_receiver(func.value, self.rng_owned):
+                    self.found.add(CONSUMES_RNG)
             elif func.attr in _PATH_IO_METHODS and dotted is None:
-                self._site(PERFORMS_IO, node,
-                           f"filesystem access via .{func.attr}()")
+                self.found.add(PERFORMS_IO)
             elif func.attr in _GLOBAL_MUTATORS:
                 base = func.value
                 if (isinstance(base, ast.Name)
                         and self._is_module_global(base.id)):
                     self._register_shared(base.id)
-                    self._site(MUTATES_SHARED, node,
-                               f"mutates module global {base.id} "
-                               f"via .{func.attr}()")
+                    self.found.add(MUTATES_SHARED)
 
     def _check_attribute(self, node: ast.Attribute) -> None:
         if node.attr not in ("now", "_now"):
             return
-        if not isinstance(node.ctx, ast.Load):
+        if not isinstance(node.ctx, ast.Load) or id(node) in self.called:
+            # The simulated clock is the ``Simulator.now`` property; a
+            # called ``.now()`` is a wall clock (``telemetry.now()``).
             return
         dotted = _dotted_name(node)
         if dotted is not None:
@@ -344,7 +293,7 @@ class _DirectEffectVisitor:
             if (resolved is not None
                     and not resolved.startswith(self.index.package + ".")):
                 return  # datetime.datetime.now and friends: IO, not sim time
-        self._site(SIM_TIME, node, f"reads simulated clock .{node.attr}")
+        self.found.add(SIM_TIME)
 
     def _check_name_load(self, node: ast.Name) -> None:
         if node.id in self.locals or node.id in self.declared_global:
@@ -352,8 +301,7 @@ class _DirectEffectVisitor:
             return
         key = f"{self.mod.name}.{node.id}"
         if key in self.index.shared_globals:
-            self._site(READS_SIM_STATE, node,
-                       f"reads shared module global {node.id}")
+            self.found.add(READS_SIM_STATE)
 
 
 # -- the analysis ---------------------------------------------------------------
@@ -365,35 +313,14 @@ class EffectAnalysis:
 
     index: PackageIndex
     contracts: FlowContracts
-    direct: "dict[str, list[EffectSite]]" = field(default_factory=dict)
+    direct: "dict[str, set[str]]" = field(default_factory=dict)
     effects: "dict[str, frozenset]" = field(default_factory=dict)
-    return_dims: "dict[str, tuple]" = field(default_factory=dict)
-    callers: "dict[str, set]" = field(default_factory=dict)
 
     def signature(self, qualname: str) -> "list[str]":
         return ordered(self.effects.get(qualname, frozenset()))
 
     def is_pure(self, qualname: str) -> bool:
         return not self.effects.get(qualname, frozenset())
-
-    def reachable_from(self, roots: "tuple[str, ...]") -> "dict[str, str]":
-        """BFS over the call graph; returns {function: parent} for every
-        function reachable from any root (roots map to themselves)."""
-        parents: "dict[str, str]" = {}
-        frontier = [r for r in roots if r in self.index.functions]
-        for r in frontier:
-            parents[r] = r
-        while frontier:
-            nxt: "list[str]" = []
-            for qual in frontier:
-                for callee, internal, _l, _c in self.index.functions[
-                        qual].calls:
-                    if internal and callee in self.index.functions and (
-                            callee not in parents):
-                        parents[callee] = qual
-                        nxt.append(callee)
-            frontier = nxt
-        return parents
 
     def reaches_sinks(self, sinks: "tuple[str, ...]") -> "set[str]":
         """Every function from which some sink is reachable (inclusive)."""
@@ -412,13 +339,6 @@ class EffectAnalysis:
                         changed = True
                         break
         return result
-
-    def chain(self, parents: "dict[str, str]", target: str) -> "list[str]":
-        """Root -> ... -> target path from a :meth:`reachable_from` map."""
-        path = [target]
-        while parents.get(path[-1]) not in (None, path[-1]):
-            path.append(parents[path[-1]])
-        return list(reversed(path))
 
 
 def analyze_effects(index: PackageIndex,
@@ -439,8 +359,7 @@ def analyze_effects(index: PackageIndex,
                                                          info).run()
 
     # Effects fixed point over the call graph.
-    effects = {q: frozenset(s.effect for s in sites)
-               for q, sites in analysis.direct.items()}
+    effects = {q: frozenset(found) for q, found in analysis.direct.items()}
     callers: "dict[str, set]" = {}
     for qualname in sorted(index.functions):
         for callee, internal, _l, _c in index.functions[qualname].calls:
@@ -461,9 +380,4 @@ def analyze_effects(index: PackageIndex,
                     nxt.add(caller)
         worklist = sorted(nxt)
     analysis.effects = effects
-    analysis.callers = callers
-
-    # Return-dimension fixed point (see dims.py); SF005 consumes this.
-    from repro.analysis.flow.dimflow import infer_return_dims
-    analysis.return_dims = infer_return_dims(index, contracts)
     return analysis

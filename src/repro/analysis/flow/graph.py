@@ -10,8 +10,8 @@ the symbol tables the interprocedural pass needs:
 * per-module import maps, mirroring
   :class:`repro.analysis.rules.LintContext`;
 * module-level *mutable globals* and, among them, the ones some
-  function actually mutates -- the "shared state" the effect pass and
-  rule SF001 care about.
+  function actually mutates -- the "shared state" the effect pass
+  reports as ``mutates-shared-state``.
 
 Call resolution is deliberately pragmatic: exact where types are known
 (imports, constructors, annotated parameters, ``self``), and falling
@@ -28,6 +28,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 #: Attribute-call names never linked by the untyped-receiver fallback:
 #: they are overwhelmingly builtin-container operations.
@@ -114,10 +115,11 @@ class PackageIndex:
 
     @classmethod
     def build(cls, root: "str | Path", package: "str | None" = None,
-              ) -> "PackageIndex":
+              modules: "Collection[str] | None" = None) -> "PackageIndex":
         """Parse every ``.py`` file under ``root`` (a package directory).
 
-        ``package`` defaults to the directory's name.
+        ``package`` defaults to the directory's name; ``modules``, when
+        given, keeps only the named modules (e.g. the model closure).
         """
         root = Path(root).resolve()
         if not root.is_dir():
@@ -132,6 +134,8 @@ class PackageIndex:
             if parts[-1] == "__init__":
                 parts = parts[:-1]
             module_name = ".".join(parts)
+            if modules is not None and module_name not in modules:
+                continue
             source = path.read_text(encoding="utf-8")
             try:
                 tree = ast.parse(source, filename=str(path))
@@ -185,7 +189,11 @@ class PackageIndex:
         info = FunctionInfo(qualname=qualname, module=mod.name, path=mod.path,
                             node=node, lineno=node.lineno, cls=cls)
         self.functions[qualname] = info
-        if cls is not None:
+        # A property is read, never called: ``telemetry.now()`` must not
+        # link to ``Simulator.now``.
+        if cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "property"
+                for d in node.decorator_list):
             self.methods_by_name.setdefault(node.name, []).append(qualname)
         del name
 

@@ -1,30 +1,23 @@
-"""Flow-analysis output shaping: findings, baselines, the effects report.
+"""Flow-analysis output shaping: findings and the effects report.
 
-The **effects report** is the purity contract other PRs consume (see
-ROADMAP items 1 and 2): a byte-stable JSON table of the inferred effect
+The **effects report** is the purity contract the fabric and scenario
+lowering rely on: a byte-stable JSON table of the inferred effect
 signature of every function under :data:`~repro.analysis.flow.contracts.
 REPORT_SCOPE`.  It is committed at ``docs/effects-report.json`` and CI
 fails when the committed copy drifts from a fresh run, so purity
 regressions (a helper quietly acquiring IO, a strategy starting to read
 shared state) surface in review rather than as flaky sweeps.
-
-A **baseline** is a previous findings payload (``--format json``
-output); findings matching a baseline entry by ``(code, path,
-function)`` are filtered out, which lets a tree adopt the analyzer
-before paying down every pre-existing finding.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.flow import effects as fx
 from repro.analysis.flow.effects import EffectAnalysis
-from repro.analysis.flow.rules import FLOW_RULES, FlowFinding
+from repro.analysis.flow.rules import FlowFinding
 from repro.analysis.schema import findings_payload
-from repro.analysis.flow import dims as dims_mod
 
 
 # -- findings payloads ---------------------------------------------------------
@@ -49,33 +42,6 @@ def format_flow_text(findings: "Sequence[FlowFinding]",
     return "\n".join(lines)
 
 
-def format_rules() -> str:
-    lines = []
-    for code in sorted(FLOW_RULES):
-        name, summary = FLOW_RULES[code]
-        lines.append(f"{code} {name}: {summary}")
-    return "\n".join(lines)
-
-
-# -- baselines -------------------------------------------------------------------
-
-def load_baseline(path: "str | Path") -> "set[tuple[str, str, str]]":
-    """Baseline keys from a previous ``--format json`` payload."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    keys: "set[tuple[str, str, str]]" = set()
-    for finding in payload.get("findings", ()):
-        keys.add((finding.get("code", ""), finding.get("path", ""),
-                  finding.get("function", "")))
-    return keys
-
-
-def apply_baseline(findings: "Sequence[FlowFinding]",
-                   baseline: "set[tuple[str, str, str]]",
-                   ) -> "list[FlowFinding]":
-    return [f for f in findings
-            if (f.code, f.path, f.function) not in baseline]
-
-
 # -- the effects report ------------------------------------------------------------
 
 def effects_report(analysis: EffectAnalysis) -> dict:
@@ -85,14 +51,7 @@ def effects_report(analysis: EffectAnalysis) -> dict:
         if not qualname.startswith(analysis.contracts.report_scope):
             continue
         signature = analysis.signature(qualname)
-        entry: dict = {
-            "effects": signature,
-            "pure": not signature,
-        }
-        dim = analysis.return_dims.get(qualname)
-        if dim is not None and dim != dims_mod.SCALAR:
-            entry["returns"] = dims_mod.describe(dim)
-        functions[qualname] = entry
+        functions[qualname] = {"effects": signature, "pure": not signature}
     pure_count = sum(1 for e in functions.values() if e["pure"])
     return {
         "version": 1,

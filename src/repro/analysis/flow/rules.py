@@ -5,18 +5,14 @@ reasons about what is reachable over the call graph, not just what a
 single AST node looks like.
 
 ============  =============================================================
-``SF001``     shared mutable state reachable from executor-parallel cells
-``SF002``     RNG stream consumed outside its named-stream owner
 ``SF003``     unordered set/dict-view iteration in code feeding the event
               heap or trace stream
 ``SF004``     effectful code reachable from functions the lowering pass
               assumes pure
-``SF005``     wrong-dimension arithmetic (seconds/bytes/flops) via dataflow
-``SF006``     optional hook/session use unguarded by a None check
 ============  =============================================================
 
 Findings respect the same suppression comments as simlint
-(``# simflow: disable=SF001`` -- see :mod:`repro.analysis.linter`).
+(``# simflow: disable=SF003`` -- see :mod:`repro.analysis.linter`).
 """
 
 from __future__ import annotations
@@ -24,34 +20,17 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.analysis.flow import effects as fx
-from repro.analysis.flow.dimflow import check_function_dims
 from repro.analysis.flow.effects import EffectAnalysis
-from repro.analysis.flow.graph import FunctionInfo, _dotted_name
+from repro.analysis.flow.graph import FunctionInfo
 
 #: code -> (name, summary) catalogue for the ``rules`` subcommand.
 FLOW_RULES = {
-    "SF001": ("parallel-shared-mutation",
-              "mutation of shared module/class state reachable from an "
-              "executor-parallel entry point; worker processes would "
-              "observe each other"),
-    "SF002": ("rng-outside-owner",
-              "random draw whose stream is not an owned named stream "
-              "(parameter, registry.stream(...)/streams(...) local, or "
-              "self.rng); "
-              "competing strategies would desynchronize"),
     "SF003": ("unordered-iteration-to-sink",
               "iteration over a set or dict view, unsorted, inside a "
               "function that feeds the event heap or the trace stream"),
     "SF004": ("assumed-pure-violation",
               "function the lowering/vectorization contract assumes pure "
               "has an inferred effect"),
-    "SF005": ("dimension-mismatch",
-              "arithmetic or call argument mixing seconds/bytes/flop "
-              "dimensions, tracked through assignments and return values"),
-    "SF006": ("unguarded-optional-obs",
-              "use of an optional hooks/session object without a "
-              "preceding None/truthiness guard"),
 }
 
 
@@ -79,12 +58,8 @@ class FlowFinding:
 
 def run_flow_rules(analysis: EffectAnalysis) -> "list[FlowFinding]":
     findings: "list[FlowFinding]" = []
-    findings.extend(_sf001(analysis))
-    findings.extend(_sf002(analysis))
     findings.extend(_sf003(analysis))
     findings.extend(_sf004(analysis))
-    findings.extend(_sf005(analysis))
-    findings.extend(_sf006(analysis))
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
     return findings
 
@@ -93,42 +68,6 @@ def _finding(code: str, info: FunctionInfo, line: int, column: int,
              message: str) -> FlowFinding:
     return FlowFinding(code=code, message=message, path=info.path,
                        line=line, column=column, function=info.qualname)
-
-
-# -- SF001 -------------------------------------------------------------------
-
-def _sf001(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    out: "list[FlowFinding]" = []
-    parents = analysis.reachable_from(analysis.contracts.parallel_roots)
-    for qualname in sorted(parents):
-        info = analysis.index.functions[qualname]
-        for site in analysis.direct.get(qualname, ()):
-            if site.effect != fx.MUTATES_SHARED:
-                continue
-            chain = analysis.chain(parents, qualname)
-            via = " -> ".join(chain)
-            out.append(_finding(
-                "SF001", info, site.line, site.column,
-                f"{site.detail}, reachable from parallel root via {via}; "
-                f"executor workers must not share mutable state"))
-    return out
-
-
-# -- SF002 -------------------------------------------------------------------
-
-def _sf002(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    out: "list[FlowFinding]" = []
-    for qualname in sorted(analysis.index.functions):
-        info = analysis.index.functions[qualname]
-        for site in analysis.direct.get(qualname, ()):
-            if site.effect != fx.CONSUMES_RNG or site.ownership != "unowned":
-                continue
-            out.append(_finding(
-                "SF002", info, site.line, site.column,
-                f"{site.detail}; draws must come from an owned named "
-                f"stream (RngRegistry.stream(...)/streams(...) or an rng "
-                f"parameter)"))
-    return out
 
 
 # -- SF003 -------------------------------------------------------------------
@@ -227,81 +166,3 @@ def _nearest_effect_origin(analysis: EffectAnalysis,
                     nxt.append(callee)
         frontier = sorted(nxt)
     return None
-
-
-# -- SF005 -------------------------------------------------------------------
-
-def _sf005(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    out: "list[FlowFinding]" = []
-    for qualname in sorted(analysis.index.functions):
-        info = analysis.index.functions[qualname]
-        for line, column, message in check_function_dims(
-                analysis.index, info, analysis.return_dims):
-            out.append(_finding("SF005", info, line, column, message))
-    return out
-
-
-# -- SF006 -------------------------------------------------------------------
-
-def _guard_chains(info: FunctionInfo) -> "dict[str, int]":
-    """Dotted chains tested for truthiness/None -> first guarding line."""
-    guards: "dict[str, int]" = {}
-
-    def note(expr: ast.AST, line: int) -> None:
-        for node in ast.walk(expr):
-            dotted = _dotted_name(node)
-            if dotted is not None:
-                guards.setdefault(dotted, line)
-
-    for node in ast.walk(info.node):
-        if isinstance(node, (ast.If, ast.While, ast.Assert, ast.IfExp)):
-            note(node.test, node.lineno)
-        elif isinstance(node, ast.BoolOp):
-            for value in node.values[:-1]:
-                note(value, node.lineno)
-    return guards
-
-
-def _sf006(analysis: EffectAnalysis) -> "list[FlowFinding]":
-    contracts = analysis.contracts
-    out: "list[FlowFinding]" = []
-    for qualname in sorted(analysis.index.functions):
-        info = analysis.index.functions[qualname]
-        mod = analysis.index.modules[info.module]
-        guards = _guard_chains(info)
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            # self.hooks.on_event(...) -- receiver chain ends in an
-            # optional attribute.
-            recv = func.value
-            if (isinstance(recv, ast.Attribute)
-                    and recv.attr in contracts.optional_obs_attrs):
-                chain = _dotted_name(recv)
-                if chain is not None and chain not in guards:
-                    out.append(_finding(
-                        "SF006", info, node.lineno, node.col_offset + 1,
-                        f"call through optional '{chain}' without a "
-                        f"preceding None/truthiness guard"))
-            elif (isinstance(recv, ast.Name)
-                  and recv.id in contracts.optional_obs_attrs
-                  and recv.id not in guards):
-                out.append(_finding(
-                    "SF006", info, node.lineno, node.col_offset + 1,
-                    f"call through optional '{recv.id}' without a "
-                    f"preceding None/truthiness guard"))
-            # active().emit(...) -- chaining on an Optional-returning call.
-            elif isinstance(recv, ast.Call):
-                dotted = _dotted_name(recv.func)
-                resolved = (analysis.index.resolve_name(mod, dotted)
-                            if dotted is not None else None)
-                if resolved in contracts.optional_session_calls:
-                    out.append(_finding(
-                        "SF006", info, node.lineno, node.col_offset + 1,
-                        f"chained call on {resolved}() which returns "
-                        f"ObsSession | None; bind it and guard first"))
-    out.sort(key=lambda f: (f.path, f.line, f.column))
-    return out

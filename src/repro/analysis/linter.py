@@ -3,23 +3,22 @@
 Suppression syntax (checked against the *reported* line; the same
 comments silence the interprocedural :mod:`repro.analysis.flow`
 analyzer, so one directive can mix families --
-``disable=SL003,SF001``):
+``disable=SL005,SF003``):
 
-* ``# simlint: disable=SL003`` -- suppress the listed codes on this line;
-* ``# simlint: disable=SL001,SF005`` -- several codes at once, any family;
+* ``# simlint: disable=SL005`` -- suppress the listed codes on this line;
+* ``# simlint: disable=SL001,SF004`` -- several codes at once, any family;
 * ``# simlint: disable=all`` -- everything on this line;
-* ``# simlint: disable-file=SL003`` -- suppress for the whole file
+* ``# simlint: disable-file=SL005`` -- suppress for the whole file
   (conventionally placed near the top, with a justification comment).
 
 A suppression on any decorator line of a decorated ``def`` / ``class``
 also covers findings reported on the ``def`` line itself (rules that
-anchor to the definition, like SL006, are otherwise unreachable when a
+anchor to the definition, like SF004, are otherwise unreachable when a
 decorator owns the natural comment spot).
 
 Suppressions exist so that a *justified* exception can be recorded in
-place -- e.g. :mod:`repro.load.hyperexp` keeps a private ``heapq`` of
-process departure times that has nothing to do with the simulator's
-event heap.
+place -- e.g. :mod:`repro.load.onoff` builds two throwaway generators to
+verify numpy's geometric sampler; they never feed a simulation.
 """
 
 from __future__ import annotations

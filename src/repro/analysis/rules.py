@@ -1,13 +1,13 @@
 """The built-in ``simlint`` rule set and its registry.
 
-Every rule targets a *real* reproducibility hazard of this codebase: the
-paper's methodology only holds if back-to-back strategy comparisons see
-identical stochastic environments (see the docstring of
-:mod:`repro.simkernel.rng`), which in turn requires that no code path
-draws entropy outside the :class:`~repro.simkernel.rng.RngRegistry`, that
-the event heap's ``(time, priority, sequence)`` ordering stays
-encapsulated in :mod:`repro.simkernel.engine`, and that simulated time is
-never compared with ``==``.
+Every rule targets a reproducibility hazard that the byte-identity gates
+cannot see: the paper's methodology only holds if back-to-back strategy
+comparisons see identical stochastic environments (see the docstring of
+:mod:`repro.simkernel.rng`), which requires that no code path builds or
+draws a random stream outside the
+:class:`~repro.simkernel.rng.RngRegistry`, that simulated time is never
+compared with ``==``, and that quantities carry their
+:mod:`repro.units` names.
 
 A rule is a subclass of :class:`Rule` registered with :func:`register`.
 Rules declare the AST node types they want to inspect; the linter in
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -69,21 +69,8 @@ class LintContext:
     # -- facts ----------------------------------------------------------
 
     @property
-    def is_engine_module(self) -> bool:
-        """Whether this file is the one place allowed to touch the heap."""
-        return self.path.endswith("simkernel/engine.py")
-
-    @property
     def is_units_module(self) -> bool:
         return self.path.endswith("repro/units.py")
-
-    @property
-    def imports_simkernel(self) -> bool:
-        """Whether the module imports any simulation-kernel layer."""
-        modules = list(self.module_imports.values()) + list(
-            self.from_imports.values())
-        return any(m.startswith(("repro.simkernel", "repro.smpi", "repro.swap"))
-                   for m in modules)
 
     # -- name resolution ------------------------------------------------
 
@@ -146,151 +133,38 @@ def all_rules() -> "list[Rule]":
     return list(REGISTRY.values())
 
 
-def _function_local_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested scopes."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 # ---------------------------------------------------------------------------
-# SL001 -- wall-clock / ambient-entropy calls
+# SL001 -- random streams outside the registry
 # ---------------------------------------------------------------------------
 
-#: Calls that read the host clock or ambient entropy; any of these inside
-#: simulation code silently breaks run-to-run reproducibility.
-_WALL_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-    "uuid.uuid1", "uuid.uuid4", "os.urandom", "os.getrandom",
-})
+#: Module prefixes whose *every* callable draws, seeds or builds a stream
+#: outside the registry: ``numpy.random.default_rng(7)`` is as much an
+#: unowned stream as ``random.random()``, seeded or not.
+_ENTROPY_PREFIXES = ("random.", "numpy.random.")
 
-#: Module prefixes whose *every* callable is an unregistered entropy source.
-_ENTROPY_PREFIXES = ("random.", "secrets.", "numpy.random.")
-
-#: numpy.random callables that are fine when given an explicit seed / spec.
-_SEEDABLE = frozenset({"numpy.random.default_rng", "numpy.random.SeedSequence",
-                       "numpy.random.Generator", "numpy.random.PCG64",
-                       "numpy.random.Philox", "numpy.random.SFC64"})
+#: The registry and its seeding helper: the only modules that may build
+#: numpy generators, bit generators and seed sequences.
+_REGISTRY_MODULES = ("simkernel/rng.py", "simkernel/_seedseq.py")
 
 
 @register
-class WallClockRule(Rule):
-    """Nondeterministic time / RNG source used outside the RngRegistry."""
+class RngOutsideRegistryRule(Rule):
+    """A random stream built or drawn outside the RngRegistry."""
 
     code = "SL001"
-    name = "wall-clock-or-ambient-entropy"
-    summary = ("calls that read the host clock or draw entropy outside "
-               "RngRegistry (time.time, datetime.now, random.*, unseeded "
-               "numpy.random.default_rng, ...)")
+    name = "rng-outside-registry"
+    summary = ("calls that build or draw a random stream outside "
+               "RngRegistry (random.*, any numpy.random generator, "
+               "seeded or not)")
     node_types = (ast.Call,)
 
     def check(self, node: ast.Call, ctx: LintContext) -> Iterable[Finding]:
         qual = ctx.qualified_name(node.func)
-        if qual is None:
-            return
-        if qual in _WALL_CLOCK_CALLS:
-            yield self.finding(ctx, node, (
-                f"call to {qual}() is nondeterministic across runs; "
-                f"simulated time lives on Simulator.now and entropy on "
-                f"RngRegistry"))
-            return
-        if qual in _SEEDABLE:
-            if not node.args and not node.keywords:
-                yield self.finding(ctx, node, (
-                    f"{qual}() without a seed draws OS entropy; derive the "
-                    f"stream from RngRegistry instead"))
-            return
-        if qual.startswith(_ENTROPY_PREFIXES):
+        if (qual is not None and qual.startswith(_ENTROPY_PREFIXES)
+                and not ctx.path.endswith(_REGISTRY_MODULES)):
             yield self.finding(ctx, node, (
                 f"call to {qual}() bypasses RngRegistry; competing "
                 f"strategies would no longer see identical environments"))
-
-
-# ---------------------------------------------------------------------------
-# SL002 -- simkernel coroutine discipline
-# ---------------------------------------------------------------------------
-
-@register
-class CoroutineDisciplineRule(Rule):
-    """Simulation coroutines must yield Events and never return from a
-    ``try`` whose ``finally`` re-yields."""
-
-    code = "SL002"
-    name = "sim-coroutine-discipline"
-    summary = ("sim coroutines yielding plain constants (never Events), or "
-               "returning inside a try whose finally yields again")
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def check(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.imports_simkernel:
-            return
-        local = list(_function_local_nodes(node))
-        yields = [n for n in local if isinstance(n, (ast.Yield, ast.YieldFrom))]
-        if not yields:
-            return
-        for y in yields:
-            if isinstance(y, ast.Yield) and isinstance(y.value, ast.Constant):
-                yield self.finding(ctx, y, (
-                    f"yield of constant {y.value.value!r} in a simulation "
-                    f"coroutine; processes may only yield Events"))
-        for t in local:
-            if not isinstance(t, ast.Try) or not t.finalbody:
-                continue
-            finally_yields = any(
-                isinstance(n, (ast.Yield, ast.YieldFrom))
-                for stmt in t.finalbody for n in [stmt, *ast.walk(stmt)]
-                if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.Lambda)))
-            if not finally_yields:
-                continue
-            for stmt in t.body + [h for hd in t.handlers for h in hd.body]:
-                for n in [stmt, *ast.walk(stmt)]:
-                    if isinstance(n, ast.Return):
-                        yield self.finding(ctx, n, (
-                            "return inside try whose finally yields: the "
-                            "kernel cannot resume a returning coroutine, so "
-                            "the finally-yield deadlocks the process"))
-                        break
-
-
-# ---------------------------------------------------------------------------
-# SL003 -- event-heap encapsulation
-# ---------------------------------------------------------------------------
-
-@register
-class HeapEncapsulationRule(Rule):
-    """Only ``simkernel.engine`` may touch heapq / the event heap."""
-
-    code = "SL003"
-    name = "heap-encapsulation"
-    summary = ("direct heapq use or Simulator._heap access outside "
-               "simkernel.engine, which can break (time, priority, seq) "
-               "total ordering")
-    node_types = (ast.Attribute, ast.Call)
-
-    def check(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
-        if ctx.is_engine_module:
-            return
-        if isinstance(node, ast.Attribute) and node.attr == "_heap":
-            yield self.finding(ctx, node, (
-                "direct access to the simulator's _heap; event ordering is "
-                "an engine invariant -- go through Simulator methods"))
-        elif isinstance(node, ast.Call):
-            qual = ctx.qualified_name(node.func)
-            if qual is not None and qual.startswith("heapq."):
-                yield self.finding(ctx, node, (
-                    f"{qual}() outside simkernel.engine; keep heap ordering "
-                    f"logic in the engine (or suppress with a justification "
-                    f"if this heap is unrelated to the event loop)"))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +215,8 @@ _UNIT_LITERALS = {
              "(bytes/s)",
     1 << 20: "units.MIB",
     1 << 30: "units.GIB",
-    3600: "units.HOUR",          # simlint: disable=SL005 (rule table)
-    86400: "24 * units.HOUR",    # simlint: disable=SL005 (rule table)
+    3600: "units.HOUR",
+    86400: "24 * units.HOUR",
     # Rates that appear in platform/app specs (100e6, 300e6, ...).
     100 * 10 ** 6: "100 * units.MFLOPS (flop/s) or 100 * units.MB_S "
                    "(bytes/s)",
@@ -373,71 +247,3 @@ class RawUnitLiteralRule(Rule):
             yield self.finding(ctx, node, (
                 f"raw unit literal {value!r}; use {suggestion} so call "
                 f"sites read like the paper"))
-
-
-# ---------------------------------------------------------------------------
-# SL006 -- shared mutable state
-# ---------------------------------------------------------------------------
-
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                     ast.SetComp)
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray",
-                            "collections.deque", "collections.defaultdict"})
-
-
-def _is_mutable_value(node: "ast.AST | None", ctx: LintContext) -> bool:
-    if node is None:
-        return False
-    if isinstance(node, _MUTABLE_LITERALS):
-        return True
-    if isinstance(node, ast.Call):
-        qual = ctx.qualified_name(node.func)
-        return qual in _MUTABLE_CALLS
-    return False
-
-
-@register
-class MutableSharedStateRule(Rule):
-    """Mutable defaults / class attributes leak state across runs."""
-
-    code = "SL006"
-    name = "mutable-shared-state"
-    summary = ("mutable default arguments and class-level mutable literals; "
-               "state shared across strategy runs destroys back-to-back "
-               "comparability")
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-    def check(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                if _is_mutable_value(default, ctx):
-                    yield self.finding(ctx, default, (
-                        f"mutable default argument in {node.name}(); the "
-                        f"same object is shared by every call -- default to "
-                        f"None and create inside"))
-        else:
-            assert isinstance(node, ast.ClassDef)
-            decorators = {ctx.qualified_name(d) or "" for d in node.decorator_list
-                          } | {ctx.qualified_name(d.func) or ""
-                               for d in node.decorator_list
-                               if isinstance(d, ast.Call)}
-            if any(d.endswith("dataclass") for d in decorators):
-                # Field defaults are validated by dataclasses itself
-                # (mutable defaults raise at class-creation time).
-                return
-            for stmt in node.body:
-                targets: "list[ast.AST]" = []
-                value: "ast.AST | None" = None
-                if isinstance(stmt, ast.Assign):
-                    targets, value = stmt.targets, stmt.value
-                elif isinstance(stmt, ast.AnnAssign):
-                    targets, value = [stmt.target], stmt.value
-                if value is not None and _is_mutable_value(value, ctx):
-                    names = ", ".join(t.id for t in targets
-                                      if isinstance(t, ast.Name))
-                    yield self.finding(ctx, value, (
-                        f"class-level mutable attribute "
-                        f"{names or '<attribute>'} on {node.name}; every "
-                        f"instance shares it -- initialize in __init__"))

@@ -1,9 +1,9 @@
 """The shared finding schema of every ``repro.analysis`` family.
 
-All four analyzer families -- the per-file AST linter (``SL``), the
-runtime sanitizer (``SZ``), the trace invariant linter (``TL``), and the
-interprocedural flow analyzer (``SF``) -- report through one JSON shape
-so CI gates and baselines can treat them interchangeably:
+All three analyzer families -- the per-file AST linter (``SL``), the
+trace invariant linter (``TL``), and the interprocedural flow analyzer
+(``SF``) -- report through one JSON shape so CI gates can treat them
+interchangeably:
 
 * a *finding* is ``{"code", "message", "path", "line", "column"}`` plus
   optional family extras (flow findings add ``"function"``);
@@ -17,7 +17,6 @@ error.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Sequence
 
 #: Schema version of the payload produced by :func:`findings_payload`.
@@ -42,7 +41,3 @@ def findings_payload(tool: str, findings: Sequence[Any],
     payload["counts_by_code"] = dict(sorted(counts.items()))
     payload["findings"] = [f.to_dict() for f in findings]
     return payload
-
-
-def format_payload(payload: dict) -> str:
-    return json.dumps(payload, indent=2)

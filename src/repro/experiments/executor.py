@@ -159,6 +159,47 @@ def compute_cell(spec: ExperimentSpec, x: float, seed: int, *,
                                if session is not None else {}))
 
 
+#: What a fresh interpreter runs to load the whole model: one traced cell
+#: of every scenario, then a mechanism-level swap runtime job.
+_MODEL_PROBE = """
+import sys
+from repro.experiments.executor import compute_cell
+from repro.experiments.scenarios import ALL_SCENARIOS, get_scenario
+from repro.load.onoff import OnOffLoadModel
+from repro.platform.cluster import make_platform
+from repro.swap.runtime import SwapRuntime
+from repro.units import MFLOPS
+for name in sorted(ALL_SCENARIOS):
+    spec = get_scenario(name)
+    compute_cell(spec, spec.x_values[0], 0, instrument=True)
+platform = make_platform(4, OnOffLoadModel(p=0.3, q=0.08), seed=0,
+                         horizon=100.0)
+SwapRuntime(platform, n_active=2, chunk_flops=100 * MFLOPS,
+            use_nws_bank=True).run_iterative(2)
+print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))
+"""
+
+
+def model_modules() -> "tuple[str, ...]":
+    """The model closure: every ``repro`` module a fresh interpreter
+    loads to compute a traced cell of each scenario and to run the
+    mechanism-level swap runtime, sorted.
+
+    Everything that can change a simulated number or a traced byte is in
+    it; the fabric, the runtime plane, the CLIs and the analyzers are
+    not.  The static analyzers' self-check lints exactly this set.
+    """
+    import subprocess
+    import sys
+
+    root = str(Path(__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _MODEL_PROBE], check=True,
+                         env=env, capture_output=True, text=True).stdout
+    return tuple(out.split())
+
+
 # -- content addressing -----------------------------------------------------
 
 
@@ -307,7 +348,7 @@ class CellCache:
         partition = self._partition(scenario)
         partition.mkdir(parents=True, exist_ok=True)
         while True:
-            name = f"{os.getpid()}-{os.urandom(4).hex()}.seg"  # simlint: disable=SL001 (segment file name, never a simulation draw)
+            name = f"{os.getpid()}-{os.urandom(4).hex()}.seg"
             try:
                 return os.open(partition / name,
                                os.O_WRONLY | os.O_CREAT | os.O_EXCL
@@ -636,7 +677,7 @@ def sweep_envelope(spec: ExperimentSpec,
             runtime_dir, progress=progress, total_cells=cells_total,
             role="executor" if mode == "pool" else "coordinator",
             progress_stream=progress_stream)
-    started = time.perf_counter()  # simlint: disable=SL001 (perf record of the host run, not simulated time)
+    started = time.perf_counter()
     fold = SweepFold(spec, seed_list, obs_session)
     cache = (CellCache(cache_dir, telemetry=telemetry)
              if cache_dir is not None else None)
@@ -662,7 +703,7 @@ def sweep_envelope(spec: ExperimentSpec,
     finally:
         if cache is not None:
             cache.close()
-    wall = time.perf_counter() - started  # simlint: disable=SL001 (perf record of the host run, not simulated time)
+    wall = time.perf_counter() - started
     stats = wall_stats(fold.walls)
     timing = SweepTiming(
         scenario=spec.name, jobs=jobs, wall_time=wall,
@@ -691,12 +732,12 @@ def _compute_in_process(fold: SweepFold, pending: "list[PendingCell]",
             pending, start=fold.total - len(pending) + 1):
         # Wall time feeds the per-cell percentiles of SweepTiming and
         # the runtime plane, never the deterministic CellResult.
-        cell_started = time.perf_counter()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+        cell_started = time.perf_counter()
         try:
             cell = compute_cell(spec, x, seed, instrument=instrument)
         except Exception as exc:
             raise cell_failure(spec, x, seed, exc) from exc
-        wall = time.perf_counter() - cell_started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+        wall = time.perf_counter() - cell_started
         if telemetry is not None:
             telemetry.event("cell.compute", t=telemetry.now() - wall,
                             dur=wall, xi=xi, si=si, x=x, seed=seed)

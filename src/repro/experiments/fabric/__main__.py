@@ -52,7 +52,7 @@ def main(argv: "list[str] | None" = None) -> int:
                              "binds")
     args = parser.parse_args(argv)
 
-    deadline = time.monotonic() + args.retry_for  # simlint: disable=SL001 (CLI retry deadline, host time)
+    deadline = time.monotonic() + args.retry_for
     try:
         while True:
             try:
@@ -63,7 +63,7 @@ def main(argv: "list[str] | None" = None) -> int:
             except FabricError as exc:
                 unreachable = "cannot reach coordinator" in str(exc)
                 if not unreachable \
-                        or time.monotonic() >= deadline:  # simlint: disable=SL001 (CLI retry deadline, host time)
+                        or time.monotonic() >= deadline:
                     raise
                 time.sleep(0.1)
     except (FabricError, OSError) as exc:

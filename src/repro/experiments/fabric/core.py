@@ -335,7 +335,7 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                 send(REQUEST_WORK)
                 requested = True
             x, seed = cell["x"], cell["seed"]
-            compute_started = time.monotonic()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+            compute_started = time.monotonic()
             try:
                 result = compute_cell(spec, x, seed, instrument=instrument)
             except Exception as exc:
@@ -345,16 +345,16 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                 log("cell.failed", lease=lease_id, xi=cell["xi"],
                     si=cell["si"], error=type(exc).__name__)
                 continue
-            wall = time.monotonic() - compute_started  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+            wall = time.monotonic() - compute_started
             cells_done += 1
             log("cell.compute", t=compute_started, dur=wall,
                 xi=cell["xi"], si=cell["si"], x=x, seed=seed)
-            serialize_started = time.monotonic()  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+            serialize_started = time.monotonic()
             send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
                  si=cell["si"], x=x, seed=seed, ok=True,
                  cell=result.to_payload(), wall_s=wall)
             log("cell.serialize", t=serialize_started,
-                dur=time.monotonic() - serialize_started,  # simlint: disable=SL001 (runtime-plane wall time, never simulated)
+                dur=time.monotonic() - serialize_started,
                 xi=cell["xi"], si=cell["si"])
     except (ChannelClosed, _ChaosTriggered):
         log("worker.channel_closed", cells_done=cells_done)
@@ -503,7 +503,7 @@ class ProcessTransport:
             worker_id=config.worker_id, channel=_PipeChannel(parent_conn),
             waitable=parent_conn, is_alive=process.is_alive, kill=kill,
             join=lambda timeout: process.join(timeout),
-            started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
+            started=time.monotonic())
 
     def poll_peers(self) -> "list[tuple[object, Envelope]]":
         return []
@@ -581,16 +581,16 @@ class TcpTransport:
         # nonce that travels only through the process args -- a remote
         # token-holder claiming the same worker id cannot steal the
         # slot (and with it the process handle) during the wait below.
-        nonce = secrets.token_hex(16)  # simlint: disable=SL001,SF002 (launch-proof secret, not a simulation draw)
+        nonce = secrets.token_hex(16)
         process = multiprocessing.Process(
             target=_tcp_worker_entry,
             args=(self.address, self.handshake.token, spec, instrument,
                   config, nonce),
             name=f"fabric-{config.worker_id}", daemon=True)
         process.start()
-        deadline = time.monotonic() + 10.0  # simlint: disable=SL001 (transport timeout, host time)
+        deadline = time.monotonic() + 10.0
         channel: "_SocketChannel | None" = None
-        while channel is None and time.monotonic() < deadline:  # simlint: disable=SL001 (transport timeout, host time)
+        while channel is None and time.monotonic() < deadline:
             for peer, hello in self.poll_peers():
                 if (channel is None
                         and hello.payload.get("nonce") == nonce):
@@ -615,7 +615,7 @@ class TcpTransport:
             worker_id=config.worker_id, channel=channel, waitable=channel,
             is_alive=process.is_alive, kill=kill,
             join=lambda timeout: process.join(timeout),
-            started=time.monotonic())  # simlint: disable=SL001 (worker-lifetime accounting, host time)
+            started=time.monotonic())
 
     def poll_peers(self) -> "list[tuple[_SocketChannel, Envelope]]":
         """Non-blocking admission pump: accept, gate, return the worthy.
@@ -626,7 +626,7 @@ class TcpTransport:
         (``launch`` for its own spawn, the coordinator's
         ``_adopt_remote`` for late joiners).
         """
-        now = time.monotonic()  # simlint: disable=SL001 (handshake deadline, host time)
+        now = time.monotonic()
         while True:
             try:
                 conn, _ = self._listener.accept()
@@ -789,7 +789,7 @@ class Coordinator:
             return ProcessTransport()
         handshake = HandshakeInfo(
             token=self.config.token
-            or secrets.token_hex(16),  # simlint: disable=SL001,SF002 (handshake shared secret, not a simulation draw)
+            or secrets.token_hex(16),
             scenario=self.spec.name,
             fingerprint=self.spec.fingerprint(),
             instrument=self.instrument,

@@ -303,10 +303,10 @@ class _SocketChannel:
         if env is not None:
             return env
         deadline = (None if timeout is None
-                    else time.monotonic() + timeout)  # simlint: disable=SL001 (transport timeout, host time)
+                    else time.monotonic() + timeout)
         while True:
             remaining = (0.05 if deadline is None
-                         else deadline - time.monotonic())  # simlint: disable=SL001 (transport timeout, host time)
+                         else deadline - time.monotonic())
             if deadline is not None and remaining <= 0:
                 return None
             self._pump(max(0.0, remaining))

@@ -126,7 +126,7 @@ class LoadTrace:
         # The stale kernel is kept: its epoch mismatch marks it for an
         # incremental tail extension on the next kernel() call.
         self._epoch += 1
-        _MUTATIONS[0] += 1  # simflow: disable=SF001 (coherence counter)
+        _MUTATIONS[0] += 1
 
     def append_segments(self, pairs: "Sequence[tuple[float, int]]") -> None:
         """Append many ``(end_time, value)`` segments in one mutation.
@@ -158,7 +158,7 @@ class LoadTrace:
             horizon = end_time
         self._horizon = horizon
         self._epoch += 1
-        _MUTATIONS[0] += 1  # simflow: disable=SF001 (coherence counter)
+        _MUTATIONS[0] += 1
 
     def _append_run(self, end_times: "list[float]",
                     values: "list[int]") -> None:
@@ -183,7 +183,7 @@ class LoadTrace:
             vals.extend(values)
         self._horizon = times[-1]
         self._epoch += 1
-        _MUTATIONS[0] += 1  # simflow: disable=SF001 (coherence counter)
+        _MUTATIONS[0] += 1
 
     def _ensure(self, t: float) -> None:
         if t < self._horizon:

@@ -96,12 +96,12 @@ class HyperexponentialLoadModel(LoadModel):
                 if next_departure <= state["next_arrival"]:
                     # This heap orders *lifetime departures* local to one
                     # load source; it never touches the event loop.
-                    heapq.heappop(departures)  # simlint: disable=SL003
+                    heapq.heappop(departures)
                 else:
                     arrival = state["next_arrival"]
                     life = self._lifetime(rng)
                     if life > 0.0:
-                        heapq.heappush(departures, arrival + life)  # simlint: disable=SL003
+                        heapq.heappush(departures, arrival + life)
                     state["next_arrival"] = arrival + float(
                         rng.exponential(1.0 / self.arrival_rate))
 

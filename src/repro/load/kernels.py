@@ -815,7 +815,7 @@ class RateView(dict):
                 count_kernel_events(computed)
                 computed = 0
                 while heap and -heap[0][0] > bound:
-                    rate, k = heappop(heap)  # simlint: disable=SL003
+                    rate, k = heappop(heap)
                     rate = -rate
                     if rate <= 0.0:
                         raise PolicyError(f"non-positive rate {rate} for "
@@ -849,7 +849,7 @@ class RateView(dict):
             lower = cum[c] + (t0 - times[c]) / dens[c]
             rate = speed * ((upper - lower) / span)
             computed += 1
-            heappush(heap, (-rate, k))  # simlint: disable=SL003
+            heappush(heap, (-rate, k))
             if rate > top:
                 top = rate
 

@@ -101,11 +101,11 @@ def observing(session: ObsSession) -> Iterator[ObsSession]:
     # The ambient session is per-process by design: each executor worker
     # activates its own session inside its own interpreter, and the
     # parent merges trace files afterwards.
-    _ACTIVE = session  # simflow: disable=SF001
+    _ACTIVE = session
     try:
         yield session
     finally:
-        _ACTIVE = previous  # simflow: disable=SF001
+        _ACTIVE = previous
 
 
 def emitted_total() -> int:
@@ -121,7 +121,7 @@ def emit(kind: str, t: float, **fields: Any) -> None:
         return
     session.trace.emit(kind, t, **fields)
     # Per-process diagnostics counter, never read by sim logic.
-    _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+    _EMITTED_TOTAL[0] += 1
 
 
 def count(name: str, amount: float = 1.0) -> None:
@@ -174,7 +174,7 @@ def emit_decision(t: float, *, source: str, iteration: int, policy: str,
         rejected_reason=decision.rejected_reason,
         moves=moves, gates=[g.to_record() for g in decision.gates])
     # Per-process diagnostics counter, never read by sim logic.
-    _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+    _EMITTED_TOTAL[0] += 1
     metrics = session.metrics
     metrics.counter("decision.epochs_total").inc()
     metrics.counter("decision.gates_evaluated_total").inc(
@@ -204,7 +204,7 @@ def emit_check(t: float, *, source: str, iteration: int, policy: str,
         accepted=check.accepted, rejected_reason=check.reason,
         app_improvement=check.app_improvement, payback=check.payback)
     # Per-process diagnostics counter, never read by sim logic.
-    _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+    _EMITTED_TOTAL[0] += 1
     metrics = session.metrics
     metrics.counter("decision.epochs_total").inc()
     if check.accepted:
@@ -322,7 +322,7 @@ class SessionSink(RecordSink):
                              active)
         self._iterations.value += 1.0
         # Per-process diagnostics counter, never read by sim logic.
-        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        _EMITTED_TOTAL[0] += 1
 
     def decision(self, t, source, iteration, policy, decision, active,
                  spares):
@@ -356,7 +356,7 @@ class SessionSink(RecordSink):
                        accepted=bool(moves), rejected_reason=reason,
                        moves=moved, gates=gates)
         # Per-process diagnostics counter, never read by sim logic.
-        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        _EMITTED_TOTAL[0] += 1
         counts = self._counts
         counts["decision.epochs_total"].value += 1.0
         counts["decision.gates_evaluated_total"].value += len(gates)
@@ -392,7 +392,7 @@ class SessionSink(RecordSink):
                        cost=cost, accepted=accepted, rejected_reason=reason,
                        app_improvement=gain, payback=payback)
         # Per-process diagnostics counter, never read by sim logic.
-        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        _EMITTED_TOTAL[0] += 1
         counts = self._counts
         counts["decision.epochs_total"].value += 1.0
         if accepted:
@@ -419,7 +419,7 @@ class SessionSink(RecordSink):
             trace.emit("rebalance", t, source=source, iteration=iteration,
                        chunks=chunks, rates=rates)
         # Per-process diagnostics counter, never read by sim logic.
-        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        _EMITTED_TOTAL[0] += 1
         self._counts["dlb.rebalances_total"].value += 1.0
 
     def record(self, kind, t, source, iteration, fields):
@@ -433,7 +433,7 @@ class SessionSink(RecordSink):
             trace.emit(kind, t, source=source, iteration=iteration,
                        **fields)
         # Per-process diagnostics counter, never read by sim logic.
-        _EMITTED_TOTAL[0] += 1  # simflow: disable=SF001
+        _EMITTED_TOTAL[0] += 1
 
     def count(self, name, amount=1.0):
         self._counts[name].inc(amount)

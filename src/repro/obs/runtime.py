@@ -49,10 +49,6 @@ host); the timeline exporter uses the (``t``, ``unix``) anchor pair to
 align files recorded by processes with different monotonic epochs.
 """
 
-# This module *is* the wall-clock plane: every clock read below is
-# deliberate and never observable by simulation code.
-# simlint: disable-file=SL001
-
 from __future__ import annotations
 
 import json
@@ -312,13 +308,13 @@ def fleet_timeline(spans: SpanSet) -> dict:
         args = {k: v for k, v in record.items()
                 if k not in ("kind", "t", "dur", "pid", "role", "worker",
                              "seq")}
-        ts = (t - base) * 1e6  # simlint: disable=SL005 (seconds -> trace microseconds)
+        ts = (t - base) * 1e6
         common = {"name": str(record["kind"]), "cat": "runtime",
                   "pid": pids[track], "tid": 0, "ts": ts, "args": args}
         dur = record.get("dur")
         if isinstance(dur, (int, float)):
             events.append({"ph": "X",
-                           "dur": float(dur) * 1e6,  # simlint: disable=SL005 (seconds -> trace microseconds)
+                           "dur": float(dur) * 1e6,
                            **common})
         else:
             events.append({"ph": "i", "s": "t", **common})

@@ -15,8 +15,7 @@ Public API
   -- waitable events.
 * :class:`~repro.simkernel.process.Process`,
   :class:`~repro.simkernel.process.Interrupt` -- coroutine processes.
-* :class:`~repro.simkernel.resources.Resource`,
-  :class:`~repro.simkernel.resources.Store`,
+* :class:`~repro.simkernel.resources.Store`,
   :class:`~repro.simkernel.resources.Mailbox` -- synchronization.
 * :class:`~repro.simkernel.rng.RngRegistry` -- named, reproducible random
   number streams.
@@ -25,7 +24,7 @@ Public API
 from repro.simkernel.engine import Simulator
 from repro.simkernel.events import AllOf, AnyOf, Event, Timeout
 from repro.simkernel.process import Interrupt, Process
-from repro.simkernel.resources import Mailbox, Resource, Store
+from repro.simkernel.resources import Mailbox, Store
 from repro.simkernel.rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "Interrupt",
     "Mailbox",
     "Process",
-    "Resource",
     "RngRegistry",
     "Simulator",
     "Store",

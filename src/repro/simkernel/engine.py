@@ -54,7 +54,7 @@ def count_kernel_events(n: int) -> None:
     answer.  Counting them here gives the sweep benchmarks one
     throughput number covering both simulation styles.
     """
-    _EVENTS_TOTAL[0] += n  # simflow: disable=SF001 (diagnostics counter)
+    _EVENTS_TOTAL[0] += n
 
 
 class Simulator:
@@ -134,7 +134,7 @@ class Simulator:
             callback(event)
         self.processed_events += 1
         # Per-process diagnostics counter, never read by sim logic.
-        _EVENTS_TOTAL[0] += 1  # simflow: disable=SF001
+        _EVENTS_TOTAL[0] += 1
         if not event.ok and not event._defused:
             exc = event.value
             raise exc
@@ -164,46 +164,36 @@ class Simulator:
                 raise SchedulingError(
                     f"cannot run until t={until_time} < now={self._now}")
 
-        if type(self).step is Simulator.step:
-            # Inlined hot loop: the heap and per-event counters are bound
-            # to locals and flushed once, instead of attribute traffic on
-            # every event.  Subclasses that override step() (the runtime
-            # sanitizer) keep the dispatching loop below.
-            heap = self._heap
-            hooks = self.hooks
-            processed = 0
-            try:
-                while heap:
-                    if until_event is not None and until_event.processed:
-                        return until_event.value
-                    when, _prio, seq, event = heap[0]
-                    if when > until_time:
-                        self._now = until_time
-                        return None
-                    _heappop(heap)
-                    if when < self._now:  # pragma: no cover - defensive
-                        raise SimulationError("event scheduled in the past")
-                    self._now = when
-                    if hooks is not None:
-                        hooks.event_fired(when, seq, type(event).__name__)
-                    callbacks, event.callbacks = event.callbacks, None
-                    assert callbacks is not None
-                    for callback in callbacks:
-                        callback(event)
-                    processed += 1
-                    if not event.ok and not event._defused:
-                        raise event.value
-            finally:
-                self.processed_events += processed
-                _EVENTS_TOTAL[0] += processed  # simflow: disable=SF001
-        else:
-            while self._heap:
+        # Inlined hot loop: the heap and per-event counters are bound to
+        # locals and flushed once, instead of attribute traffic on every
+        # event.
+        heap = self._heap
+        hooks = self.hooks
+        processed = 0
+        try:
+            while heap:
                 if until_event is not None and until_event.processed:
                     return until_event.value
-                if self._heap[0][0] > until_time:
+                when, _prio, seq, event = heap[0]
+                if when > until_time:
                     self._now = until_time
                     return None
-                self.step()
+                _heappop(heap)
+                if when < self._now:  # pragma: no cover - defensive
+                    raise SimulationError("event scheduled in the past")
+                self._now = when
+                if hooks is not None:
+                    hooks.event_fired(when, seq, type(event).__name__)
+                callbacks, event.callbacks = event.callbacks, None
+                assert callbacks is not None
+                for callback in callbacks:
+                    callback(event)
+                processed += 1
+                if not event.ok and not event._defused:
+                    raise event.value
+        finally:
+            self.processed_events += processed
+            _EVENTS_TOTAL[0] += processed
 
         if until_event is not None:
             if until_event.processed:

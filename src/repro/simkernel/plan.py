@@ -67,11 +67,11 @@ def disable_lowering() -> Iterator[None]:
     binding on the generic per-host call chain -- the reference the
     microbenchmarks compare lowered scenarios against.
     """
-    _DISABLED[0] += 1  # simflow: disable=SF001 (process-local toggle)
+    _DISABLED[0] += 1
     try:
         yield
     finally:
-        _DISABLED[0] -= 1  # simflow: disable=SF001 (process-local toggle)
+        _DISABLED[0] -= 1
 
 
 def lowering_enabled() -> bool:

@@ -1,7 +1,5 @@
 """Synchronization primitives built on the event kernel.
 
-* :class:`Resource` -- a counted semaphore with a FIFO wait queue
-  (models exclusive access to, e.g., a shared medium token).
 * :class:`Store` -- an unbounded FIFO buffer of items with blocking gets.
 * :class:`Mailbox` -- a :class:`Store` whose gets can filter on a
   predicate; this is the substrate for simulated MPI message matching
@@ -13,75 +11,10 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import SimulationError
 from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simkernel.engine import Simulator
-
-
-class Request(Event):
-    """Pending acquisition of a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._dispatch()
-
-    def cancel(self) -> None:
-        """Withdraw an un-granted request from the queue."""
-        if not self.triggered and self in self.resource._queue:
-            self.resource._queue.remove(self)
-
-
-class Resource:
-    """A counted resource with FIFO granting.
-
-    Parameters
-    ----------
-    sim:
-        Owning simulator.
-    capacity:
-        Number of simultaneous holders (>= 1).
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = int(capacity)
-        self._in_use = 0
-        self._queue: deque[Request] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
-    def request(self) -> Request:
-        """Ask for a slot; yield the returned event to wait for it."""
-        return Request(self)
-
-    def release(self) -> None:
-        """Return a previously granted slot."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching granted request")
-        self._in_use -= 1
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._queue and self._in_use < self.capacity:
-            request = self._queue.popleft()
-            self._in_use += 1
-            request.succeed(self)
 
 
 class _Get(Event):

@@ -1,8 +1,8 @@
-"""The fixture's executor-parallel entry point.
+"""The fixture's cell entry point.
 
 ``compute`` reaches :func:`flowfixtures.state.remember` (a shared-state
-mutation, SF001) and iterates a set literal on its way into the schedule
-sink (SF003).
+mutation the effect inference must see) and iterates a set literal on
+its way into the schedule sink (SF003).
 """
 
 from flowfixtures import kernel, state

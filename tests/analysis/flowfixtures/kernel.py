@@ -11,11 +11,6 @@ class Sim:
         self._pending.append((self.now + delay, event))
 
 
-def active():
-    """The fixture's optional-session accessor (returns None here)."""
-    return None
-
-
 def emit(kind, t):
     """The fixture contracts name this as the trace sink."""
     return (kind, t)

@@ -1,4 +1,5 @@
-"""One unowned draw (SF002) next to a properly owned one (clean)."""
+"""A module-level draw and a draw from a stream parameter: both
+``consumes-rng-stream``."""
 
 import random
 

@@ -1,4 +1,4 @@
-"""Shared mutable module state (the SF001 target)."""
+"""Shared mutable module state (inferred as ``mutates-shared-state``)."""
 
 CACHE = {}
 

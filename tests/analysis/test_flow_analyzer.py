@@ -6,17 +6,15 @@ Three layers of coverage:
   ``tests/analysis/flowfixtures`` and stays quiet on the adjacent clean
   code;
 * golden effect signatures for the kernel, a strategy, and the executor
-  -- the purity contract the fabric/vectorization PRs consume;
+  -- the purity contract the fabric and scenario lowering rely on;
 * the committed effects report (``docs/effects-report.json``) matches a
   fresh run byte-for-byte.
 """
 
 import textwrap
 
-from repro.analysis.flow import (analyze_package, apply_baseline,
-                                 effects_report, flow_payload,
-                                 format_effects_report, load_baseline)
-from repro.analysis.flow import dims
+from repro.analysis.flow import (analyze_package, effects_report,
+                                 format_effects_report)
 from repro.analysis.flow.contracts import FlowContracts
 
 from tests.analysis.conftest import REPO_ROOT
@@ -33,40 +31,7 @@ def _by_code(result, code):
 # -- every rule fires on the fixture package ---------------------------------
 
 def test_every_sf_rule_fires_on_fixture(fixture_flow):
-    assert _codes(fixture_flow) == ["SF001", "SF002", "SF003", "SF004",
-                                    "SF005", "SF006"]
-
-
-def test_sf001_names_the_parallel_chain(fixture_flow):
-    (finding,) = _by_code(fixture_flow, "SF001")
-    assert finding.function == "flowfixtures.state.remember"
-    assert "CACHE" in finding.message
-    assert ("flowfixtures.cells.compute -> flowfixtures.state.remember"
-            in finding.message)
-
-
-def test_sf002_flags_only_the_unowned_draw(fixture_flow):
-    (finding,) = _by_code(fixture_flow, "SF002")
-    assert finding.function == "flowfixtures.randomness.bad_draw"
-    assert "random.random" in finding.message
-
-
-def test_sf002_batch_streams_are_owned(tmp_path):
-    # ``RngRegistry.streams(...)`` returns owned named streams, unpacked
-    # or indexed, just like one ``stream(...)`` per key.
-    pkg = _write_package(tmp_path, "pkg", """
-        def build(registry, n):
-            speed_rng, *host_rngs = registry.streams(
-                [("platform", "speeds")] + [("load", i) for i in range(n)])
-            return speed_rng.uniform(0.0, 1.0, size=n), host_rngs
-
-        def draw(plain):
-            rng = plain.pick()
-            return rng.random()
-    """)
-    result = analyze_package(pkg)
-    assert [(f.code, f.function) for f in result.findings] == [
-        ("SF002", "pkg.mod.draw")]
+    assert _codes(fixture_flow) == ["SF003", "SF004"]
 
 
 def test_sf003_flags_set_iteration_feeding_the_sink(fixture_flow):
@@ -81,26 +46,10 @@ def test_sf004_reports_the_purity_contract_violation(fixture_flow):
     assert "performs-io" in finding.message
 
 
-def test_sf005_reports_the_dimension_pair(fixture_flow):
-    (finding,) = _by_code(fixture_flow, "SF005")
-    assert finding.function == "flowfixtures.unitsbad.mix"
-    assert "seconds + bytes" in finding.message
-
-
-def test_sf006_flags_unguarded_and_chained_use(fixture_flow):
-    findings = _by_code(fixture_flow, "SF006")
-    assert [f.function for f in findings] == [
-        "flowfixtures.hooksbad.Emitter.unguarded",
-        "flowfixtures.hooksbad.chained",
-    ]
-
-
 def test_clean_neighbours_stay_clean(fixture_flow):
     flagged = {f.function for f in fixture_flow.findings}
     for clean in ("flowfixtures.randomness.good_draw",
-                  "flowfixtures.hooksbad.Emitter.guarded",
-                  "flowfixtures.purity.actually_pure",
-                  "flowfixtures.unitsbad.fine"):
+                  "flowfixtures.purity.actually_pure"):
         assert clean not in flagged
 
 
@@ -121,9 +70,9 @@ def test_fixture_effect_signatures(fixture_flow):
 
 def test_repro_package_has_no_unsuppressed_findings(repro_flow):
     assert repro_flow.findings == []
-    # The justified exceptions (obs ambient session, diagnostics
-    # counters, swap chunk rebuild) stay visible as suppressions.
-    assert repro_flow.suppressed_count >= 7
+    # The one justified exception (the swap chunk rebuild, which keeps
+    # slot order on purpose) stays visible as a suppression.
+    assert repro_flow.suppressed_count == 1
 
 
 def test_golden_signature_simulator_step(repro_flow):
@@ -140,10 +89,11 @@ def test_golden_signature_swap_strategy_run(repro_flow):
 
 
 def test_golden_signature_compute_cell(repro_flow):
+    # No I/O: computing a cell only simulates.
     assert repro_flow.analysis.signature(
         "repro.experiments.executor.compute_cell") == [
         "mutates-shared-state", "reads-sim-state", "consumes-rng-stream",
-        "sim-time-dependent", "performs-io"]
+        "sim-time-dependent"]
 
 
 def test_contracted_pure_functions_are_pure(repro_flow):
@@ -155,11 +105,6 @@ def test_contracted_pure_functions_are_pure(repro_flow):
                      "repro.core.payback.iterations_to_break_even",
                      "repro.platform.network.LinkSpec.transfer_time"):
         assert analysis.is_pure(qualname), qualname
-
-
-def test_transfer_time_returns_seconds(repro_flow):
-    assert repro_flow.analysis.return_dims[
-        "repro.platform.network.LinkSpec.transfer_time"] == dims.SECONDS
 
 
 # -- the effects report -------------------------------------------------------
@@ -185,26 +130,6 @@ def test_effects_report_scope_and_shape(repro_flow):
         assert entry["pure"] == (entry["effects"] == [])
 
 
-# -- baselines ----------------------------------------------------------------
-
-def test_baseline_filters_known_findings(fixture_flow, tmp_path):
-    payload = flow_payload(fixture_flow.findings,
-                           fixture_flow.functions_analyzed)
-    baseline_file = tmp_path / "baseline.json"
-    import json
-
-    baseline_file.write_text(json.dumps(payload))
-    baseline = load_baseline(baseline_file)
-    assert apply_baseline(fixture_flow.findings, baseline) == []
-
-
-def test_partial_baseline_keeps_new_findings(fixture_flow):
-    keep = fixture_flow.findings[0]
-    baseline = {(f.code, f.path, f.function)
-                for f in fixture_flow.findings[1:]}
-    assert apply_baseline(fixture_flow.findings, baseline) == [keep]
-
-
 # -- suppression integration ---------------------------------------------------
 
 def _write_package(tmp_path, name, body):
@@ -217,12 +142,12 @@ def _write_package(tmp_path, name, body):
 
 def test_simflow_comment_suppresses_flow_finding(tmp_path):
     pkg = _write_package(tmp_path, "pkg", """
-        import random
-
-        def draw():
-            return random.random()  # simflow: disable=SF002
+        def supposedly_pure(x):  # simflow: disable=SF004
+            print(x)
+            return x
     """)
-    result = analyze_package(pkg)
+    contracts = FlowContracts(assumed_pure=("pkg.mod.supposedly_pure",))
+    result = analyze_package(pkg, contracts=contracts)
     assert result.findings == []
     assert result.suppressed_count == 1
 

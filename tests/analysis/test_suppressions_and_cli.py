@@ -1,17 +1,19 @@
 """Suppression comments, JSON schema, and the CLI front end."""
 
+import ast
 import json
 import textwrap
 
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.linter import findings_to_dict, lint_paths, lint_source
+from repro.analysis.linter import (SuppressionIndex, findings_to_dict,
+                                   lint_paths, lint_source)
 
 FLAGGED = textwrap.dedent("""
-    import time
+    import random
     def stamp():
-        return time.time()
+        return random.random()
 """)
 
 
@@ -19,29 +21,26 @@ FLAGGED = textwrap.dedent("""
 
 def test_line_suppression_silences_only_that_code():
     source = FLAGGED.replace(
-        "return time.time()",
-        "return time.time()  # simlint: disable=SL001")
+        "return random.random()",
+        "return random.random()  # simlint: disable=SL001")
     assert lint_source(source) == []
 
 
 def test_line_suppression_wrong_code_keeps_finding():
     source = FLAGGED.replace(
-        "return time.time()",
-        "return time.time()  # simlint: disable=SL005")
+        "return random.random()",
+        "return random.random()  # simlint: disable=SL005")
     assert [f.code for f in lint_source(source)] == ["SL001"]
 
 
 def test_line_suppression_multiple_codes():
     source = textwrap.dedent("""
-        import time
-        def stamp(h=[]):
-            return time.time(), h  # simlint: disable=SL001,SL006
+        import random
+        def stamp():
+            return random.random() * 3600  # simlint: disable=SL001
     """)
-    # SL006 is reported on the default's line (the def), not the body line.
-    findings = lint_source(source)
-    assert [f.code for f in findings] == ["SL006"]
-    source = source.replace("def stamp(h=[]):",
-                            "def stamp(h=[]):  # simlint: disable=SL006")
+    assert [f.code for f in lint_source(source)] == ["SL005"]
+    source = source.replace("disable=SL001", "disable=SL001,SL005")
     assert lint_source(source) == []
 
 
@@ -49,16 +48,16 @@ def test_line_suppression_mixes_families_on_one_line():
     # One directive may carry codes from several analyzer families;
     # simlint honours its own and ignores the rest.
     source = FLAGGED.replace(
-        "return time.time()",
-        "return time.time()  # simlint: disable=SL001,SF002")
+        "return random.random()",
+        "return random.random()  # simlint: disable=SL001,SF003")
     assert lint_source(source) == []
 
 
 def test_simflow_and_umbrella_prefixes_suppress_sl_codes():
     for prefix in ("simflow", "repro-analysis"):
         source = FLAGGED.replace(
-            "return time.time()",
-            f"return time.time()  # {prefix}: disable=SL001")
+            "return random.random()",
+            f"return random.random()  # {prefix}: disable=SL001")
         assert lint_source(source) == [], prefix
 
 
@@ -67,28 +66,35 @@ def test_file_suppression_via_umbrella_prefix():
     assert lint_source(source) == []
 
 
+def _def_line_suppressed(source: str, code: str) -> bool:
+    """Whether ``code`` is suppressed on the first ``def`` line."""
+    tree = ast.parse(source)
+    func = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
+    return SuppressionIndex(source, tree).suppressed(code, func.lineno)
+
+
 def test_decorator_line_suppression_covers_the_def_line():
-    # SL006 anchors to the def line's mutable default; with a decorator
-    # stack, the comment naturally sits on a decorator line.
+    # SF004 anchors a purity-contract violation to the def line; with a
+    # decorator stack, the comment naturally sits on a decorator line.
     source = textwrap.dedent("""
         import functools
 
-        @functools.lru_cache()  # simlint: disable=SL006
-        def cached(key, bucket=[]):
-            return bucket
+        @functools.lru_cache()  # simflow: disable=SF004
+        def cached(key):
+            return key
     """)
-    assert lint_source(source) == []
+    assert _def_line_suppressed(source, "SF004")
 
 
 def test_decorator_line_suppression_wrong_code_keeps_finding():
     source = textwrap.dedent("""
         import functools
 
-        @functools.lru_cache()  # simlint: disable=SL001
-        def cached(key, bucket=[]):
-            return bucket
+        @functools.lru_cache()  # simflow: disable=SF003
+        def cached(key):
+            return key
     """)
-    assert [f.code for f in lint_source(source)] == ["SL006"]
+    assert not _def_line_suppressed(source, "SF004")
 
 
 def test_suppression_on_middle_decorator_of_a_stack():
@@ -96,17 +102,17 @@ def test_suppression_on_middle_decorator_of_a_stack():
         import functools
 
         @functools.wraps(print)
-        @functools.lru_cache()  # simlint: disable=SL006
-        def cached(key, bucket=[]):
-            return bucket
+        @functools.lru_cache()  # simflow: disable=SF004
+        def cached(key):
+            return key
     """)
-    assert lint_source(source) == []
+    assert _def_line_suppressed(source, "SF004")
 
 
 def test_line_suppression_all_keyword():
     source = FLAGGED.replace(
-        "return time.time()",
-        "return time.time()  # simlint: disable=all")
+        "return random.random()",
+        "return random.random()  # simlint: disable=all")
     assert lint_source(source) == []
 
 
@@ -140,11 +146,11 @@ def test_json_payload_schema():
 
 
 def test_findings_sorted_and_counted(tmp_path):
-    (tmp_path / "b.py").write_text("import time\nt = time.time()\nH = 3600\n")
-    (tmp_path / "a.py").write_text("def f(x=[]):\n    return x\n")
+    (tmp_path / "b.py").write_text("import random\nt = random.random()\nH = 3600\n")
+    (tmp_path / "a.py").write_text("H = 86400\n")
     findings, files_scanned = lint_paths([tmp_path])
     assert files_scanned == 2
-    assert [f.code for f in findings] == ["SL006", "SL001", "SL005"]
+    assert [f.code for f in findings] == ["SL005", "SL001", "SL005"]
     paths = [f.path for f in findings]
     assert paths == sorted(paths)
 
@@ -160,7 +166,7 @@ def test_cli_clean_tree_exits_zero(tmp_path, capsys):
 
 def test_cli_findings_exit_one_and_print_location(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
+    bad.write_text("import random\nt = random.random()\n")
     assert main(["lint", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "bad.py:2" in out and "SL001" in out
@@ -168,7 +174,7 @@ def test_cli_findings_exit_one_and_print_location(tmp_path, capsys):
 
 def test_cli_json_format(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
+    bad.write_text("import random\nt = random.random()\n")
     assert main(["lint", str(bad), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["tool"] == "simlint"
@@ -178,7 +184,7 @@ def test_cli_json_format(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("SL001", "SL002", "SL003", "SL004", "SL005", "SL006"):
+    for code in ("SL001", "SL004", "SL005"):
         assert code in out
 
 
@@ -202,5 +208,5 @@ def test_cli_self_check_is_clean(capsys):
     """The committed tree must pass its own gate (the CI invocation)."""
     assert main(["self-check"]) == 0
     out = capsys.readouterr().out
-    assert "0 findings" in out
-    assert "sanitizer demo: 0 errors" in out
+    assert "simlint: 0 findings" in out
+    assert "simflow: 0 findings" in out

@@ -159,7 +159,7 @@ def test_failed_event_with_defuse_is_silent():
 
 def test_nan_delay_rejected():
     """NaN slips through every `<` comparison; the engine must reject it
-    before it corrupts heap ordering (the sanitizer's SZ102 hazard)."""
+    before it corrupts heap ordering."""
     sim = Simulator()
     with pytest.raises(SchedulingError):
         sim.timeout(float("nan"))

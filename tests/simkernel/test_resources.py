@@ -1,71 +1,6 @@
-"""Tests for Resource / Store / Mailbox synchronization primitives."""
+"""Tests for the Store / Mailbox synchronization primitives."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.simkernel.resources import Mailbox, Resource, Store
-
-
-# -- Resource ----------------------------------------------------------------
-
-def test_resource_capacity_validation(sim):
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_grants_up_to_capacity(sim):
-    res = Resource(sim, capacity=2)
-    a, b, c = res.request(), res.request(), res.request()
-    sim.run()
-    assert a.processed and b.processed
-    assert not c.triggered
-    assert res.in_use == 2 and res.queue_length == 1
-
-
-def test_resource_release_grants_next_fifo(sim):
-    res = Resource(sim, capacity=1)
-    first = res.request()
-    second = res.request()
-    third = res.request()
-    sim.run()
-    assert first.processed and not second.triggered
-    res.release()
-    sim.run()
-    assert second.processed and not third.triggered
-
-
-def test_resource_release_without_request_raises(sim):
-    with pytest.raises(SimulationError):
-        Resource(sim).release()
-
-
-def test_resource_request_cancel(sim):
-    res = Resource(sim, capacity=1)
-    res.request()
-    waiting = res.request()
-    waiting.cancel()
-    res.release()
-    sim.run()
-    assert not waiting.triggered
-    assert res.in_use == 0
-
-
-def test_resource_serializes_processes(sim):
-    res = Resource(sim, capacity=1)
-    spans = []
-
-    def worker(duration):
-        request = res.request()
-        yield request
-        start = sim.now
-        yield sim.timeout(duration)
-        res.release()
-        spans.append((start, sim.now))
-
-    for d in (2.0, 3.0, 1.0):
-        sim.process(worker(d))
-    sim.run()
-    assert spans == [(0.0, 2.0), (2.0, 5.0), (5.0, 6.0)]
+from repro.simkernel.resources import Mailbox, Store
 
 
 # -- Store ---------------------------------------------------------------------
