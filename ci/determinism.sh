@@ -20,8 +20,9 @@
 #   3. warm-cache resume, a fabric resume from a serial run's cache,
 #      a remote TCP worker joining mid-run, and the handshake gate
 #      refusing wrong tokens and fingerprints;
-#   4. the runtime telemetry plane's exports (timeline, Prometheus,
-#      summary, tail);
+#   4. the runtime telemetry plane's exports: one span file per run and
+#      cells on every worker's timeline lane (process and tcp), then
+#      Prometheus, summary and tail;
 #   5. reruns, trace lint and report byte-stability on fig4, fig7 and
 #      ext-faults;
 #   6. every registered scenario, traced, over two fabric workers:
@@ -193,17 +194,24 @@ refuse(diverged, "s3cret", "fingerprint mismatch",
 EOF
 
 echo "## 4. runtime telemetry exports"
-python -m repro.obs timeline "$OUT/rt-process" --out "$OUT/fleet.trace.json"
-FLEET="$OUT/fleet.trace.json" python - <<'EOF'
-import json, os
-doc = json.load(open(os.environ["FLEET"]))
-events = doc["traceEvents"]
-assert events, "empty fleet timeline"
-names = {e["args"]["name"] for e in events if e["ph"] == "M"
-         and e["name"] == "process_name"}
-assert "coordinator" in names, names
-assert any(n.startswith("worker ") for n in names), names
+# Workers write no telemetry: the coordinator's one span file holds
+# every worker's cells, each on that worker's lane.
+for name in process tcp; do
+  python -m repro.obs timeline "$OUT/rt-$name" \
+    --out "$OUT/fleet-$name.trace.json"
+  RUN="$OUT/rt-$name" FLEET="$OUT/fleet-$name.trace.json" python - <<'EOF'
+import json, os, pathlib
+spans = sorted(p.name for p in pathlib.Path(os.environ["RUN"]).glob("spans*"))
+assert spans == ["spans.jsonl"], spans
+events = json.load(open(os.environ["FLEET"]))["traceEvents"]
+lanes = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+assert "coordinator" in lanes.values(), lanes
+workers = {pid for pid, name in lanes.items() if name.startswith("worker ")}
+computed = {e["pid"] for e in events
+            if e["ph"] == "X" and e["name"] == "cell.compute"}
+assert workers and workers <= computed, (lanes, computed)
 EOF
+done
 python -m repro.obs runtime-metrics "$OUT/rt-process" --out "$OUT/metrics.prom"
 grep -q "^repro_runtime_cells_done" "$OUT/metrics.prom"
 python -m repro.obs runtime-summary "$OUT/rt-process"

@@ -5,8 +5,9 @@ reasons about what is reachable over the call graph, not just what a
 single AST node looks like.
 
 ============  =============================================================
-``SF003``     unordered set/dict-view iteration in code feeding the event
-              heap or trace stream
+``SF003``     set iteration in code feeding the event heap or trace
+              stream (dicts iterate in insertion order, so their views
+              are not flagged)
 ``SF004``     effectful code reachable from functions the lowering pass
               assumes pure
 ============  =============================================================
@@ -26,8 +27,8 @@ from repro.analysis.flow.graph import FunctionInfo
 #: code -> (name, summary) catalogue for the ``rules`` subcommand.
 FLOW_RULES = {
     "SF003": ("unordered-iteration-to-sink",
-              "iteration over a set or dict view, unsorted, inside a "
-              "function that feeds the event heap or the trace stream"),
+              "iteration over a set, unsorted, inside a function that "
+              "feeds the event heap or the trace stream"),
     "SF004": ("assumed-pure-violation",
               "function the lowering/vectorization contract assumes pure "
               "has an inferred effect"),
@@ -72,12 +73,6 @@ def _finding(code: str, info: FunctionInfo, line: int, column: int,
 
 # -- SF003 -------------------------------------------------------------------
 
-_UNORDERED_VIEW_METHODS = frozenset({"keys", "values", "items"})
-_ORDERING_WRAPPERS = frozenset({"sorted", "list", "tuple", "min", "max",
-                                "len", "sum", "enumerate", "any", "all",
-                                "frozenset", "set"})
-
-
 def _unordered_iter_expr(node: ast.AST) -> "str | None":
     """Description of an unordered iterable, or None if fine."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -86,9 +81,6 @@ def _unordered_iter_expr(node: ast.AST) -> "str | None":
         func = node.func
         if isinstance(func, ast.Name) and func.id == "set":
             return "set(...)"
-        if (isinstance(func, ast.Attribute)
-                and func.attr in _UNORDERED_VIEW_METHODS):
-            return f".{func.attr}() view"
     return None
 
 

@@ -90,7 +90,7 @@ from repro.experiments.runner import SweepResult
 from repro.experiments.scenarios import ExperimentSpec
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime plane loads on demand
-    from repro.obs.runtime import RunTelemetry, RuntimeRecorder
+    from repro.obs.runtime import RunTelemetry
 
 # -- fault injection --------------------------------------------------------
 
@@ -172,8 +172,8 @@ class FabricConfig:
     chaos: "WorkerChaos | None" = None
     listen: str = "127.0.0.1:0"
     """TCP transport only: ``HOST:PORT`` the coordinator binds (port 0
-    picks an ephemeral port; the bound address is announced on stderr
-    and in the ``run.listen`` telemetry event)."""
+    picks an ephemeral port; the bound address is announced on
+    stderr)."""
     token: "str | None" = None
     """TCP transport only: the shared secret remote workers must present
     in their HELLO.  None (the default) generates a fresh random token
@@ -231,29 +231,18 @@ class WorkerConfig:
 
     worker_id: str
     chaos: "WorkerChaos | None" = None
-    runtime_dir: "str | None" = None
-    """Run directory of the runtime telemetry plane
-    (:mod:`repro.obs.runtime`), or None for no telemetry.  The worker
-    appends wall-clock spans to its own ``spans-worker-<id>.jsonl``."""
 
 
 class _ChaosTriggered(Exception):
     """Internal: the injected fault fired; unwind the worker loop."""
 
 
-def _apply_chaos(config: WorkerConfig, cells_done: int,
-                 recorder: "RuntimeRecorder | None" = None) -> None:
+def _apply_chaos(config: WorkerConfig, cells_done: int) -> None:
     chaos = config.chaos
     if chaos is None or chaos.worker != config.worker_id:
         return
     if cells_done < chaos.after_cells:
         return
-    if recorder is not None:
-        # The last thing a chaos-stricken worker says -- to the telemetry
-        # plane, never to the coordinator (that's the point of chaos).
-        recorder.event("chaos.injected", mode=chaos.mode,
-                       after_cells=chaos.after_cells)
-        recorder.close()
     if chaos.mode == "kill":
         os.kill(os.getpid(), signal.SIGKILL)  # never returns
     if chaos.mode == "hang":
@@ -280,34 +269,19 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
 
     Every result carries ``wall_s`` -- the wall-clock seconds the cell
     took *in this worker* -- feeding the coordinator's per-cell wall
-    percentiles.  With :attr:`WorkerConfig.runtime_dir` set the worker
-    additionally appends ``cell.compute`` / ``cell.serialize`` spans and
-    lifecycle events to its own runtime span file; none of this is ever
-    visible to the deterministic sim-time plane.
+    percentiles and its runtime-plane ``cell.compute`` span.  The worker
+    itself writes no telemetry.
     """
     me = config.worker_id
-    recorder: "RuntimeRecorder | None" = None
-    if config.runtime_dir is not None:
-        from repro.obs.runtime import RuntimeRecorder
-
-        try:
-            recorder = RuntimeRecorder.for_worker(config.runtime_dir, me)
-        except OSError:  # telemetry must never take a worker down
-            recorder = None
 
     def send(kind: str, **payload) -> None:
         channel.send(Envelope(kind=kind, sender=me, payload=payload))
-
-    def log(kind: str, **fields) -> None:
-        if recorder is not None:
-            recorder.event(kind, **fields)
 
     cells_done = 0
     #: Leased cells not yet started, each with its lease id, in order.
     backlog: "deque[tuple[int, dict]]" = deque()
     requested = False
     try:
-        log("worker.start")
         while True:
             if not backlog:
                 if not requested:
@@ -315,20 +289,17 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                     requested = True
                 env = channel.recv()
                 if env.kind == SHUTDOWN:
-                    log("worker.shutdown", cells_done=cells_done)
                     return
                 if env.kind != ASSIGN_CELLS:
                     raise FabricError(
                         f"worker {me} got unexpected {env.kind}")
                 lease_id = env.payload["lease"]
-                log("lease.recv", lease=lease_id,
-                    cells=len(env.payload["cells"]))
                 backlog.extend((lease_id, cell)
                                for cell in env.payload["cells"])
                 requested = False
                 continue
             lease_id, cell = backlog.popleft()
-            _apply_chaos(config, cells_done, recorder)
+            _apply_chaos(config, cells_done)
             if not backlog:
                 # The lease's last cell: ask for the next one now, so
                 # the round trip overlaps this cell's compute.
@@ -342,26 +313,15 @@ def worker_main(channel, spec: ExperimentSpec, instrument: bool,
                 send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
                      si=cell["si"], x=x, seed=seed, ok=False,
                      error=f"{type(exc).__name__}: {exc}")
-                log("cell.failed", lease=lease_id, xi=cell["xi"],
-                    si=cell["si"], error=type(exc).__name__)
                 continue
             wall = time.monotonic() - compute_started
             cells_done += 1
-            log("cell.compute", t=compute_started, dur=wall,
-                xi=cell["xi"], si=cell["si"], x=x, seed=seed)
-            serialize_started = time.monotonic()
             send(CELL_RESULT, lease=lease_id, xi=cell["xi"],
                  si=cell["si"], x=x, seed=seed, ok=True,
                  cell=result.to_payload(), wall_s=wall)
-            log("cell.serialize", t=serialize_started,
-                dur=time.monotonic() - serialize_started,
-                xi=cell["xi"], si=cell["si"])
     except (ChannelClosed, _ChaosTriggered):
-        log("worker.channel_closed", cells_done=cells_done)
         return  # coordinator died or chaos fired: just vanish
     finally:
-        if recorder is not None:
-            recorder.close()
         channel.close()
 
 
@@ -445,8 +405,7 @@ def run_remote_worker(address: str, token: str, *,
     chaos = welcome.get("chaos")
     config = WorkerConfig(
         worker_id=assigned,
-        chaos=WorkerChaos.from_wire(chaos) if chaos else None,
-        runtime_dir=welcome.get("runtime_dir"))
+        chaos=WorkerChaos.from_wire(chaos) if chaos else None)
     worker_main(channel, spec, bool(welcome.get("instrument", False)),
                 config)
     return assigned
@@ -759,8 +718,6 @@ class Coordinator:
         self.cache = cache
         self.on_cell = on_cell
         self.telemetry = telemetry
-        self._runtime_dir = (str(telemetry.run_dir) if telemetry is not None
-                             and telemetry.run_dir is not None else None)
         self.fold = fold if fold is not None else SweepFold(spec, seed_list)
         #: Workers trace their cells when the fold has a session to fill.
         self.instrument = self.fold.obs_session is not None
@@ -793,7 +750,6 @@ class Coordinator:
             scenario=self.spec.name,
             fingerprint=self.spec.fingerprint(),
             instrument=self.instrument,
-            runtime_dir=self._runtime_dir,
             chaos=(self.config.chaos.to_wire()
                    if self.config.chaos is not None else None))
         transport = TcpTransport(
@@ -861,9 +817,7 @@ class Coordinator:
 
     def _launch_worker(self) -> None:
         worker_id = self._mint_worker_id()
-        config = WorkerConfig(worker_id=worker_id,
-                              chaos=self.config.chaos,
-                              runtime_dir=self._runtime_dir)
+        config = WorkerConfig(worker_id=worker_id, chaos=self.config.chaos)
         with (self.telemetry.span("worker.launch", worker_id=worker_id)
               if self.telemetry is not None else nullcontext()):
             handle = self._transport.launch(self.spec, self.instrument,
@@ -990,6 +944,9 @@ class Coordinator:
             # The worker's "Type: message" text becomes the cause, as the
             # serial path chains the original exception.
             exc = FabricError(str(payload.get("error", "unknown error")))
+            self._tel_event("cell.failed", xi=key[0], si=key[1],
+                            x=payload["x"], seed=payload["seed"],
+                            worker_id=env.sender, error=str(exc))
             self._failure = cell_failure(self.spec, payload["x"],
                                          payload["seed"], exc)
             self._failure.__cause__ = exc
@@ -1008,14 +965,20 @@ class Coordinator:
         cell = CellResult.from_payload(payload["cell"])
         self.done.add(key)
         wall = payload.get("wall_s")
-        self._tel_event("cell.result", xi=key[0], si=key[1],
-                        worker_id=env.sender, wall_s=wall)
+        wall = float(wall) if isinstance(wall, (int, float)) else None
+        if self.telemetry is not None:
+            # The worker's compute time, ending as its result arrives: the
+            # slice sits later than the compute by serialize and transit.
+            dur = wall or 0.0
+            self.telemetry.event(
+                "cell.compute", t=self.telemetry.now() - dur, dur=dur,
+                xi=key[0], si=key[1], x=payload["x"], seed=payload["seed"],
+                worker_id=env.sender)
         if self.cache is not None:
             digest = self._cell_specs[key]["digest"]
             self.cache.store(digest, cell, scenario=self.spec.name,
                              x=payload["x"], seed=payload["seed"])
-        self.fold.add(*key, cell, wall=(
-            float(wall) if isinstance(wall, (int, float)) else None))
+        self.fold.add(*key, cell, wall=wall)
         if self.on_cell is not None:
             self.on_cell(*key)
 
@@ -1171,9 +1134,10 @@ def execute_sweep_fabric(spec: ExperimentSpec,
 
     ``on_cell(xi, si)`` fires after each newly computed cell has been
     stored (the resumability hook: everything already fired is on disk).
-    With ``runtime_dir``, the workers' span files join the coordinator's
-    there; the other parameters are
-    :func:`~repro.experiments.executor.execute_sweep`'s.
+    The other parameters are
+    :func:`~repro.experiments.executor.execute_sweep`'s; with
+    ``runtime_dir``, the coordinator alone writes the run's telemetry,
+    each worker's cells included.
     """
     if config is None:
         config = FabricConfig()

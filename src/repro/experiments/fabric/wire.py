@@ -348,7 +348,6 @@ class HandshakeInfo:
     scenario: str
     fingerprint: str
     instrument: bool = False
-    runtime_dir: "str | None" = None
     chaos: "dict | None" = None
     """The run's ``WorkerChaos`` spelled as plain data (wire-safe), or
     None."""
@@ -384,7 +383,7 @@ def welcome_payload(info: HandshakeInfo, worker_id: str) -> dict:
     """The admission WELCOME: identity plus worker-side run config."""
     return {"ok": True, "worker_id": worker_id, "scenario": info.scenario,
             "fingerprint": info.fingerprint, "instrument": info.instrument,
-            "runtime_dir": info.runtime_dir, "chaos": info.chaos}
+            "chaos": info.chaos}
 
 
 def client_handshake(channel, token: str, *,

@@ -16,8 +16,8 @@ Runtime-plane commands (wall-clock telemetry; see
 docs/OBSERVABILITY.md, "two planes"):
 
 ``timeline RUN_DIR [--out PATH]``
-    Render the run's span files as a Chrome trace-event fleet timeline
-    (one track per worker plus the coordinator track); open it in
+    Render the run's span file as a Chrome trace-event fleet timeline
+    (one lane for the run plus one per fabric worker); open it in
     chrome://tracing or ui.perfetto.dev.
 ``runtime-metrics RUN_DIR [--out PATH]``
     Export the latest runtime metrics snapshot as a Prometheus-style
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _runtime_main(args) -> int:
     """Dispatch the runtime-plane subcommands (wall-clock telemetry)."""
-    from repro.obs.runtime import (SpanSet, tail_run, wall_summary,
+    from repro.obs.runtime import (lanes, load_spans, tail_run, wall_summary,
                                    write_fleet_timeline, write_prometheus)
 
     if args.command == "tail":
@@ -134,13 +134,13 @@ def _runtime_main(args) -> int:
         print(f"wrote {out}")
         return 0
     # runtime-summary
-    spans = SpanSet.load_dir(args.run_dir)
+    spans = load_spans(args.run_dir)
     if not spans.records:
         print(f"no runtime span files under {args.run_dir}",
               file=sys.stderr)
         return 1
     print(f"{len(spans.records)} records, {len(spans.bad_lines)} "
-          f"unparseable lines, {len(spans.tracks())} tracks")
+          f"unparseable lines, {len(lanes(spans))} lanes")
     for kind, count in sorted(spans.kinds().items()):
         print(f"  {kind:>24}: {count}")
     walls = wall_summary(spans)

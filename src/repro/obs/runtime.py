@@ -16,37 +16,38 @@ planes"):
 
 The plane has four parts:
 
-* :class:`RuntimeRecorder` -- a structured wall-clock event log.  Each
-  process of a run (coordinator, every fabric worker, the serial executor)
-  appends JSONL records to its own ``spans-<role>.jsonl`` file in a
-  shared *run directory*, flushed per line so a follower sees them live.
-* :func:`fleet_timeline` / :func:`wall_summary` -- render a run
-  directory's span files as a Chrome trace-event document (one track per
-  worker, a coordinator track for leases and worker lifecycle) and
-  nearest-rank wall-time percentiles per span kind.
+* :class:`RuntimeRecorder` -- a structured wall-clock event log.  The
+  run's own process -- the serial executor or the fabric coordinator --
+  is its only writer: it appends JSONL records to ``spans.jsonl`` in the
+  *run directory*, flushed per line so a follower sees them live.  A
+  fabric worker writes nothing; the coordinator records each worker's
+  cells from their ``CELL_RESULT`` messages.
+* :func:`fleet_timeline` / :func:`wall_summary` -- render a run's span
+  file as a Chrome trace-event document (one lane for the run, one per
+  fabric worker) and nearest-rank wall-time percentiles per span kind.
 * :class:`MetricsSnapshotter` / :func:`prometheus_text` -- periodic
   :class:`~repro.obs.metrics.MetricsRegistry` snapshots to a JSONL
   series, exportable as a Prometheus-style textfile
   (``python -m repro.obs runtime-metrics RUN_DIR``).
-* :class:`ProgressTicker` -- live progress: a coordinator-side ticker
-  (cells done/total, cache hits, active workers, stragglers, ETA) that
-  also maintains an atomically-replaced ``progress.json`` so
+* :class:`ProgressTicker` -- live progress: a run-side ticker (cells
+  done/total, cache hits, active workers, stragglers, ETA) that also
+  maintains an atomically-replaced ``progress.json`` so
   ``python -m repro.obs tail RUN_DIR`` can follow out-of-band.
 
 Record schema (one JSON object per line, key-sorted)::
 
     {"kind": "<dotted.kind>",      # e.g. "lease.assign", "cell.compute"
-     "seq": 3,                     # per-file monotone sequence number
+     "seq": 3,                     # monotone sequence number
      "t": 12345.678,               # time.monotonic() seconds
      "dur": 0.012,                 # span duration (spans only)
-     "pid": 4242, "role": "coordinator", "worker": "w0" | null,
+     "pid": 4242, "role": "coordinator" | "executor",
+     "worker_id": "w0",            # records about one fabric worker
      ...}                          # kind-specific fields
 
-The first record of every file is ``runtime.meta`` and additionally
-carries ``unix`` (``time.time()``), ``schema``, and ``host`` (the
-machine that wrote the file -- TCP fabric workers record on their own
-host); the timeline exporter uses the (``t``, ``unix``) anchor pair to
-align files recorded by processes with different monotonic epochs.
+The first record is ``runtime.meta`` and additionally carries ``unix``
+(``time.time()``) and ``schema``, anchoring the monotonic clock to the
+wall clock.  One process writes every record, so all ``t`` share one
+monotonic epoch.
 """
 
 from __future__ import annotations
@@ -54,21 +55,21 @@ from __future__ import annotations
 import json
 import math
 import os
-import socket
 import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, TextIO
 
+from repro.obs.analyze import TraceSet
 from repro.obs.metrics import MetricsRegistry, wall_stats
 from repro.obs.trace import jsonable
 
 #: Schema version stamped into every ``runtime.meta`` record.
-RUNTIME_SCHEMA = 1
+RUNTIME_SCHEMA = 2
 
-#: Span-file glob inside a run directory.
-SPAN_GLOB = "spans-*.jsonl"
+#: The span file inside a run directory.
+SPAN_FILE = "spans.jsonl"
 
 #: Per-cell wall-time histogram bounds (seconds of host wall time).
 CELL_WALL_BUCKETS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0)
@@ -80,39 +81,23 @@ CELL_WALL_BUCKETS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0)
 class RuntimeRecorder:
     """Append wall-clock telemetry records to one JSONL span file.
 
-    One recorder per process-and-role: the fabric coordinator owns
-    ``spans-coordinator.jsonl``, worker ``w3`` owns
-    ``spans-worker-w3.jsonl``, the serial ``jobs=1`` executor owns
-    ``spans-executor.jsonl``.  Records are flushed per line so crashes
-    lose at most the record being written (the loader tolerates a torn
-    final line) and a live follower sees events as they happen.
+    One recorder per run, owned by the run's process: the fabric
+    coordinator or the serial ``jobs=1`` executor (``role``).  Records
+    are flushed per line so a crash loses at most the record being
+    written (the loader tolerates a torn final line) and a live follower
+    sees events as they happen.
     """
 
     def __init__(self, path: "str | os.PathLike", *, role: str,
-                 worker: "str | None" = None,
                  clock: "Callable[[], float]" = time.monotonic,
                  unix_clock: "Callable[[], float]" = time.time) -> None:
         self.path = Path(path)
         self.role = role
-        self.worker = worker
         self._clock = clock
-        self._unix_clock = unix_clock
         self._seq = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: "TextIO | None" = open(self.path, "a", buffering=1,
                                          encoding="utf-8")
-        # ``host`` tells a cross-host fleet timeline which machine wrote
-        # each track: TCP fabric workers append spans on their own host
-        # (same meta schema, so readers of schema 1 are unaffected).
-        self.event("runtime.meta", schema=RUNTIME_SCHEMA,
-                   unix=self._unix_clock(), host=socket.gethostname())
-
-    @classmethod
-    def for_worker(cls, run_dir: "str | os.PathLike",
-                   worker_id: str) -> "RuntimeRecorder":
-        """The span file a fabric worker owns inside ``run_dir``."""
-        return cls(Path(run_dir) / f"spans-worker-{worker_id}.jsonl",
-                   role="worker", worker=worker_id)
+        self.event("runtime.meta", schema=RUNTIME_SCHEMA, unix=unix_clock())
 
     def now(self) -> float:
         return self._clock()
@@ -123,13 +108,11 @@ class RuntimeRecorder:
         if self._fh is None:
             return
         record = {key: jsonable(value) for key, value in fields.items()}
-        # Structural keys win over same-named payload fields: a record's
-        # (role, worker) identity is *who emitted it*, never who it is
-        # about -- events concerning another worker name it in
-        # ``worker_id`` instead.
+        # Structural keys win over same-named payload fields; a record
+        # about one fabric worker names it in ``worker_id``.
         record.update(kind=str(kind), seq=self._seq,
                       t=float(t) if t is not None else self._clock(),
-                      pid=os.getpid(), role=self.role, worker=self.worker)
+                      pid=os.getpid(), role=self.role)
         if dur is not None:
             record["dur"] = float(dur)
         self._seq += 1
@@ -169,153 +152,68 @@ class _Span:
                              dur=end - self._start, **self._fields)
 
 
-# -- loading span files back ------------------------------------------------
+# -- reading the span file back -----------------------------------------------
 
 
-class SpanSet:
-    """All runtime records of one run directory, queryable.
+def load_spans(run_dir: "str | os.PathLike") -> TraceSet:
+    """A run directory's span records (empty when none were written).
 
-    The runtime-plane sibling of :class:`repro.obs.analyze.TraceSet`:
-    records are plain dicts, unparseable lines are collected (a worker
-    killed mid-write tears its last line) rather than raised, and files
-    are visited in sorted-name order so exports are stable for a given
-    set of input bytes.
+    Unparseable lines -- a crash can tear the last one -- are collected
+    in ``bad_lines`` rather than raised.
     """
+    path = Path(run_dir) / SPAN_FILE
+    return TraceSet.load(path) if path.exists() else TraceSet([])
 
-    def __init__(self, records: "Iterable[dict]",
-                 bad_lines: "list[tuple[str, int, str]] | None" = None,
-                 ) -> None:
-        self.records = list(records)
-        self.bad_lines = list(bad_lines or [])
 
-    @classmethod
-    def load_dir(cls, run_dir: "str | os.PathLike") -> "SpanSet":
-        run_dir = Path(run_dir)
-        records: "list[dict]" = []
-        bad: "list[tuple[str, int, str]]" = []
-        for path in sorted(run_dir.glob(SPAN_GLOB)):
-            for lineno, line in enumerate(
-                    path.read_text(encoding="utf-8").splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict):
-                        raise ValueError("record is not an object")
-                except ValueError:
-                    bad.append((path.name, lineno, line))
-                    continue
-                records.append(record)
-        return cls(records, bad)
+def _lane(record: dict) -> "tuple[int, str]":
+    """A record's timeline lane: the worker it names, else the run's."""
+    worker = record.get("worker_id")
+    if isinstance(worker, str):
+        return (1, f"worker {worker}")
+    return (0, str(record.get("role", "?")))
 
-    def __len__(self) -> int:
-        return len(self.records)
 
-    def __iter__(self) -> "Iterator[dict]":
-        return iter(self.records)
-
-    def filter(self, kind: "str | None" = None, *,
-               role: "str | None" = None,
-               worker: "str | None" = None) -> "SpanSet":
-        out = self.records
-        if kind is not None:
-            out = [r for r in out if r.get("kind") == kind]
-        if role is not None:
-            out = [r for r in out if r.get("role") == role]
-        if worker is not None:
-            out = [r for r in out if r.get("worker") == worker]
-        return SpanSet(out, self.bad_lines)
-
-    def kinds(self) -> "dict[str, int]":
-        counts: "dict[str, int]" = {}
-        for record in self.records:
-            kind = str(record.get("kind", "?"))
-            counts[kind] = counts.get(kind, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def tracks(self) -> "list[tuple[str, str | None]]":
-        """Distinct ``(role, worker)`` sources, coordinator first, then
-        workers in id order, then anything else."""
-        seen = {(str(r.get("role", "?")), r.get("worker"))
-                for r in self.records}
-
-        def key(track):
-            role, worker = track
-            order = {"coordinator": 0, "executor": 1, "worker": 2}
-            return (order.get(role, 3), role, str(worker or ""))
-
-        return sorted(seen, key=key)
+def lanes(spans: TraceSet) -> "list[str]":
+    """Lane names, the run's lane first, then workers in id order."""
+    return [name for _order, name in sorted({_lane(r) for r in spans})]
 
 
 # -- fleet timeline (Chrome trace-event export) -----------------------------
 
 
-def _file_offsets(spans: SpanSet) -> "dict[tuple[str, str | None], float]":
-    """Per-track offset aligning monotonic clocks via the meta anchors.
-
-    Each ``runtime.meta`` record pairs a monotonic ``t`` with a wall
-    ``unix`` stamp; ``unix - t`` converts that file's monotonic times
-    onto the shared wall clock.  Tracks without a meta record (torn
-    file) fall back to offset 0 of the earliest anchored track.
-    """
-    offsets: "dict[tuple[str, str | None], float]" = {}
-    for record in spans.records:
-        if record.get("kind") != "runtime.meta":
-            continue
-        try:
-            offset = float(record["unix"]) - float(record["t"])
-        except (KeyError, TypeError, ValueError):
-            continue
-        offsets[(str(record.get("role", "?")), record.get("worker"))] = offset
-    return offsets
-
-
-def fleet_timeline(spans: SpanSet) -> dict:
+def fleet_timeline(spans: TraceSet) -> dict:
     """Render runtime spans as a Chrome trace-event document.
 
-    One ``pid`` (track) per span source -- the coordinator first, then
-    workers in id order -- so chrome://tracing / ui.perfetto.dev shows
-    the fleet as parallel swimlanes: leases and worker lifecycle on the
-    coordinator lane, per-cell compute spans on each worker lane.
-    Records with ``dur`` become complete ("X") slices; the rest become
-    instant events.
+    One ``pid`` (lane) for the run -- its start and end, cache I/O --
+    and one per fabric worker, holding every record that names it in
+    ``worker_id`` (its launch, leases, cells and exit), so
+    chrome://tracing / ui.perfetto.dev shows the fleet as parallel
+    swimlanes.  Records with ``dur`` become complete ("X") slices; the
+    rest become instant events.
     """
-    tracks = spans.tracks()
-    pids = {track: pid for pid, track in enumerate(tracks)}
-    offsets = _file_offsets(spans)
-    default_offset = min(offsets.values(), default=0.0)
-    anchored = []
-    for record in spans.records:
-        track = (str(record.get("role", "?")), record.get("worker"))
-        offset = offsets.get(track, default_offset)
+    pids = {name: pid for pid, name in enumerate(lanes(spans))}
+    timed = []
+    for record in spans:
         try:
-            t = float(record["t"]) + offset
+            timed.append((float(record["t"]), record))
         except (KeyError, TypeError, ValueError):
             continue
-        anchored.append((t, track, record))
-    base = min((t for t, _track, _r in anchored), default=0.0)
+    base = min((t for t, _record in timed), default=0.0)
 
-    events: "list[dict]" = []
-    for track in tracks:
-        role, worker = track
-        name = role if worker is None else f"{role} {worker}"
-        events.append({"ph": "M", "name": "process_name",
-                       "pid": pids[track], "tid": 0, "ts": 0,
-                       "args": {"name": name}})
-    for t, track, record in anchored:
+    events: "list[dict]" = [{"ph": "M", "name": "process_name", "pid": pid,
+                             "tid": 0, "ts": 0, "args": {"name": name}}
+                            for name, pid in pids.items()]
+    for t, record in timed:
         if record.get("kind") == "runtime.meta":
             continue
         args = {k: v for k, v in record.items()
-                if k not in ("kind", "t", "dur", "pid", "role", "worker",
-                             "seq")}
-        ts = (t - base) * 1e6
+                if k not in ("kind", "t", "dur", "pid", "role", "seq")}
         common = {"name": str(record["kind"]), "cat": "runtime",
-                  "pid": pids[track], "tid": 0, "ts": ts, "args": args}
+                  "pid": pids[_lane(record)[1]], "tid": 0,
+                  "ts": (t - base) * 1e6, "args": args}
         dur = record.get("dur")
         if isinstance(dur, (int, float)):
-            events.append({"ph": "X",
-                           "dur": float(dur) * 1e6,
-                           **common})
+            events.append({"ph": "X", "dur": float(dur) * 1e6, **common})
         else:
             events.append({"ph": "i", "s": "t", **common})
     return {"traceEvents": events, "displayTimeUnit": "ms",
@@ -326,19 +224,19 @@ def fleet_timeline(spans: SpanSet) -> dict:
 
 def write_fleet_timeline(run_dir: "str | os.PathLike",
                          out: "str | os.PathLike | None" = None) -> Path:
-    """Export ``run_dir``'s span files as a Chrome trace; returns the path."""
+    """Export ``run_dir``'s span file as a Chrome trace; returns the path."""
     run_dir = Path(run_dir)
     out = Path(out) if out is not None else run_dir / "timeline.trace.json"
-    doc = fleet_timeline(SpanSet.load_dir(run_dir))
+    doc = fleet_timeline(load_spans(run_dir))
     out.write_text(json.dumps(doc, sort_keys=True,
                               separators=(",", ":")) + "\n")
     return out
 
 
-def wall_summary(spans: SpanSet) -> dict:
+def wall_summary(spans: TraceSet) -> dict:
     """Per-kind wall-time percentiles over every span carrying ``dur``."""
     durations: "dict[str, list[float]]" = {}
-    for record in spans.records:
+    for record in spans:
         dur = record.get("dur")
         if isinstance(dur, (int, float)):
             durations.setdefault(str(record["kind"]), []).append(float(dur))
@@ -468,8 +366,10 @@ class ProgressTicker:
     atomically-replaced ``progress.json`` for out-of-band followers.
 
     ETA is the naive rate estimate -- cells remaining over cells
-    completed per elapsed second -- which is exactly what an operator
-    watching a million-cell campaign wants first.
+    *computed* per elapsed second -- which is exactly what an operator
+    watching a million-cell campaign wants first.  Cache hits count as
+    done but not as computed, so a resumed sweep's ETA is not flattered
+    by the cells it loaded.
     """
 
     def __init__(self, total: int, *, cache_hits: int = 0,
@@ -486,7 +386,6 @@ class ProgressTicker:
         self._clock = clock
         self._unix_clock = unix_clock
         self._started = clock()
-        self._baseline_done = 0
         self._last_emit: "float | None" = None
         self.done = 0
         self.active_workers = 0
@@ -494,7 +393,7 @@ class ProgressTicker:
         self.state = "running"
 
     def eta_seconds(self, now: float) -> "float | None":
-        computed = self.done - self._baseline_done
+        computed = self.done - self.cache_hits
         elapsed = now - self._started
         if computed <= 0 or elapsed <= 0:
             return None
@@ -608,7 +507,7 @@ def tail_run(run_dir: "str | os.PathLike", *, follow: bool = False,
 class RunTelemetry:
     """Everything one sweep run needs from the runtime plane.
 
-    Bundles the coordinator-side :class:`RuntimeRecorder`, a runtime
+    Bundles the run's :class:`RuntimeRecorder`, a runtime
     :class:`MetricsRegistry` (snapshotted periodically), and the
     :class:`ProgressTicker`.  Created by
     :func:`~repro.experiments.executor.sweep_envelope`, for serial and
@@ -632,7 +531,7 @@ class RunTelemetry:
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
             self.recorder = RuntimeRecorder(
-                self.run_dir / f"spans-{role}.jsonl", role=role, clock=clock)
+                self.run_dir / SPAN_FILE, role=role, clock=clock)
             self.snapshots = MetricsSnapshotter(
                 self.metrics, self.run_dir / "metrics.jsonl",
                 interval=snapshot_interval, clock=clock)
@@ -686,7 +585,7 @@ class RunTelemetry:
                 self.metrics.gauge("runtime.cells_done").set(done)
             self.snapshots.snapshot()
         write_prometheus(self.run_dir)
-        spans = SpanSet.load_dir(self.run_dir)
+        spans = load_spans(self.run_dir)
         write_fleet_timeline(self.run_dir)
         summary = {"schema": RUNTIME_SCHEMA, "state": state,
                    "kinds": spans.kinds(), "wall": wall_summary(spans),

@@ -233,7 +233,7 @@ class SwapStrategy(Strategy):
                 # order so the promoted host inherits the outgoing
                 # host's position (and its chunk) deterministically.
                 chunks = {in_host if h == out_host else h: f
-                          for h, f in chunks.items()}  # simflow: disable=SF003
+                          for h, f in chunks.items()}
                 result.swap_count += 1
                 if obs_on:
                     sink.record("fault.recovery", t, self.name, iteration, {

@@ -40,6 +40,13 @@ def test_sf003_flags_set_iteration_feeding_the_sink(fixture_flow):
     assert "set literal" in finding.message
 
 
+def test_sf003_leaves_dict_view_iteration_alone(fixture_flow):
+    # Dicts iterate in insertion order, which the language guarantees:
+    # only a set brings hash order into a sink.
+    flagged = {f.function for f in fixture_flow.findings}
+    assert "flowfixtures.cells.replay" not in flagged
+
+
 def test_sf004_reports_the_purity_contract_violation(fixture_flow):
     (finding,) = _by_code(fixture_flow, "SF004")
     assert finding.function == "flowfixtures.purity.supposedly_pure"
@@ -70,9 +77,7 @@ def test_fixture_effect_signatures(fixture_flow):
 
 def test_repro_package_has_no_unsuppressed_findings(repro_flow):
     assert repro_flow.findings == []
-    # The one justified exception (the swap chunk rebuild, which keeps
-    # slot order on purpose) stays visible as a suppression.
-    assert repro_flow.suppressed_count == 1
+    assert repro_flow.suppressed_count == 0
 
 
 def test_golden_signature_simulator_step(repro_flow):

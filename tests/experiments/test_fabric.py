@@ -397,6 +397,34 @@ def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics(tmp_path):
     assert lifetimes["count"] == 2
 
 
+def test_process_run_telemetry_is_one_file_with_a_lane_per_worker(tmp_path):
+    """Workers write no telemetry: the coordinator records one
+    ``cell.compute`` span per computed cell, on the lane of the worker
+    that computed it."""
+    from repro.obs.runtime import load_spans
+
+    run_dir = tmp_path / "rt"
+    _result, timing, _stats = execute_sweep_fabric(
+        TINY, seeds=2, workers=2, transport="process", runtime_dir=run_dir)
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "metrics.jsonl", "metrics.prom", "progress.json", "spans.jsonl",
+        "summary.json", "timeline.trace.json"]
+    cells = load_spans(run_dir).filter("cell.compute").records
+    assert len(cells) == timing.cells_computed == 6
+    assert sorted((r["xi"], r["si"]) for r in cells) == [
+        (xi, si) for xi in range(3) for si in range(2)]
+    assert all(r["dur"] >= 0 and r["x"] == TINY.x_values[r["xi"]]
+               and r["seed"] == r["si"] for r in cells)
+    computed_by = {r["worker_id"] for r in cells}
+    doc = json.loads((run_dir / "timeline.trace.json").read_text())
+    lanes = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]
+             if e["ph"] == "M"}
+    for worker in computed_by:
+        pid = lanes[f"worker {worker}"]
+        assert any(e["ph"] == "X" and e["name"] == "cell.compute"
+                   and e["pid"] == pid for e in doc["traceEvents"])
+
+
 def test_on_point_fires_in_grid_order():
     calls = []
     execute_sweep_fabric(TINY, seeds=2, workers=2, transport="process",

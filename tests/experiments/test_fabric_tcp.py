@@ -12,6 +12,7 @@ Three layers of test here:
   exit-2 refusals.
 """
 
+import json
 import socket
 import struct
 import subprocess
@@ -75,13 +76,20 @@ class _LiveRun:
     """Run a Coordinator in a thread; expose its transport address."""
 
     def __init__(self, spec, *, workers=1, token="sesame",
-                 lease_size=1) -> None:
+                 lease_size=1, runtime_dir=None) -> None:
         self.spec = spec
         config = FabricConfig(workers=workers, transport="tcp",
                               token=token, lease_size=lease_size)
         self.fold = SweepFold(spec, [0, 1])
+        self.telemetry = None
+        if runtime_dir is not None:
+            from repro.obs.runtime import RunTelemetry
+
+            self.telemetry = RunTelemetry(runtime_dir,
+                                          total_cells=self.fold.total)
         self.coordinator = Coordinator(spec, [0, 1], config=config,
-                                       cache=None, fold=self.fold)
+                                       cache=None, fold=self.fold,
+                                       telemetry=self.telemetry)
         self.error = None
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -91,6 +99,9 @@ class _LiveRun:
             self.coordinator.run(pending)
         except Exception as exc:  # surfaced by join()
             self.error = exc
+        if self.telemetry is not None:
+            self.telemetry.finalize(
+                state="failed" if self.error is not None else "done")
 
     def __enter__(self) -> "_LiveRun":
         self._thread.start()
@@ -123,6 +134,27 @@ def test_remote_worker_joins_mid_run_and_is_leased_work():
     stats = run.coordinator.stats
     assert stats.remote_workers_joined == 1
     assert stats.workers_started == 2  # the local fleet + the joiner
+
+
+def test_remote_worker_cells_reach_the_coordinators_span_file(tmp_path):
+    """A joiner writes no telemetry of its own: its cells appear as
+    ``cell.compute`` spans naming it in the coordinator's one file."""
+    from repro.obs.runtime import load_spans
+
+    run_dir = tmp_path / "rt"
+    with _LiveRun(SLOW, workers=1, runtime_dir=run_dir) as run:
+        worker_id = run_remote_worker(run.address, "sesame", spec=SLOW)
+    assert _canon(run.merged()) == _canon(execute_sweep(SLOW, seeds=2)[0])
+    assert not list(run_dir.glob("spans-*"))
+    cells = load_spans(run_dir).filter("cell.compute").records
+    assert len(cells) == 6
+    assert any(r["worker_id"] == worker_id for r in cells)
+    doc = json.loads((run_dir / "timeline.trace.json").read_text())
+    lanes = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]
+             if e["ph"] == "M"}
+    assert any(e["name"] == "cell.compute"
+               and e["pid"] == lanes[f"worker {worker_id}"]
+               for e in doc["traceEvents"])
 
 
 def test_wrong_token_remote_worker_is_refused():

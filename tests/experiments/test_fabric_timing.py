@@ -557,7 +557,7 @@ def test_fake_clock_run_with_telemetry_is_byte_identical(tmp_path):
     assert json.dumps(plain.to_dict(), sort_keys=True) == \
         json.dumps(traced.to_dict(), sort_keys=True)
     names = {p.name for p in run_dir.iterdir()}
-    assert "spans-coordinator.jsonl" in names
+    assert "spans.jsonl" in names
     assert "timeline.trace.json" in names
     assert "metrics.prom" in names
     doc = json.loads((run_dir / "timeline.trace.json").read_text())

@@ -18,10 +18,11 @@ from repro.obs.runtime import (
     ProgressTicker,
     RunTelemetry,
     RuntimeRecorder,
-    SpanSet,
     fleet_timeline,
     format_progress,
+    lanes,
     load_metrics_series,
+    load_spans,
     prometheus_text,
     tail_run,
     wall_summary,
@@ -44,11 +45,10 @@ class FakeClock:
         return self.now
 
 
-def _recorder(tmp_path, *, role="coordinator", worker=None, start=100.0,
+def _recorder(tmp_path, *, role="coordinator", start=100.0,
               unix=1_000_000.0):
     clock = FakeClock(start)
-    rec = RuntimeRecorder(tmp_path / f"spans-{role}.jsonl", role=role,
-                          worker=worker, clock=clock,
+    rec = RuntimeRecorder(tmp_path / "spans.jsonl", role=role, clock=clock,
                           unix_clock=lambda: unix)
     return rec, clock
 
@@ -64,12 +64,13 @@ def _lines(path):
 def test_recorder_first_record_is_meta_anchor(tmp_path):
     rec, _clock = _recorder(tmp_path)
     rec.close()
-    records = _lines(tmp_path / "spans-coordinator.jsonl")
+    records = _lines(tmp_path / "spans.jsonl")
     assert records[0]["kind"] == "runtime.meta"
     assert records[0]["schema"] == RUNTIME_SCHEMA
     assert records[0]["t"] == 100.0
     assert records[0]["unix"] == 1_000_000.0
     assert records[0]["seq"] == 0
+    assert "host" not in records[0]
 
 
 def test_recorder_records_are_sequenced_and_flushed_live(tmp_path):
@@ -77,7 +78,7 @@ def test_recorder_records_are_sequenced_and_flushed_live(tmp_path):
     clock.advance(1.0)
     rec.event("lease.assign", lease=0, worker_id="w0")
     # No close(): line-buffered writes must be visible immediately.
-    records = _lines(tmp_path / "spans-coordinator.jsonl")
+    records = _lines(tmp_path / "spans.jsonl")
     assert [r["seq"] for r in records] == [0, 1]
     assert records[1]["kind"] == "lease.assign"
     assert records[1]["t"] == 101.0
@@ -90,7 +91,7 @@ def test_recorder_span_measures_duration(tmp_path):
     with rec.span("cell.compute", x=2.0):
         clock.advance(0.25)
     rec.close()
-    span = _lines(tmp_path / "spans-coordinator.jsonl")[1]
+    span = _lines(tmp_path / "spans.jsonl")[1]
     assert span["kind"] == "cell.compute"
     assert span["t"] == 100.0
     assert span["dur"] == pytest.approx(0.25)
@@ -98,15 +99,16 @@ def test_recorder_span_measures_duration(tmp_path):
 
 
 def test_recorder_identity_keys_beat_payload_fields(tmp_path):
-    # A coordinator event *about* worker w3 must not masquerade as a
-    # record *emitted by* w3 -- the (role, worker) identity is who wrote
-    # the file, and the timeline tracks depend on it.
+    # The run's process writes every record: payload fields cannot
+    # rename the writer, and a record about worker w3 names it only in
+    # ``worker_id``.
     rec, _clock = _recorder(tmp_path, role="coordinator")
-    rec.event("worker.exit", worker="w3", role="worker", pid=-1)
+    rec.event("worker.exit", worker_id="w3", role="worker", pid=-1)
     rec.close()
-    record = _lines(tmp_path / "spans-coordinator.jsonl")[1]
+    record = _lines(tmp_path / "spans.jsonl")[1]
     assert record["role"] == "coordinator"
-    assert record["worker"] is None
+    assert record["worker_id"] == "w3"
+    assert "worker" not in record
     assert record["pid"] != -1
 
 
@@ -115,90 +117,77 @@ def test_recorder_close_is_idempotent_and_silences_events(tmp_path):
     rec.close()
     rec.close()
     rec.event("late.event")  # silently dropped, never raises
-    assert len(_lines(tmp_path / "spans-coordinator.jsonl")) == 1
+    assert len(_lines(tmp_path / "spans.jsonl")) == 1
 
 
-def test_for_worker_names_the_span_file(tmp_path):
-    rec = RuntimeRecorder.for_worker(tmp_path, "w7")
-    rec.event("worker.start")
-    rec.close()
-    records = _lines(tmp_path / "spans-worker-w7.jsonl")
-    assert records[1]["role"] == "worker"
-    assert records[1]["worker"] == "w7"
-
-
-# -- SpanSet ----------------------------------------------------------------
+# -- the span file ----------------------------------------------------------
 
 
 def _run_dir(tmp_path):
-    """A tiny two-file run: coordinator + one worker, aligned clocks."""
-    coord, cclock = _recorder(tmp_path, start=100.0, unix=5000.0)
-    cclock.advance(1.0)
-    coord.event("lease.assign", lease=0, worker_id="w0")
+    """A tiny fabric run's span file: the coordinator's own events plus
+    one worker's lease and cell."""
+    coord, clock = _recorder(tmp_path, start=100.0, unix=5000.0)
+    clock.advance(1.0)
+    coord.event("lease.assign", lease=0, worker_id="w0", cells=1)
+    clock.advance(0.5)
+    coord.event("cell.compute", t=clock() - 0.5, dur=0.5, xi=0, si=0,
+                x=0.0, seed=0, worker_id="w0")
+    coord.event("run.done", state="done")
     coord.close()
-    # The worker's monotonic epoch differs by 900 but its unix anchor
-    # matches: both files describe the same wall-clock run.
-    worker, wclock = _recorder(tmp_path, role="worker", worker="w0",
-                               start=1000.0, unix=5000.0)
-    with worker.span("cell.compute", xi=0, si=0):
-        wclock.advance(0.5)
-    worker.close()
     return tmp_path
 
 
-def test_spanset_loads_all_files_and_filters(tmp_path):
-    spans = SpanSet.load_dir(_run_dir(tmp_path))
+def test_load_spans_reads_the_run_file_and_filters(tmp_path):
+    spans = load_spans(_run_dir(tmp_path))
     assert len(spans.records) == 4
     assert spans.filter("lease.assign").records[0]["lease"] == 0
-    assert len(spans.filter(role="worker").records) == 2
-    assert len(spans.filter(worker="w0").records) == 2
+    assert len(spans.filter(worker_id="w0").records) == 2
     assert spans.kinds() == {"cell.compute": 1, "lease.assign": 1,
-                             "runtime.meta": 2}
-    assert spans.tracks() == [("coordinator", None), ("worker", "w0")]
+                             "run.done": 1, "runtime.meta": 1}
+    assert lanes(spans) == ["coordinator", "worker w0"]
 
 
 def test_spanset_tolerates_torn_final_line(tmp_path):
     _run_dir(tmp_path)
-    path = tmp_path / "spans-worker.jsonl"
+    path = tmp_path / "spans.jsonl"
     path.write_text(path.read_text() + '{"kind": "cell.comp')
-    spans = SpanSet.load_dir(tmp_path)
+    spans = load_spans(tmp_path)
     assert len(spans.records) == 4
     assert len(spans.bad_lines) == 1
 
 
 def test_spanset_empty_dir_is_empty(tmp_path):
-    spans = SpanSet.load_dir(tmp_path)
+    spans = load_spans(tmp_path)
     assert spans.records == []
-    assert spans.tracks() == []
+    assert lanes(spans) == []
 
 
 # -- fleet timeline ---------------------------------------------------------
 
 
 def test_fleet_timeline_one_track_per_source(tmp_path):
-    doc = fleet_timeline(SpanSet.load_dir(_run_dir(tmp_path)))
+    # One lane for the run, one per worker named in ``worker_id``.
+    doc = fleet_timeline(load_spans(_run_dir(tmp_path)))
     names = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]
              if e["ph"] == "M"}
     assert names == {"coordinator": 0, "worker w0": 1}
-
-
-def test_fleet_timeline_aligns_monotonic_epochs(tmp_path):
-    # Coordinator anchor: t=100 at unix 5000.  Worker anchor: t=1000 at
-    # unix 5000.  The worker's cell.compute at t=1000 and the
-    # coordinator's meta at t=100 are the same wall instant, so both
-    # land at ts=0; the lease.assign one second later lands at 1e6 us.
-    doc = fleet_timeline(SpanSet.load_dir(_run_dir(tmp_path)))
     by_name = {e["name"]: e for e in doc["traceEvents"] if e["ph"] != "M"}
-    assert by_name["cell.compute"]["ts"] == pytest.approx(0.0)
-    assert by_name["lease.assign"]["ts"] == pytest.approx(1e6)
+    assert by_name["cell.compute"]["pid"] == 1
+    assert by_name["lease.assign"]["pid"] == 1
+    assert by_name["run.done"]["pid"] == 0
 
 
 def test_fleet_timeline_span_vs_instant_phases(tmp_path):
-    doc = fleet_timeline(SpanSet.load_dir(_run_dir(tmp_path)))
+    # The meta record at t=100 is the origin: the lease one second
+    # later lands at 1e6 us, the cell that ends 0.5 s after it starts
+    # at the same instant.
+    doc = fleet_timeline(load_spans(_run_dir(tmp_path)))
     by_name = {e["name"]: e for e in doc["traceEvents"] if e["ph"] != "M"}
     assert by_name["cell.compute"]["ph"] == "X"
     assert by_name["cell.compute"]["dur"] == pytest.approx(0.5e6)
+    assert by_name["cell.compute"]["ts"] == pytest.approx(1e6)
     assert by_name["lease.assign"]["ph"] == "i"
+    assert by_name["lease.assign"]["ts"] == pytest.approx(1e6)
     assert "runtime.meta" not in by_name
 
 
@@ -227,7 +216,7 @@ def test_wall_stats_and_summary(tmp_path):
     assert wall_stats([]) == {"p50": 0.0, "p95": 0.0, "max": 0.0}
     assert wall_stats([3.0, 1.0, 2.0]) == {"p50": 2.0, "p95": 3.0,
                                            "max": 3.0}
-    summary = wall_summary(SpanSet.load_dir(_run_dir(tmp_path)))
+    summary = wall_summary(load_spans(_run_dir(tmp_path)))
     assert summary == {"cell.compute": {"count": 1, "p50": 0.5,
                                         "p95": 0.5, "max": 0.5}}
 
@@ -339,6 +328,19 @@ def test_progress_eta_uses_observed_rate():
     assert ticker.eta_seconds(clock()) is not None
 
 
+def test_progress_eta_counts_only_computed_cells():
+    # A resumed sweep: 5 of 10 cells are cache hits, then one cell
+    # computes in 2 s.  The rate is 0.5 cells/s, so 4 cells left = 8 s.
+    clock = FakeClock()
+    ticker = ProgressTicker(10, cache_hits=5, clock=clock,
+                            unix_clock=lambda: 0.0)
+    ticker.update(5, force=True)
+    assert ticker.eta_seconds(clock()) is None  # nothing computed yet
+    clock.advance(2.0)
+    ticker.update(6, force=True)
+    assert ticker.eta_seconds(clock()) == pytest.approx(8.0)
+
+
 def test_progress_finish_marks_terminal_state(tmp_path):
     clock = FakeClock()
     ticker = ProgressTicker(4, path=tmp_path / "progress.json",
@@ -417,7 +419,7 @@ def test_run_telemetry_finalize_writes_all_artifacts(tmp_path):
     tel.tick(3, active_workers=1, force=True)
     tel.finalize(done=3)
     names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"spans-coordinator.jsonl", "metrics.jsonl",
+    assert names == {"spans.jsonl", "metrics.jsonl",
                      "metrics.prom", "progress.json", "summary.json",
                      "timeline.trace.json"}
     summary = json.loads((tmp_path / "summary.json").read_text())

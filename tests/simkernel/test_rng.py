@@ -202,8 +202,8 @@ def test_serial_cli_sweep_loads_no_tooling():
 
 
 def test_importing_the_fabric_leaves_the_runtime_plane_unloaded():
-    # The coordinator and its workers load the runtime plane only when a
-    # run asks for telemetry or a progress ticker.
+    # The coordinator loads the runtime plane only when a run asks for
+    # telemetry or a progress ticker; a worker never writes telemetry.
     code = ("import sys\n"
             "import repro.experiments.fabric\n"
             "print('repro.obs.runtime' in sys.modules)\n")
