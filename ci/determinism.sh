@@ -18,8 +18,9 @@
 #      (process with a crash, tcp with a SIGKILL): result JSON, trace
 #      and sim metrics must `cmp` equal to the serial run's;
 #   3. warm-cache resume, a fabric resume from a serial run's cache,
-#      a remote TCP worker joining mid-run, and the handshake gate
-#      refusing wrong tokens and fingerprints;
+#      cache keys that follow model edits and ignore tooling edits, a
+#      remote TCP worker joining mid-run, and the handshake gate
+#      refusing a wrong token and a checkout with edited model code;
 #   4. the runtime telemetry plane's exports: one span file per run and
 #      cells on every worker's timeline lane (process and tcp), then
 #      Prometheus, summary and tail;
@@ -138,14 +139,33 @@ done
 echo "## 3. warm resume, remote join, handshake gate"
 sweep fabric-cold fig7 --cache-dir "$OUT/fabric-cache" --jobs 4
 sweep fabric-warm fig7 --cache-dir "$OUT/fabric-cache" --jobs 4
-grep -q "0/20 cells computed" "$OUT/fabric-warm.log"
+grep -q "; 0/20 cells computed" "$OUT/fabric-warm.log"
 cmp "$OUT/fabric-cold.json" "$OUT/fabric-warm.json"
 cmp "$OUT/serial.json" "$OUT/fabric-warm.json"
 # Mixed writers: a serial run's segment serves the fabric's resume.
 sweep mixed-serial fig7 --cache-dir "$OUT/mixed-cache" --jobs 1 --seeds 1
 sweep mixed-resume fig7 --cache-dir "$OUT/mixed-cache" --jobs 4
-grep -q "10/20 cells computed" "$OUT/mixed-resume.log"
+grep -q "; 10/20 cells computed" "$OUT/mixed-resume.log"
 cmp "$OUT/serial.json" "$OUT/mixed-resume.json"
+# Cache keys cover the model's source and nothing else: a checkout
+# with one comment added to a strategy recomputes every cell (to the
+# same bytes) without evicting the real checkout's, and one whose only
+# edit is in a tooling module hits them all.
+for copy in diverged tooling-edit; do
+  mkdir -p "$OUT/$copy"
+  cp -r src "$OUT/$copy/src"
+done
+echo "# diverged" >> "$OUT/diverged/src/repro/strategies/dlb.py"
+echo "# edited" >> "$OUT/tooling-edit/src/repro/obs/report.py"
+PYTHONPATH="$OUT/diverged/src" sweep diverged fig7 \
+  --cache-dir "$OUT/fabric-cache"
+grep -q "; 20/20 cells computed" "$OUT/diverged.log"
+cmp "$OUT/serial.json" "$OUT/diverged.json"
+sweep fabric-rewarm fig7 --cache-dir "$OUT/fabric-cache" --jobs 4
+grep -q "; 0/20 cells computed" "$OUT/fabric-rewarm.log"
+PYTHONPATH="$OUT/tooling-edit/src" sweep tooling-edit fig7 \
+  --cache-dir "$OUT/fabric-cache"
+grep -q "; 0/20 cells computed" "$OUT/tooling-edit.log"
 
 python -m repro.experiments.fabric worker 127.0.0.1:39218 \
   --token ci-secret --retry-for 60 &
@@ -155,20 +175,20 @@ sweep tcp-join fig7 --no-cache --jobs 1 --fabric-transport tcp \
 wait $WORKER
 cmp "$OUT/serial.json" "$OUT/tcp-join.json"
 
-python - <<'EOF'
-import subprocess, sys, time
+DIVERGED="$OUT/diverged/src" python - <<'EOF'
+import os, subprocess, sys, time
 from repro.experiments.fabric import (COORDINATOR, WELCOME,
                                       Envelope, HandshakeInfo,
                                       TcpTransport,
                                       welcome_payload)
 from repro.experiments.scenarios import get_scenario
 
-def refuse(info, token, expect, pump_welcome=False):
+def refuse(info, token, expect, pump_welcome=False, env=None):
     transport = TcpTransport(info, listen="127.0.0.1:0")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.experiments.fabric",
          "worker", transport.address, "--token", token],
-        stderr=subprocess.PIPE, text=True)
+        stderr=subprocess.PIPE, text=True, env=env)
     while proc.poll() is None:
         for channel, _hello in transport.poll_peers():
             if pump_welcome:
@@ -187,10 +207,9 @@ fig7 = get_scenario("fig7")
 good = HandshakeInfo(token="s3cret", scenario="fig7",
                      fingerprint=fig7.fingerprint())
 refuse(good, "wrong-token", "bad token")
-diverged = HandshakeInfo(token="s3cret", scenario="fig7",
-                         fingerprint="0" * 64)
-refuse(diverged, "s3cret", "fingerprint mismatch",
-       pump_welcome=True)
+# A worker run from the checkout with the edited strategy.
+refuse(good, "s3cret", "fingerprint mismatch", pump_welcome=True,
+       env=dict(os.environ, PYTHONPATH=os.environ["DIVERGED"]))
 EOF
 
 echo "## 4. runtime telemetry exports"

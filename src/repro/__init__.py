@@ -23,7 +23,6 @@ Quickstart
 ['cr', 'dlb', 'nothing', 'swap-greedy']
 """
 
-from repro._version import __version__
 from repro.app import ApplicationSpec, paper_application
 from repro.core import (
     PolicyParams,
@@ -51,6 +50,8 @@ from repro.strategies import (
     Strategy,
     SwapStrategy,
 )
+
+__version__ = "1.1.0"
 
 __all__ = [
     "ApplicationSpec",

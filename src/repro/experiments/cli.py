@@ -22,9 +22,17 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import FabricError
 from repro.experiments.executor import append_bench_record, execute_sweep
 from repro.experiments.report import ascii_chart, format_table, shape_summary
 from repro.experiments.scenarios import ALL_SCENARIOS, get_scenario
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,16 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-experiments",
         description="Regenerate the figures of 'Policies for Swapping "
                     "MPI Processes' (HPDC 2003).")
-    parser.add_argument("scenario", nargs="?",
+    parser.add_argument("scenario", nargs="?", metavar="SCENARIO",
+                        choices=(*sorted(ALL_SCENARIOS), "all"),
                         help="scenario name (e.g. fig4), or 'all' to "
                              "regenerate every figure; see --list")
     parser.add_argument("--outdir", metavar="DIR", default="figures",
                         help="output directory for 'all' "
                              "(default: figures/)")
-    parser.add_argument("--seeds", type=int, default=None,
+    parser.add_argument("--seeds", type=_positive_int, default=None,
                         help="number of replicated seeds (default: "
                              "scenario-specific)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="sweep workers; N > 1 runs the coordinator/"
                              "worker fabric (see docs/FABRIC.md), result "
                              "byte-identical (default: 1, the in-process "
@@ -136,12 +145,13 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.print_usage()
         return 2
 
+    config = _fabric_config(parser, args)
     if args.scenario == "all":
-        return regenerate_all(args)
+        return regenerate_all(args, config)
 
     spec = get_scenario(args.scenario)
     session = _make_session(args)
-    result, timing, fabric_stats = _execute(args, spec, session)
+    result, timing, fabric_stats = _execute(args, spec, session, config)
 
     baseline = args.baseline if args.baseline in result.series else None
     print(format_table(result, baseline=baseline, show_events=args.events))
@@ -177,40 +187,48 @@ def main(argv: "list[str] | None" = None) -> int:
     return 0
 
 
-def _execute(args, spec, session):
-    """Run one sweep: in-process at ``--jobs 1``, on the fabric when
-    ``--jobs N > 1`` or ``--fabric-transport`` asks for it.
-
-    Returns ``(result, timing, fabric_stats)`` with ``fabric_stats``
-    None on the in-process path.
-    """
-    cache_dir = None if args.no_cache else args.cache_dir
+def _fabric_config(parser, args):
+    """The run's :class:`FabricConfig`, or None to run in-process; a
+    flag the run cannot honour is a usage error (exit 2)."""
     if args.fabric_transport != "tcp":
         for flag, value in (("--listen", args.listen),
                             ("--fabric-token", args.fabric_token)):
             if value is not None:
-                raise SystemExit(f"{flag} needs --fabric-transport tcp")
-    if args.jobs <= 1 and args.fabric_transport is None:
+                parser.error(f"{flag} needs --fabric-transport tcp")
+    if args.jobs == 1 and args.fabric_transport is None:
         if args.fabric_chaos is not None:
-            raise SystemExit("--fabric-chaos needs a fabric run "
-                             "(--jobs N > 1 or --fabric-transport)")
-        result, timing = execute_sweep(spec, seeds=args.seeds,
-                                       jobs=args.jobs, cache_dir=cache_dir,
-                                       obs_session=session,
-                                       runtime_dir=args.runtime_telemetry,
-                                       progress=args.progress)
-        return result, timing, None
-    from repro.experiments.fabric import (FabricConfig, WorkerChaos,
-                                          execute_sweep_fabric)
+            parser.error("--fabric-chaos needs a fabric run "
+                         "(--jobs N > 1 or --fabric-transport)")
+        return None
+    from repro.experiments.fabric import FabricConfig, WorkerChaos
 
-    chaos = (WorkerChaos.parse(args.fabric_chaos)
-             if args.fabric_chaos is not None else None)
     # Unset transport/listen keep FabricConfig's defaults.
     overrides = {name: value for name, value in
                  (("transport", args.fabric_transport),
                   ("listen", args.listen)) if value is not None}
-    config = FabricConfig(workers=args.jobs, chaos=chaos,
-                          token=args.fabric_token, **overrides)
+    try:
+        chaos = (WorkerChaos.parse(args.fabric_chaos)
+                 if args.fabric_chaos is not None else None)
+        return FabricConfig(workers=args.jobs, chaos=chaos,
+                            token=args.fabric_token, **overrides)
+    except FabricError as exc:
+        parser.error(str(exc))
+
+
+def _execute(args, spec, session, config):
+    """Run one sweep, in-process when ``config`` is None, else on the
+    fabric: ``(result, timing, fabric_stats)``, the stats None in-process.
+    """
+    cache_dir = None if args.no_cache else args.cache_dir
+    if config is None:
+        result, timing = execute_sweep(spec, seeds=args.seeds,
+                                       cache_dir=cache_dir,
+                                       obs_session=session,
+                                       runtime_dir=args.runtime_telemetry,
+                                       progress=args.progress)
+        return result, timing, None
+    from repro.experiments.fabric import execute_sweep_fabric
+
     return execute_sweep_fabric(spec, seeds=args.seeds, config=config,
                                 cache_dir=cache_dir, obs_session=session,
                                 runtime_dir=args.runtime_telemetry,
@@ -256,7 +274,7 @@ def _write_obs(args, session) -> None:
             print(f"  {len(findings)} trace lint finding(s)")
 
 
-def regenerate_all(args) -> int:
+def regenerate_all(args, config) -> int:
     """Run every scenario; write table/SVG/CSV/JSON per figure."""
     from pathlib import Path
 
@@ -272,7 +290,8 @@ def regenerate_all(args) -> int:
             # One run directory per scenario: span files, timeline, and
             # progress.json are per-run artifacts.
             args.runtime_telemetry = str(Path(runtime_base) / name)
-        result, timing, _fabric_stats = _execute(args, spec, session)
+        result, timing, _fabric_stats = _execute(args, spec, session,
+                                                 config)
         baseline = "nothing" if "nothing" in result.series else None
         (outdir / f"{name}.txt").write_text(
             format_table(result, baseline=baseline) + "\n")

@@ -15,17 +15,16 @@ cell).  Cells never communicate, so the executor can
   via pickle (exact) or JSON ``repr`` round-trips (also exact);
 * skip cells whose results are already on disk.  The cache key
   (:func:`cell_digest`) is a SHA-256 over the scenario name, the spec
-  fingerprint (declarative fields, claim prose and builder source), the
-  cell coordinates, the package version string and the cache format.
-  It does not cover the model code a cell runs -- strategies, load
-  models, the decision core: after editing those, bump
-  ``repro._version`` or clear the cache, or stale entries are served
-  (docs/PERFORMANCE.md, "Staleness caveat").  The store is
-  append-only: each writer appends its cells as ``<digest> <json>``
-  lines to a segment of its own, one per scenario (:class:`CellCache`),
-  so storing a cell creates no file.  Entries that fail to parse or
-  whose recorded digest does not match are treated as misses and
-  recomputed, never trusted.
+  fingerprint and the cell coordinates.  The fingerprint covers the
+  model's source (:func:`code_digest`: every module of the package but
+  the :data:`TOOLING`), so editing any code that can change a result
+  -- a strategy, a load model, this module -- misses every cached cell,
+  while editing a CLI, the fabric or an analyzer misses none.  The
+  store is append-only: each writer appends its cells as ``<digest>
+  <json>`` lines to a segment of its own, one per scenario
+  (:class:`CellCache`), so storing a cell creates no file.  Entries that
+  fail to parse or whose recorded digest does not match are treated as
+  misses and recomputed, never trusted.
 
 Both modes run through one envelope, :func:`sweep_envelope`; only the
 *cell source* differs.  ``jobs=1`` executes ``compute_cell`` in-process,
@@ -39,6 +38,7 @@ which :func:`append_bench_record` folds into ``BENCH_sweeps.json``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -51,7 +51,6 @@ from urllib.parse import quote
 import numpy as np
 
 from repro import obs
-from repro._version import __version__
 from repro.errors import ExperimentError
 from repro.experiments.runner import SeriesStats, SweepResult
 from repro.experiments.scenarios import ExperimentSpec
@@ -62,11 +61,8 @@ from repro.strategies.base import ExecutionResult
 if TYPE_CHECKING:  # pragma: no cover - the runtime plane loads on demand
     from repro.obs.runtime import RunTelemetry
 
-#: Cell payload schema version; bump to invalidate every cached entry.
-#: (2: cells carry observability payloads -- trace records + metrics.
-#:  3: cells computed by the vectorized trace kernels / lowered plans --
-#:  makespans are float-identical but the perf counters changed meaning.
-#:  4: entries are ``<digest> <json>`` lines in append-only segments.)
+#: Cell payload schema tag, validated when an entry loads.  Cache keys
+#: already cover this module's source, so a schema change needs no bump.
 CACHE_FORMAT = 4
 
 
@@ -159,48 +155,58 @@ def compute_cell(spec: ExperimentSpec, x: float, seed: int, *,
                                if session is not None else {}))
 
 
-#: What a fresh interpreter runs to load the whole model: one traced cell
-#: of every scenario, then a mechanism-level swap runtime job.
-_MODEL_PROBE = """
-import sys
-from repro.experiments.executor import compute_cell
-from repro.experiments.scenarios import ALL_SCENARIOS, get_scenario
-from repro.load.onoff import OnOffLoadModel
-from repro.platform.cluster import make_platform
-from repro.swap.runtime import SwapRuntime
-from repro.units import MFLOPS
-for name in sorted(ALL_SCENARIOS):
-    spec = get_scenario(name)
-    compute_cell(spec, spec.x_values[0], 0, instrument=True)
-platform = make_platform(4, OnOffLoadModel(p=0.3, q=0.08), seed=0,
-                         horizon=100.0)
-SwapRuntime(platform, n_active=2, chunk_flops=100 * MFLOPS,
-            use_nws_bank=True).run_iterative(2)
-print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))
-"""
+# -- content addressing -----------------------------------------------------
+
+
+#: The modules and subpackages that computing a cell never loads: the
+#: analyzers, the fabric, the CLIs, the report writers and the runtime
+#: plane.  The rest of the package is the model.
+TOOLING = ("repro.analysis", "repro.experiments.__main__",
+           "repro.experiments.cli", "repro.experiments.fabric",
+           "repro.experiments.illustrations", "repro.experiments.report",
+           "repro.experiments.svgplot", "repro.experiments.timeline",
+           "repro.obs.__main__", "repro.obs.analyze", "repro.obs.report",
+           "repro.obs.runtime")
+
+_PACKAGE = Path(__file__).resolve().parents[1]
+
+
+def _model_sources() -> "dict[str, str]":
+    """Module name -> package-relative source path, for the model."""
+    sources = {}
+    for path in _PACKAGE.rglob("*.py"):
+        parts = path.relative_to(_PACKAGE.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        if not any(name == tool or name.startswith(tool + ".")
+                   for tool in TOOLING):
+            sources[name] = path.relative_to(_PACKAGE).as_posix()
+    if not sources:
+        raise ExperimentError(f"no model sources under {_PACKAGE}")
+    return sources
 
 
 def model_modules() -> "tuple[str, ...]":
-    """The model closure: every ``repro`` module a fresh interpreter
-    loads to compute a traced cell of each scenario and to run the
-    mechanism-level swap runtime, sorted.
+    """The model, sorted: every ``repro`` module but the :data:`TOOLING`.
 
     Everything that can change a simulated number or a traced byte is in
-    it; the fabric, the runtime plane, the CLIs and the analyzers are
-    not.  The static analyzers' self-check lints exactly this set.
+    it (``tests/simkernel/test_rng.py`` checks it is exactly what
+    computing cells loads).  The static analyzers judge this set, and
+    :func:`code_digest` hashes it.
     """
-    import subprocess
-    import sys
-
-    root = str(Path(__file__).resolve().parents[2])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (root, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _MODEL_PROBE], check=True,
-                         env=env, capture_output=True, text=True).stdout
-    return tuple(out.split())
+    return tuple(sorted(_model_sources()))
 
 
-# -- content addressing -----------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over each model module's package-relative path and
+    bytes, in path order, once per process.  A source file that cannot
+    be read raises: the digest never covers less than the model."""
+    hasher = sha256()
+    for path in sorted(_model_sources().values()):
+        source = (_PACKAGE / path).read_bytes()
+        hasher.update(b"%s\x00%d\x00" % (path.encode(), len(source)))
+        hasher.update(source)
+    return hasher.hexdigest()
 
 
 def cell_digest(scenario: str, fingerprint: str, x: float, seed: int, *,
@@ -212,15 +218,11 @@ def cell_digest(scenario: str, fingerprint: str, x: float, seed: int, *,
     the payback ablation).  Instrumented cells carry trace/metrics
     payloads that plain cells lack, so the flag participates in the key --
     a traced run never "hits" an untraced entry (which would silently
-    drop its records) and vice versa.  Of the code that computes a cell,
-    the key covers only the builder's source (in the fingerprint) and
-    ``__version__``: an edited strategy or other model module reuses
-    stale entries until the version is bumped (docs/PERFORMANCE.md,
-    "Staleness caveat").
+    drop its records) and vice versa.  The fingerprint carries the
+    model's :func:`code_digest`, so the key changes with any model code.
     """
     hasher = sha256()
     for part in (scenario, fingerprint, repr(float(x)), str(int(seed)),
-                 __version__, str(CACHE_FORMAT),
                  "obs" if instrumented else ""):
         hasher.update(part.encode("utf-8"))
         hasher.update(b"\x00")
@@ -244,9 +246,8 @@ class CellCache:
     re-validates with the payload structure, so a truncated, garbled or
     foreign line is a cache miss, not a wrong answer.  A line counts
     only once its newline is written: an unfinished tail (a writer that
-    died mid-append) is skipped.  An entry is only as fresh as its
-    :func:`cell_digest`: a valid entry computed by since-edited model
-    code is still served.
+    died mid-append) is skipped.  Since the digest covers the model's
+    source, an entry computed by since-edited model code is never hit.
     """
 
     def __init__(self, root: "str | os.PathLike", *,
@@ -324,7 +325,7 @@ class CellCache:
                x: float, seed: int) -> None:
         payload = {"format": CACHE_FORMAT, "digest": digest,
                    "scenario": scenario, "x": x, "seed": seed,
-                   "version": __version__, "cell": cell.to_payload()}
+                   "cell": cell.to_payload()}
         key = digest.encode()
         body = json.dumps(payload, sort_keys=True).encode()
         fd = self._segments.get(scenario)

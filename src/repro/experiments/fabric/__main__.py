@@ -10,10 +10,10 @@ entry point connects one worker to it::
 The worker handshakes (token, protocol version, spec fingerprint),
 resolves the coordinator's scenario from the local registry, serves
 cells until the sweep drains, and exits 0.  The fingerprint covers the
-scenario spec and its builder source, not model code, so "the same
-checkout" is the operator's promise.  Every refusal -- wrong token,
-different scenario spec, unreachable coordinator -- is a one-line
-message on stderr and exit status 2, never a traceback.
+scenario spec and the model code, so only a checkout that computes the
+same cells is admitted.  Every refusal -- wrong token, different spec
+or model code, unreachable coordinator -- is a one-line message on
+stderr and exit status 2, never a traceback.
 """
 
 import argparse
@@ -22,6 +22,13 @@ import time
 
 from repro.errors import FabricError
 from repro.experiments.fabric.core import run_remote_worker
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -40,7 +47,8 @@ def main(argv: "list[str] | None" = None) -> int:
     worker.add_argument("--worker-id", default=None,
                         help="request a specific worker id (default: the "
                              "coordinator assigns one)")
-    worker.add_argument("--handshake-timeout", type=float, default=10.0,
+    worker.add_argument("--handshake-timeout", type=_positive_float,
+                        default=10.0,
                         help="seconds to wait for connect + WELCOME "
                              "(default: %(default)s)")
     worker.add_argument("--retry-for", type=float, default=0.0,

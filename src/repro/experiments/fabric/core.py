@@ -196,6 +196,7 @@ class FabricConfig:
         if self.handshake_timeout <= 0:
             raise FabricError(
                 f"handshake_timeout must be > 0, got {self.handshake_timeout}")
+        _parse_listen(self.listen)
 
 
 @dataclass
@@ -359,9 +360,7 @@ def run_remote_worker(address: str, token: str, *,
     When ``spec`` is None (the CLI path) the scenario named in the
     WELCOME is resolved from this checkout's registry and its
     fingerprint is verified against the coordinator's, so checkouts
-    whose scenario spec or builder source differ refuse to mix cells.
-    The fingerprint does not cover model code: a checkout that differs
-    only in, say, a strategy is admitted and contributes its numbers.
+    whose scenario spec or model code differ refuse to mix cells.
     Tests pass an unregistered ``spec`` directly; its fingerprint then
     rides in the HELLO and the *coordinator* performs the same refusal.
     """
@@ -400,8 +399,9 @@ def run_remote_worker(address: str, token: str, *,
             raise FabricError(
                 f"spec fingerprint mismatch for scenario {scenario!r}: "
                 f"this checkout computes {local[:12]}, the coordinator "
-                f"sweeps {str(welcome.get('fingerprint'))[:12]} -- "
-                f"refusing to contribute cells")
+                f"sweeps {str(welcome.get('fingerprint'))[:12]} -- the "
+                f"scenario spec or the model code differs; refusing to "
+                f"contribute cells")
     chaos = welcome.get("chaos")
     config = WorkerConfig(
         worker_id=assigned,

@@ -30,9 +30,7 @@ Three hardening layers, in the order a frame meets them:
   shared secret token, and -- when it already holds a spec -- its
   :meth:`~repro.experiments.scenarios.ExperimentSpec.fingerprint`
   matches the coordinator's, so two checkouts whose scenario spec or
-  builder source differ refuse to cooperate instead of mixing cells.
-  The fingerprint does not cover model code: two checkouts that share
-  a spec but differ in, say, a strategy still pass the gate.
+  model code differ refuse to cooperate instead of mixing cells.
   Mismatches are rejected with a reason the operator can read; garbage
   is closed without ceremony.
 """
@@ -337,8 +335,7 @@ class HandshakeInfo:
 
     The token is the shared secret remote workers must present; the
     scenario/fingerprint pair lets both sides prove they hold the same
-    scenario spec and builder source (see ``ExperimentSpec.fingerprint``;
-    model code is not covered, so it cannot prove identical bytes).  The
+    scenario spec and model code (see ``ExperimentSpec.fingerprint``).  The
     remaining fields ride in the WELCOME so a bootstrapped remote
     worker can assemble its own ``WorkerConfig`` without a second
     round-trip.
@@ -374,8 +371,8 @@ def check_hello(env: Envelope, info: HandshakeInfo) -> "str | None":
     if fingerprint is not None and fingerprint != info.fingerprint:
         return (f"spec fingerprint mismatch: worker computed "
                 f"{str(fingerprint)[:12]}, coordinator sweeps "
-                f"{info.fingerprint[:12]} -- the scenario spec or its "
-                f"builder source differs")
+                f"{info.fingerprint[:12]} -- the scenario spec or the "
+                f"model code differs")
     return None
 
 

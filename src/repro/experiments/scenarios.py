@@ -120,14 +120,6 @@ class ExperimentSpec:
     paper_claim: str = ""
     """The qualitative result the paper reports for this figure."""
     default_seeds: int = 5
-    context: "tuple[str, ...]" = ()
-    """Extra content-address material hashed into :meth:`fingerprint`.
-
-    Builders that depend on generated inputs beyond their own source --
-    e.g. fault plans, whose realization algorithm is versioned separately
-    (:data:`repro.faults.plan.PLAN_VERSION`) -- put those inputs'
-    fingerprints here so cached sweep cells are invalidated when the
-    generation algorithm or parameters change."""
 
     def __post_init__(self) -> None:
         if not self.x_values:
@@ -136,26 +128,26 @@ class ExperimentSpec:
     def fingerprint(self) -> str:
         """Content hash of everything that defines this sweep's cells.
 
-        Covers the declarative fields *and the source text of the builder
-        function*, so editing a scenario invalidates its cached cells (see
-        :mod:`repro.experiments.executor`).  It deliberately does not chase
-        the builder's transitive imports: the cell cache key adds only the
-        package version, which must be bumped by hand after editing
-        strategy or platform internals (docs/PERFORMANCE.md, "Staleness
-        caveat").
+        Covers the model's source
+        (:func:`~repro.experiments.executor.code_digest`, which includes
+        this module and so every claim's prose), the declarative fields,
+        and the builder's own source, which matters for builders defined
+        outside the package.  The cell cache keys and the fabric's
+        admission gate are built on it.
         """
         import hashlib
         import inspect
+
+        from repro.experiments.executor import code_digest
 
         try:
             build_src = inspect.getsource(self.build)
         except (OSError, TypeError):  # builtins / C callables / lost source
             build_src = getattr(self.build, "__qualname__", repr(self.build))
         hasher = hashlib.sha256()
-        for part in (self.name, self.title, self.xlabel,
+        for part in (code_digest(), self.name, self.title, self.xlabel,
                      repr(tuple(float(x) for x in self.x_values)),
-                     str(self.default_seeds), self.paper_claim, build_src,
-                     repr(tuple(self.context))):
+                     str(self.default_seeds), build_src):
             hasher.update(part.encode("utf-8"))
             hasher.update(b"\x00")
         return hasher.hexdigest()
@@ -581,16 +573,13 @@ EXT_EVICTION = ExperimentSpec(
 FAULT_RATE_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
-def _ext_faults_model(rate: float) -> FaultModel:
-    return FaultModel(revocation_rate=rate, mean_downtime=300.0,
-                      transfer_failure_prob=0.05, store_outage_rate=0.5,
-                      mean_store_outage=120.0)
-
-
 def _ext_faults_build(rate: float, seed: int):
+    faults = FaultModel(revocation_rate=rate, mean_downtime=300.0,
+                        transfer_failure_prob=0.05, store_outage_rate=0.5,
+                        mean_store_outage=120.0)
     platform = make_platform(32, DYNAMISM.model(0.3), seed=seed,
                              speed_range=EVALUATION_SPEED_RANGE,
-                             fault_model=_ext_faults_model(rate))
+                             fault_model=faults)
     app = _standard_app(n_processes=4, state_bytes=1 * MB)
     return platform, _named(app, _four_techniques())
 
@@ -607,8 +596,6 @@ EXT_FAULTS = ExperimentSpec(
                 "application can treat a revoked processor like a slow "
                 "one and promote a spare, while a static MPI application "
                 "stalls until the processor returns.",
-    context=tuple(_ext_faults_model(rate).fingerprint()
-                  for rate in FAULT_RATE_GRID),
 )
 
 

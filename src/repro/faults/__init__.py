@@ -6,12 +6,11 @@ See :mod:`repro.faults.plan` for the fault model/plan layer and
 recovery semantics, and the determinism contract.
 """
 
-from repro.faults.plan import PLAN_VERSION, FaultModel, FaultPlan
+from repro.faults.plan import FaultModel, FaultPlan
 from repro.faults.recovery import (TransferSequencer, attempt_transfer,
                                    compute_finish, promote_spares)
 
 __all__ = [
-    "PLAN_VERSION",
     "FaultModel",
     "FaultPlan",
     "TransferSequencer",

@@ -32,19 +32,12 @@ Three fault classes are modelled:
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import FaultError
 from repro.simkernel.rng import RngRegistry, derive_seed
 from repro.units import HOUR
-
-#: Bump when the plan-generation algorithm changes.  Participates in
-#: experiment fingerprints (see ``ExperimentSpec.context``) so cached
-#: sweep cells built under an older fault realization are invalidated.
-PLAN_VERSION = 1
-
 
 class _IntervalStream:
     """Lazily materialized alternating up/down intervals from one stream.
@@ -158,20 +151,6 @@ class FaultModel:
                 f"{self.transfer_failure_prob}")
         if self.max_transfer_retries < 0:
             raise FaultError("max_transfer_retries must be >= 0")
-
-    def fingerprint(self) -> str:
-        """Content address of this model (algorithm version included)."""
-        payload = "|".join([
-            "faultmodel", str(PLAN_VERSION),
-            repr(float(self.revocation_rate)),
-            repr(float(self.mean_downtime)),
-            repr(float(self.min_downtime)),
-            repr(float(self.store_outage_rate)),
-            repr(float(self.mean_store_outage)),
-            repr(float(self.transfer_failure_prob)),
-            str(int(self.max_transfer_retries)),
-        ])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def build(self, registry: RngRegistry, n_hosts: int) -> "FaultPlan":
         """Realize a plan for ``n_hosts`` from ``registry``'s streams."""

@@ -50,6 +50,13 @@ from repro.obs.analyze import (TRACE_RULES, TraceSet, decision_summary,
                                format_cell, lint)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     tail.add_argument("run_dir")
     tail.add_argument("--follow", action="store_true",
                       help="keep polling until the run finishes")
-    tail.add_argument("--interval", type=float, default=0.5,
+    tail.add_argument("--interval", type=_positive_float, default=0.5,
                       help="polling interval in seconds (default: 0.5)")
     return parser
 

@@ -15,7 +15,7 @@ FIXTURE_PKG = Path(__file__).resolve().parent / "flowfixtures"
 
 @pytest.fixture(scope="session")
 def model_closure():
-    """The model's module names (one fresh-interpreter probe)."""
+    """The model's module names (the package minus the tooling)."""
     return model_modules()
 
 

@@ -1,9 +1,14 @@
 """Tests for the experiments command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.cli import build_parser, main
 
 #: Keep CLI invocations from writing .sweep-cache/ or BENCH_sweeps.json
@@ -23,10 +28,11 @@ def test_no_scenario_prints_usage(capsys):
     assert "usage" in capsys.readouterr().err.lower() or True
 
 
-def test_unknown_scenario_raises():
-    from repro.errors import ExperimentError
-    with pytest.raises(ExperimentError):
+def test_unknown_scenario_raises(capsys):
+    with pytest.raises(SystemExit) as info:
         main(["fig99"])
+    assert info.value.code == 2
+    assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
 
 def test_run_small_scenario(capsys):
@@ -90,12 +96,41 @@ REFUSALS = {"--listen": "--listen needs --fabric-transport tcp",
     ["--listen", "0.0.0.0:7777", "--jobs", "1", "--fabric-transport",
      "process"],
 ])
-def test_fabric_only_flags_need_fabric(flags):
+def test_fabric_only_flags_need_fabric(flags, capsys):
     # A serial run cannot lose a worker, and only the tcp transport
     # binds a listener or checks a token: these flags would otherwise
     # be silently dropped.
-    with pytest.raises(SystemExit, match=REFUSALS[flags[0]]):
+    with pytest.raises(SystemExit) as info:
         main(["fig4", "--seeds", "1", *flags, *QUIET])
+    assert info.value.code == 2
+    assert REFUSALS[flags[0]] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["repro.experiments", "nope"], "'nope'"),
+    (["repro.experiments", "fig7", "--seeds", "0"], "--seeds"),
+    (["repro.experiments", "fig7", "--jobs", "0"], "--jobs"),
+    (["repro.experiments", "fig7", "--jobs", "2", "--fabric-chaos",
+      "bogus"], "'bogus'"),
+    (["repro.experiments", "fig7", "--fabric-transport", "tcp", "--listen",
+      "nohost"], "'nohost'"),
+    (["repro.obs", "tail", "{tmp}", "--follow", "--interval", "-1"],
+     "--interval"),
+    (["repro.experiments.fabric", "worker", "127.0.0.1:9", "--token", "t",
+      "--handshake-timeout", "-1"], "--handshake-timeout"),
+])
+def test_bad_input_is_a_usage_error(argv, bad, tmp_path):
+    # Refused before any cell computes: exit 2 and one error line that
+    # names the bad value, never a traceback.
+    proc = subprocess.run(
+        [sys.executable, "-m", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])})
+    assert proc.returncode == 2, proc.stderr
+    (error,) = [line for line in proc.stderr.splitlines()
+                if "error:" in line]
+    assert bad in error
+    assert "Traceback" not in proc.stderr
 
 
 def test_jobs_sets_fabric_fleet_size(capsys):

@@ -371,12 +371,12 @@ def test_minted_worker_ids_skip_remote_claims():
 # -- the CLI bootstrap -------------------------------------------------------
 
 
-def _run_cli_worker(address, token, pump, extra=()):
+def _run_cli_worker(address, token, pump, extra=(), env=None):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.experiments.fabric", "worker",
          address, "--token", token, "--handshake-timeout", "10",
          *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     try:
         while proc.poll() is None:
             pump()

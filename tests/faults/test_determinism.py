@@ -54,13 +54,3 @@ def test_swap_recovers_while_nothing_degrades():
     assert nothing[-1] > 2.0 * nothing[0]
     assert swap[-1] < 2.0 * swap[0]
     assert swap[-1] < nothing[-1]
-
-
-def test_context_changes_fingerprint():
-    stripped = EXT_FAULTS.__class__(
-        name=EXT_FAULTS.name, title=EXT_FAULTS.title,
-        xlabel=EXT_FAULTS.xlabel, x_values=EXT_FAULTS.x_values,
-        build=EXT_FAULTS.build, paper_claim=EXT_FAULTS.paper_claim,
-        default_seeds=EXT_FAULTS.default_seeds, context=())
-    assert EXT_FAULTS.context, "ext-faults must content-address its plans"
-    assert stripped.fingerprint() != EXT_FAULTS.fingerprint()

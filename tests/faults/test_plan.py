@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FaultError
-from repro.faults.plan import PLAN_VERSION, FaultModel, FaultPlan
+from repro.faults.plan import FaultModel, FaultPlan
 from repro.load.base import ConstantLoadModel, LoadTrace
 from repro.simkernel.rng import RngRegistry
 
@@ -55,25 +55,6 @@ def test_negative_retries_rejected():
 def test_build_needs_hosts():
     with pytest.raises(FaultError):
         FaultModel().build(RngRegistry(1), 0)
-
-
-# -- fingerprint --------------------------------------------------------------
-
-def test_fingerprint_stable_and_parameter_sensitive():
-    a = FaultModel(revocation_rate=2.0)
-    assert a.fingerprint() == FaultModel(revocation_rate=2.0).fingerprint()
-    assert a.fingerprint() != FaultModel(revocation_rate=3.0).fingerprint()
-    assert a.fingerprint() != FaultModel(revocation_rate=2.0,
-                                         mean_downtime=60.0).fingerprint()
-
-
-def test_fingerprint_embeds_plan_version():
-    # The realization algorithm is versioned: the version constant exists
-    # and a model's fingerprint is a function of it (16 hex chars).
-    assert PLAN_VERSION >= 1
-    fp = FaultModel().fingerprint()
-    assert len(fp) == 16
-    int(fp, 16)
 
 
 # -- determinism and lazy extension ------------------------------------------

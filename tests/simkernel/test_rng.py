@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.executor import TOOLING, model_modules
 from repro.simkernel.rng import RngRegistry, derive_seed
 
 
@@ -169,36 +170,58 @@ def test_importing_rng_and_executor_leaves_numpy_random_unloaded():
     assert _run_fresh(code).strip() == "False"
 
 
-#: Tooling a computed cell never calls: the trace analyzer, the report
-#: writer (and the stdlib chain behind it), the runtime plane, the fabric
-#: and the static analyzers.  A fresh interpreter that only computes
+#: What a cell never needs: the package's tooling, and the stdlib chain
+#: behind the report writer.  A fresh interpreter that only computes
 #: cells must not import (nor, without bytecode caches, compile) any of
 #: it.
-_TOOLING = ("repro.obs.analyze", "repro.obs.report", "repro.obs.runtime",
-            "repro.experiments.fabric", "repro.analysis", "xml.sax",
-            "urllib.request", "http.client")
+_TOOLING = TOOLING + ("xml.sax", "urllib.request", "http.client")
 
 
-def _tooling_loaded_after(body: str) -> str:
+def _loaded_after(body: str) -> "tuple[list[str], list[str]]":
+    """The ``repro`` modules, and the ``_TOOLING``, that a fresh
+    interpreter holds after running ``body``."""
     code = (f"import sys\n{body}\n"
-            f"print([m for m in {_TOOLING!r} if m in sys.modules])\n")
-    return _run_fresh(code).splitlines()[-1]
+            "print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'repro'))\n"
+            f"print(*[m for m in {_TOOLING!r} if m in sys.modules])\n")
+    *_, model, tooling = _run_fresh(code).split("\n")[:-1]
+    return model.split(), tooling.split()
+
+
+#: Loads the whole model: a traced cell of every scenario, an untraced
+#: cell, then a mechanism-level swap runtime job.
+_MODEL_PROBE = """\
+from repro.experiments.executor import compute_cell
+from repro.experiments.scenarios import ALL_SCENARIOS, get_scenario
+from repro.load.onoff import OnOffLoadModel
+from repro.platform.cluster import make_platform
+from repro.swap.runtime import SwapRuntime
+from repro.units import MFLOPS
+for name in sorted(ALL_SCENARIOS):
+    spec = get_scenario(name)
+    compute_cell(spec, spec.x_values[0], 0, instrument=True)
+fig7 = get_scenario('fig7')
+compute_cell(fig7, fig7.x_values[0], 0)
+platform = make_platform(4, OnOffLoadModel(p=0.3, q=0.08), seed=0,
+                         horizon=100.0)
+SwapRuntime(platform, n_active=2, chunk_flops=100 * MFLOPS,
+            use_nws_bank=True).run_iterative(2)"""
 
 
 def test_computing_cells_loads_no_tooling():
-    body = ("from repro.experiments.executor import compute_cell\n"
-            "from repro.experiments.scenarios import get_scenario\n"
-            "faults = get_scenario('ext-faults')\n"
-            "compute_cell(faults, faults.x_values[0], 0, instrument=True)\n"
-            "fig7 = get_scenario('fig7')\n"
-            "compute_cell(fig7, fig7.x_values[0], 0)")
-    assert _tooling_loaded_after(body) == "[]"
+    # ... and exactly the model that code_digest hashes: a module the
+    # model loads but the digest misses would let cached cells go stale.
+    model, tooling = _loaded_after(_MODEL_PROBE)
+    assert tuple(model) == model_modules()
+    assert tooling == []
 
 
 def test_serial_cli_sweep_loads_no_tooling():
-    body = ("from repro.experiments import cli\n"
-            "cli.main(['fig7', '--seeds', '1', '--no-cache', '--no-bench'])")
-    assert _tooling_loaded_after(body) == "[]"
+    # Nothing but the CLI itself and its table formatter.
+    _model, tooling = _loaded_after(
+        "from repro.experiments import cli\n"
+        "cli.main(['fig7', '--seeds', '1', '--no-cache', '--no-bench'])")
+    assert tooling == ["repro.experiments.cli", "repro.experiments.report"]
 
 
 def test_importing_the_fabric_leaves_the_runtime_plane_unloaded():

@@ -1,18 +1,23 @@
 """Property-based tests over randomly drawn platforms and workloads."""
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app.iterative import ApplicationSpec
+from repro.app.workloads import paper_application
 from repro.core.policy import greedy_policy, safe_policy
 from repro.load.onoff import OnOffLoadModel
+from repro.experiments.scenarios import DYNAMISM, EVALUATION_SPEED_RANGE
 from repro.platform.cluster import make_platform
+from repro.simkernel.plan import disable_lowering
 from repro.strategies.cr import CrStrategy
 from repro.strategies.dlb import DlbStrategy
 from repro.strategies.nothing import NothingStrategy
 from repro.strategies.swapstrat import SwapStrategy
-from repro.units import MB
+from repro.units import GB, KB, MB
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 platform_params = st.tuples(
@@ -84,3 +89,25 @@ def test_swap_overhead_matches_event_log(params):
     assert result.overhead_time == pytest.approx(logged)
     n_pauses = sum(1 for r in result.records if r.event == "swap")
     assert (result.swap_count == 0) == (n_pauses == 0)
+
+
+@given(st.integers(min_value=2, max_value=16),     # hosts
+       st.floats(min_value=0.0, max_value=1.0),    # dynamism
+       st.integers(min_value=0, max_value=99))     # seed
+@settings(max_examples=150, deadline=None)
+def test_state_size_does_not_touch_nothing_or_dlb(n_hosts, d, seed):
+    """Neither NOTHING nor DLB moves process state (DLB redistributes
+    work for free), so the state size changes neither makespan nor
+    iteration count by a single bit, lowered or not."""
+    platform = make_platform(n_hosts, DYNAMISM.model(d), seed=seed,
+                             speed_range=EVALUATION_SPEED_RANGE)
+    for lowered in (True, False):
+        for strategy in (NothingStrategy(), DlbStrategy()):
+            runs = set()
+            for state in (1 * KB, 1 * MB, 1 * GB):
+                app = paper_application(n_processes=min(4, n_hosts),
+                                        iterations=20, state_bytes=state)
+                with nullcontext() if lowered else disable_lowering():
+                    result = strategy.run(platform, app)
+                runs.add((result.makespan, result.iteration_count))
+            assert len(runs) == 1, (strategy.name, lowered, runs)
