@@ -25,7 +25,8 @@
 #      cells on every worker's timeline lane (process and tcp), then
 #      Prometheus, summary and tail;
 #   5. reruns, trace lint and report byte-stability on fig4, fig7 and
-#      ext-faults;
+#      ext-faults, and ext-faults' Chrome trace cold, from a warm cache
+#      and over two fabric workers;
 #   6. every registered scenario, traced, over two fabric workers:
 #      result JSON, trace and sim metrics must `cmp` equal to the
 #      serial run's.
@@ -270,6 +271,19 @@ for jobs in 1 4; do
 done
 cmp "$OUT/faults-j1.jsonl" "$OUT/faults-j4.jsonl"
 cmp "$OUT/faults-1.jsonl" "$OUT/faults-j1.jsonl"
+# Trace rows read back from the cache or from a worker export as the
+# computed ones do, in the Chrome format too: cold, warm (every cell a
+# hit from the runs above) and over two fabric workers.
+for run in "cold|--no-cache" "warm|--cache-dir $OUT/fault-cache" \
+           "j2|--no-cache --jobs 2"; do
+  IFS='|' read -r name flags <<< "$run"
+  read -r -a argv <<< "$flags"
+  sweep "faults-chrome-$name" ext-faults "${argv[@]}" \
+    --trace "$OUT/faults-chrome-$name.json" --trace-format chrome
+done
+grep -q "; 0/12 cells computed" "$OUT/faults-chrome-warm.log"
+cmp "$OUT/faults-chrome-cold.json" "$OUT/faults-chrome-warm.json"
+cmp "$OUT/faults-chrome-cold.json" "$OUT/faults-chrome-j2.json"
 # TL001-TL007, including TL007 on the fault records.
 python -m repro.obs lint "$OUT/faults-1.jsonl" \
   --metrics "$OUT/faults-1-metrics.json"

@@ -142,7 +142,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     if not args.scenario:
-        parser.print_usage()
+        parser.print_usage(sys.stderr)
         return 2
 
     config = _fabric_config(parser, args)

@@ -3,7 +3,7 @@
 :mod:`repro.obs.trace` is the *production* side of observability; this
 module is the consumption side.  A :class:`TraceSet` loads a JSONL trace
 (or wraps a live :class:`~repro.obs.trace.TraceRecorder`) back into the
-record dicts the recorder held in memory -- byte-for-byte the same
+record dicts the recorder's rows read as -- byte-for-byte the same
 objects ``to_jsonl`` serialized, including the ``"inf"``/``"-inf"``/
 ``"nan"`` spellings :func:`~repro.obs.trace.jsonable` gives non-finite
 floats -- and offers:
@@ -114,8 +114,8 @@ def format_cell(cell: tuple) -> str:
 class TraceSet:
     """An ordered collection of trace records plus parse diagnostics.
 
-    The record dicts are exactly what :class:`~repro.obs.trace.
-    TraceRecorder` stores (already ``jsonable``): loading a JSONL export
+    The record dicts are exactly what a :class:`~repro.obs.trace.
+    TraceRecorder`'s rows read as (already ``jsonable``): loading a JSONL export
     reconstructs them verbatim, so ``TraceSet.load(p).records ==
     recorder.records`` round-trips including non-finite float spellings.
     """

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro import obs
 from repro.app.iterative import ApplicationSpec
 from repro.app.progress import ProgressRecorder
 from repro.errors import StrategyError
@@ -146,13 +145,11 @@ class Strategy:
         after = self._after_iteration
         iterations = app.iterations
 
-        # ``tuple(active)`` (and, traced, its jsonable list, shared by
-        # the set's ``iteration`` records) cached on the list's
-        # identity: every path that changes the active set rebinds it
-        # to a fresh list.
+        # ``tuple(active)`` (shared, traced, by the set's ``iteration``
+        # records) cached on the list's identity: every path that
+        # changes the active set rebinds it to a fresh list.
         ran_for: "list[int] | None" = None
         ran_on: "tuple[int, ...]" = ()
-        ran_list: "list[int]" = []
 
         i = 1
         while i <= iterations:
@@ -172,12 +169,10 @@ class Strategy:
             if active is not ran_for:
                 ran_on = tuple(active)
                 ran_for = active
-                if obs_on:
-                    ran_list = obs.jsonable(ran_on)
             t = end
             progress_record(t, i, "iteration")
             if obs_on:
-                emit_iteration(end, name, i, start, compute_end, ran_list)
+                emit_iteration(end, name, i, start, compute_end, ran_on)
             t, active, chunks, overhead, event = after(i, start, t, active,
                                                        chunks)
             records_append(IterationRecord(i, start, compute_end, end,

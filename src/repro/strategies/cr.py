@@ -128,7 +128,7 @@ class CrStrategy(Strategy):
         result.progress.record(t, i, "checkpoint")
         if obs_on:
             sink.record("checkpoint", t, self.name, i,
-                        {"new_active": candidate, "cost": cost,
+                        {"new_active": tuple(candidate), "cost": cost,
                          "start": start_t, "end": t})
             sink.count("cr.restarts_total")
         return t, candidate, {h: chunk for h in candidate}, cost, "checkpoint"
@@ -185,8 +185,9 @@ class CrStrategy(Strategy):
         result.overhead_time += cost
         if obs_on:
             sink.record("fault.recovery", t, self.name, iteration,
-                        {"action": "cr-restart", "hosts": sorted(victims),
-                         "new_active": candidate, "cost": cost,
+                        {"action": "cr-restart",
+                         "hosts": tuple(sorted(victims)),
+                         "new_active": tuple(candidate), "cost": cost,
                          "start": start, "end": t})
             sink.count("faults.recoveries_total")
         result.progress.record(t, iteration - 1, "checkpoint",

@@ -80,7 +80,7 @@ class DlbStrategy(Strategy):
         if self._splan.obs_on:
             sink = self._splan.sink
             sink.record("fault.recovery", t, self.name, iteration,
-                        {"action": "dlb-repartition", "hosts": [host],
+                        {"action": "dlb-repartition", "hosts": (host,),
                          "cost": 0.0})
             sink.count("faults.recoveries_total")
         self._result.progress.record(t, iteration - 1, "stall",

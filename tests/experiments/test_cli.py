@@ -25,7 +25,8 @@ def test_list_scenarios(capsys):
 
 def test_no_scenario_prints_usage(capsys):
     assert main([]) == 2
-    assert "usage" in capsys.readouterr().err.lower() or True
+    captured = capsys.readouterr()
+    assert "usage" in captured.err.lower() and captured.out == ""
 
 
 def test_unknown_scenario_raises(capsys):

@@ -149,7 +149,7 @@ def test_emit_iteration_is_emit_with_the_same_keys_in_order(times):
     fast, ref = TraceRecorder(), TraceRecorder()
     for rec in (fast, ref):
         rec.set_context(scenario="s", x=0.5, seed=3, series="cr")
-    fast.emit_iteration(t, "cr", 7, start, compute_end, [4, 1, 9])
+    fast.emit_iteration(t, "cr", 7, start, compute_end, (4, 1, 9))
     ref.emit("iteration", t, source="cr", iteration=7, start=start, end=t,
              compute_end=compute_end, active=(4, 1, 9))
     assert [json.dumps(r) for r in fast.records] == \
@@ -157,9 +157,11 @@ def test_emit_iteration_is_emit_with_the_same_keys_in_order(times):
     assert fast.to_jsonl() == ref.to_jsonl()
 
 
-def test_emit_iteration_shares_the_callers_active_list():
+def test_emit_iteration_shares_the_callers_active_tuple():
     rec = TraceRecorder()
-    active = [0, 2]
+    active = (0, 2)
     rec.emit_iteration(1.0, "swap", 1, 0.0, 0.5, active)
     rec.emit_iteration(2.0, "swap", 2, 1.0, 1.5, active)
-    assert rec.records[0]["active"] is rec.records[1]["active"] is active
+    first, second = rec.block
+    assert first[-1] is second[-1] is active
+    assert [r["active"] for r in rec.records] == [[0, 2], [0, 2]]
