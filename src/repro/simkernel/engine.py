@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.simkernel.events import NORMAL, Event, Timeout
@@ -116,6 +116,10 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
+
+    def pending(self) -> "Iterator[Event]":
+        """The scheduled events not yet processed, in no set order."""
+        return (entry[3] for entry in self._heap)
 
     def step(self) -> None:
         """Process the single next event."""
