@@ -21,9 +21,10 @@
 #      cache keys that follow model edits and ignore tooling edits, a
 #      remote TCP worker joining mid-run, and the handshake gate
 #      refusing a wrong token and a checkout with edited model code;
-#   4. the runtime telemetry plane's exports: one span file per run and
-#      cells on every worker's timeline lane (process and tcp), then
-#      Prometheus, summary and tail;
+#   4. the runtime telemetry plane's outputs: the run directory holds
+#      only the span file, the timeline and the progress file, and every
+#      worker's lane holds cells (process and tcp), then summary and
+#      tail on a serial, a process and a tcp run;
 #   5. reruns, trace lint and report byte-stability on fig4, fig7 and
 #      ext-faults, and ext-faults' Chrome trace cold, from a warm cache
 #      and over two fabric workers;
@@ -113,7 +114,8 @@ cmp "$OUT/faults-lowered.json" "$OUT/faults-plain.json"
 
 echo "## 2. fig7 transport matrix"
 sweep serial fig7 --no-cache --jobs 1
-traced serial-obs fig7 --no-cache --jobs 1
+traced serial-obs fig7 --no-cache --jobs 1 \
+  --runtime-telemetry "$OUT/rt-serial"
 cmp "$OUT/serial.json" "$OUT/serial-obs.json"
 
 # name|flags|chaos spec
@@ -221,8 +223,8 @@ for name in process tcp; do
     --out "$OUT/fleet-$name.trace.json"
   RUN="$OUT/rt-$name" FLEET="$OUT/fleet-$name.trace.json" python - <<'EOF'
 import json, os, pathlib
-spans = sorted(p.name for p in pathlib.Path(os.environ["RUN"]).glob("spans*"))
-assert spans == ["spans.jsonl"], spans
+names = sorted(p.name for p in pathlib.Path(os.environ["RUN"]).iterdir())
+assert names == ["progress.json", "spans.jsonl", "timeline.trace.json"], names
 events = json.load(open(os.environ["FLEET"]))["traceEvents"]
 lanes = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
 assert "coordinator" in lanes.values(), lanes
@@ -232,10 +234,10 @@ computed = {e["pid"] for e in events
 assert workers and workers <= computed, (lanes, computed)
 EOF
 done
-python -m repro.obs runtime-metrics "$OUT/rt-process" --out "$OUT/metrics.prom"
-grep -q "^repro_runtime_cells_done" "$OUT/metrics.prom"
-python -m repro.obs runtime-summary "$OUT/rt-process"
-python -m repro.obs tail "$OUT/rt-process"
+for name in serial process tcp; do
+  python -m repro.obs runtime-summary "$OUT/rt-$name"
+  python -m repro.obs tail "$OUT/rt-$name"
+done
 
 echo "## 5. reruns, trace lint, report byte-stability"
 traced fig4-1 fig4 --no-cache
@@ -284,7 +286,8 @@ done
 grep -q "; 0/12 cells computed" "$OUT/faults-chrome-warm.log"
 cmp "$OUT/faults-chrome-cold.json" "$OUT/faults-chrome-warm.json"
 cmp "$OUT/faults-chrome-cold.json" "$OUT/faults-chrome-j2.json"
-# TL001-TL007, including TL007 on the fault records.
+# The TL rules on a faulted trace: TL005 against its sim metrics,
+# TL007 on its fault records.
 python -m repro.obs lint "$OUT/faults-1.jsonl" \
   --metrics "$OUT/faults-1-metrics.json"
 

@@ -91,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="do not write the perf record")
     parser.add_argument("--runtime-telemetry", metavar="DIR", default=None,
                         help="write the wall-clock runtime telemetry plane "
-                             "into DIR: span files, Chrome fleet timeline, "
-                             "metric snapshots, Prometheus textfile (see "
-                             "docs/OBSERVABILITY.md 'two planes'); never "
-                             "affects results or sim-time traces")
+                             "into DIR: span file, Chrome fleet timeline, "
+                             "progress file (see docs/OBSERVABILITY.md "
+                             "'two planes'); never affects results or "
+                             "sim-time traces")
     parser.add_argument("--progress", action="store_true",
                         help="print a live progress ticker (cells done, "
                              "cache hits, active workers, stragglers, ETA) "

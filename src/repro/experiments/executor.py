@@ -721,10 +721,6 @@ def sweep_envelope(spec: ExperimentSpec,
         seeds=len(seed_list), mode=mode, cell_wall_p50=stats["p50"],
         cell_wall_p95=stats["p95"], cell_wall_max=stats["max"])
     if telemetry is not None:
-        telemetry.metrics.counter("runtime.cells_computed_total").inc(
-            fold.computed)
-        telemetry.metrics.counter("runtime.cache_hits_total").inc(
-            cache_hits)
         telemetry.finalize(done=cells_total)
     return result, timing
 
@@ -797,10 +793,10 @@ def execute_sweep(spec: ExperimentSpec,
         byte-identical for any ``jobs`` / cache configuration.
     runtime_dir:
         Run directory for the *runtime* telemetry plane
-        (:mod:`repro.obs.runtime`): wall-clock span log, metrics
-        snapshots, progress file, and the derived Chrome timeline /
-        Prometheus exports.  None (the default) records nothing.  The
-        deterministic outputs above are byte-identical either way.
+        (:mod:`repro.obs.runtime`): wall-clock span log, progress
+        file, and the derived Chrome timeline.  None (the default)
+        records nothing.  The deterministic outputs above are
+        byte-identical either way.
     progress:
         Print a live progress ticker (cells done/total, cache hits,
         ETA) to stderr while the sweep runs.

@@ -799,7 +799,6 @@ class Coordinator:
         self.stats.workers_started += 1
         self.stats.remote_workers_joined += 1
         self._tel_event("worker.joined", worker_id=worker_id, remote=True)
-        self._tel_count("runtime.workers_started_total")
 
     def _mint_worker_id(self) -> str:
         """A counter id no *live* worker holds.
@@ -825,7 +824,6 @@ class Coordinator:
         self._workers[worker_id] = _Worker(handle=handle,
                                            last_seen=handle.started)
         self.stats.workers_started += 1
-        self._tel_count("runtime.workers_started_total")
 
     def _record_lifetime(self, worker_id: str, handle: WorkerHandle,
                          now: float) -> None:
@@ -848,10 +846,8 @@ class Coordinator:
         self._record_lifetime(worker_id, worker.handle, now)
         self._tel_event("worker.exit", worker_id=worker_id, reason=reason,
                         lifetime_s=now - worker.handle.started)
-        self._tel_count("runtime.workers_lost_total")
         if worker.lease is not None:
             self.stats.revoked_leases += 1
-            self._tel_count("runtime.leases_revoked_total")
             requeued = 0
             for key in sorted(worker.lease.outstanding):
                 if key not in self.done:
@@ -881,10 +877,6 @@ class Coordinator:
     def _tel_event(self, kind: str, **fields) -> None:
         if self.telemetry is not None:
             self.telemetry.event(kind, **fields)
-
-    def _tel_count(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(name).inc(amount)
 
     # -- message handling ---------------------------------------------------
 
@@ -919,7 +911,6 @@ class Coordinator:
         self._tel_event("lease.assign", lease=lease.lease_id,
                         worker_id=worker.handle.worker_id,
                         cells=len(batch))
-        self._tel_count("runtime.leases_total")
         worker.handle.channel.send(Envelope(
             kind=ASSIGN_CELLS, sender=COORDINATOR,
             payload={"lease": lease.lease_id, "cells": batch}))
@@ -986,7 +977,6 @@ class Coordinator:
         worker.last_seen = now
         if env.kind == REQUEST_WORK:
             self.stats.work_requests += 1
-            self._tel_count("runtime.work_requests_total")
             if self._failure is None:
                 self._assign(worker, now)
             else:
@@ -1153,15 +1143,6 @@ def execute_sweep_fabric(spec: ExperimentSpec,
             spec, fold.seed_list, config=config, cache=cache,
             on_cell=on_cell, telemetry=telemetry, fold=fold)
         coordinator.run(pending)
-        if telemetry is not None:
-            metrics, stats = telemetry.metrics, coordinator.stats
-            metrics.counter("runtime.cells_requeued_total").inc(
-                stats.requeued_cells)
-            metrics.counter("runtime.duplicate_results_total").inc(
-                stats.duplicate_results)
-            for _worker_id, lifetime in sorted(stats.worker_lifetimes.items()):
-                metrics.histogram("runtime.worker_lifetime_seconds",
-                                  LIFETIME_BUCKETS).observe(lifetime)
 
     result, timing = sweep_envelope(
         spec, seeds, run_fleet, jobs=config.workers, mode="fabric",
@@ -1169,7 +1150,3 @@ def execute_sweep_fabric(spec: ExperimentSpec,
         runtime_dir=runtime_dir, progress=progress,
         progress_stream=progress_stream)
     return result, timing, coordinator.stats
-
-
-#: Worker-lifetime histogram buckets (seconds of host wall time).
-LIFETIME_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)

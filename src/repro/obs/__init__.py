@@ -18,7 +18,7 @@ a simulation never loads it; import it by module name where it is used:
 
 * :mod:`repro.obs.analyze` -- ``TraceSet``: load traces back into
   records, query them, derive analytics, and ``lint`` the TL
-  invariants (TL001-TL007).
+  invariants.
 * :mod:`repro.obs.report` -- deterministic Markdown run reports and the
   swap-Gantt SVG (also ``python -m repro.obs report``).
 * :mod:`repro.obs.runtime` -- the wall-clock runtime telemetry plane.

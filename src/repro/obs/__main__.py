@@ -19,9 +19,6 @@ docs/OBSERVABILITY.md, "two planes"):
     Render the run's span file as a Chrome trace-event fleet timeline
     (one lane for the run plus one per fabric worker); open it in
     chrome://tracing or ui.perfetto.dev.
-``runtime-metrics RUN_DIR [--out PATH]``
-    Export the latest runtime metrics snapshot as a Prometheus-style
-    textfile (for node_exporter's textfile collector).
 ``runtime-summary RUN_DIR``
     One-screen summary of the runtime plane: record kinds and per-kind
     wall-time percentiles.
@@ -74,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--strict", action="store_true",
                         help="exit 3 when the linter reports findings")
 
-    lint_cmd = sub.add_parser("lint", help="check TL001-TL007 invariants")
+    lint_cmd = sub.add_parser("lint", help="check the TL invariants")
     lint_cmd.add_argument("trace")
     lint_cmd.add_argument("--metrics", metavar="PATH", default=None)
     lint_cmd.add_argument("--json", action="store_true",
@@ -94,14 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output file (default: "
                                "RUN_DIR/timeline.trace.json)")
 
-    rt_metrics = sub.add_parser(
-        "runtime-metrics", help="export the latest runtime metrics "
-                                "snapshot as a Prometheus textfile")
-    rt_metrics.add_argument("run_dir")
-    rt_metrics.add_argument("--out", metavar="PATH", default=None,
-                            help="output file (default: "
-                                 "RUN_DIR/metrics.prom)")
-
     rt_summary = sub.add_parser(
         "runtime-summary", help="summarize a run's wall-clock spans")
     rt_summary.add_argument("run_dir")
@@ -119,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _runtime_main(args) -> int:
     """Dispatch the runtime-plane subcommands (wall-clock telemetry)."""
     from repro.obs.runtime import (lanes, load_spans, tail_run, wall_summary,
-                                   write_fleet_timeline, write_prometheus)
+                                   write_fleet_timeline)
 
     if args.command == "tail":
         return tail_run(args.run_dir, follow=args.follow,
@@ -127,14 +116,6 @@ def _runtime_main(args) -> int:
     if args.command == "timeline":
         try:
             out = write_fleet_timeline(args.run_dir, out=args.out)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {out}")
-        return 0
-    if args.command == "runtime-metrics":
-        try:
-            out = write_prometheus(args.run_dir, out=args.out)
         except FileNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -187,8 +168,7 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"{code}: {TRACE_RULES[code]}")
         return 0
 
-    if args.command in ("timeline", "runtime-metrics", "runtime-summary",
-                        "tail"):
+    if args.command in ("timeline", "runtime-summary", "tail"):
         return _runtime_main(args)
 
     ts = TraceSet.load(args.trace)

@@ -14,8 +14,9 @@ floats -- and offers:
   slices, the swap/checkpoint/rebalance timeline per series, the
   gate-rejection breakdown, the payback-distance distribution,
   time-to-first-swap, and adaptation-overhead fractions;
-* a **trace invariant linter** (:func:`lint`, codes ``TL001``-``TL007``)
-  that checks the structural guarantees every later analysis relies on.
+* a **trace invariant linter** (:func:`lint`, the codes of
+  :data:`TRACE_RULES`) that checks the structural guarantees every later
+  analysis relies on.
 
 Everything here is deterministic: outputs depend only on record content
 and order, never on wall clock, hashes of ids, or set iteration, so a
@@ -37,8 +38,6 @@ from repro.obs.metrics import Histogram
 #: TL rule codes and what each one guards.
 TRACE_RULES = {
     "TL001": "timestamps are monotonic (non-decreasing) per cell row",
-    "TL002": "every executed swap/checkpoint follows an accepting "
-             "decision epoch for the same iteration",
     "TL003": "no overlapping slices on one (cell, series) row "
              "(coincident batch-swap slices excepted)",
     "TL004": "decision records carry a complete, consistent gate trail",
@@ -485,22 +484,6 @@ def _lint_row_times(key, records, findings) -> None:
         previous = t
 
 
-def _lint_swap_provenance(key, records, findings) -> None:
-    """TL002: swaps/checkpoints follow an accepting decision epoch."""
-    cell, series = key
-    accepted_iterations: "set" = set()
-    for record in records:
-        kind = record.get("kind")
-        if kind == "decision" and record.get("accepted"):
-            accepted_iterations.add(record.get("iteration"))
-        elif kind in ("swap", "checkpoint"):
-            if record.get("iteration") not in accepted_iterations:
-                findings.append(LintFinding(
-                    "TL002", f"{kind} at iteration "
-                    f"{record.get('iteration')} has no preceding accepted "
-                    f"decision epoch", cell, series))
-
-
 def _lint_slice_overlap(key, records, findings) -> None:
     """TL003: slices on one row never overlap (batch duplicates aside)."""
     cell, series = key
@@ -528,26 +511,35 @@ def _resolves_revocation(record: dict, host) -> bool:
 
 
 def _lint_fault_accounting(key, records, findings) -> None:
-    """TL007: a revocation is later recovered from or declared a stall.
+    """TL007: each revocation is recovered from or declared a stall.
 
     Strategies emit ``fault.revocation`` only when a revocation hits a
-    host they are actively computing on, so every such record must be
-    resolved -- in the same row, at the same or a later position -- by a
+    host they are actively computing on, and resolve it before the host
+    can be revoked again, so every such record must be followed -- in
+    the same row, before the next revocation of the same host -- by a
     ``fault.recovery`` (promotion, restart, repartition, or a host
-    return that resolved it) or a declared ``fault.stall`` naming the
-    same host.
+    return that resolved it) or a declared ``fault.stall`` naming that
+    host.  A later revocation's recovery does not cover an earlier one.
     """
     cell, series = key
+    pending: "dict" = {}  # host -> index of its unresolved revocation
+    unresolved: "list[int]" = []
     for index, record in enumerate(records):
-        if record.get("kind") != "fault.revocation":
-            continue
-        host = record.get("host")
-        if not any(_resolves_revocation(later, host)
-                   for later in records[index + 1:]):
-            findings.append(LintFinding(
-                "TL007", f"revocation of host {host} at "
-                f"t={as_float(record['t']):g} (record {index}) has no "
-                f"subsequent recovery or declared stall", cell, series))
+        if record.get("kind") == "fault.revocation":
+            host = record.get("host")
+            if host in pending:
+                unresolved.append(pending[host])
+            pending[host] = index
+        elif pending:
+            for host in [h for h in pending
+                         if _resolves_revocation(record, h)]:
+                del pending[host]
+    for index in sorted([*unresolved, *pending.values()]):
+        record = records[index]
+        findings.append(LintFinding(
+            "TL007", f"revocation of host {record.get('host')} at "
+            f"t={as_float(record['t']):g} (record {index}) has no "
+            f"recovery or declared stall of its own", cell, series))
 
 
 _GATE_KEYS = ("gate", "accepted", "reason", "out_host", "in_host")
@@ -659,7 +651,6 @@ def lint(ts: TraceSet, metrics=None) -> "list[LintFinding]":
             f"{bad.text!r}"))
     for key, records in ts.rows().items():
         _lint_row_times(key, records, findings)
-        _lint_swap_provenance(key, records, findings)
         _lint_slice_overlap(key, records, findings)
         _lint_fault_accounting(key, records, findings)
     for index, record in enumerate(ts.records):
@@ -669,26 +660,3 @@ def lint(ts: TraceSet, metrics=None) -> "list[LintFinding]":
         _lint_metrics(ts, metrics, findings)
     return findings
 
-
-# -- one-call analysis -------------------------------------------------------
-
-
-def analyze(ts: TraceSet, metrics=None) -> dict:
-    """Every derived analytic plus lint findings, as one plain dict.
-
-    The payload :mod:`repro.obs.report` renders; also convenient for
-    ad-hoc notebook-style inspection.  Deterministic for a given trace.
-    """
-    return {
-        "kinds": ts.kinds(),
-        "cells": ts.cells(),
-        "series": ts.series_names(),
-        "decisions": decision_summary(ts),
-        "rejections": rejection_breakdown(ts),
-        "payback": payback_distribution(ts).to_payload(),
-        "utilization": host_utilization(ts),
-        "timeline": timeline(ts),
-        "time_to_first_swap": time_to_first_swap(ts),
-        "overhead": adaptation_overhead(ts),
-        "findings": lint(ts, metrics),
-    }

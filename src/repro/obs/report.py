@@ -184,6 +184,8 @@ def render_markdown(ts: TraceSet, metrics=None, findings=None,
     if findings:
         lines += [f"- `{finding.code}` {finding}" for finding in findings]
     else:
+        # Kept only so reports of the same trace keep their bytes; the
+        # range is stale (TL002 was deleted), see ROADMAP.md.
         lines.append("All TL invariants hold (TL001-TL007): clean.")
     lines.append("")
     return "\n".join(lines)

@@ -14,7 +14,10 @@ planes"):
   stays digest-identical whether runtime telemetry is on or off
   (``ci/determinism.sh`` enforces exactly that).
 
-The plane has four parts:
+The span file is the plane's one record: a lease, a revocation, a
+launch, a worker's exit and a computed cell are each a span, so counts
+and lifetimes are read from it (``runtime-summary``) rather than kept a
+second time.  The plane has three parts:
 
 * :class:`RuntimeRecorder` -- a structured wall-clock event log.  The
   run's own process -- the serial executor or the fabric coordinator --
@@ -25,10 +28,6 @@ The plane has four parts:
 * :func:`fleet_timeline` / :func:`wall_summary` -- render a run's span
   file as a Chrome trace-event document (one lane for the run, one per
   fabric worker) and nearest-rank wall-time percentiles per span kind.
-* :class:`MetricsSnapshotter` / :func:`prometheus_text` -- periodic
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshots to a JSONL
-  series, exportable as a Prometheus-style textfile
-  (``python -m repro.obs runtime-metrics RUN_DIR``).
 * :class:`ProgressTicker` -- live progress: a run-side ticker (cells
   done/total, cache hits, active workers, stragglers, ETA) that also
   maintains an atomically-replaced ``progress.json`` so
@@ -53,7 +52,6 @@ monotonic epoch.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import time
@@ -62,7 +60,7 @@ from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from repro.obs.analyze import TraceSet
-from repro.obs.metrics import MetricsRegistry, wall_stats
+from repro.obs.metrics import wall_stats
 from repro.obs.trace import jsonable
 
 #: Schema version stamped into every ``runtime.meta`` record.
@@ -70,9 +68,6 @@ RUNTIME_SCHEMA = 2
 
 #: The span file inside a run directory.
 SPAN_FILE = "spans.jsonl"
-
-#: Per-cell wall-time histogram bounds (seconds of host wall time).
-CELL_WALL_BUCKETS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0)
 
 
 # -- the recorder -----------------------------------------------------------
@@ -244,120 +239,6 @@ def wall_summary(spans: TraceSet) -> dict:
             for kind, values in sorted(durations.items())}
 
 
-# -- Prometheus-style textfile exposition -----------------------------------
-
-
-def _prom_name(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-
-
-def _prom_value(value) -> str:
-    if isinstance(value, str):  # the "inf"/"-inf"/"nan" JSON spellings
-        value = float(value)
-    value = float(value)
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):
-        return "NaN"
-    return repr(value)
-
-
-def prometheus_text(payload: dict, *, prefix: str = "repro_") -> str:
-    """Render a :meth:`MetricsRegistry.to_dict` payload as Prometheus
-    text exposition format (counters, gauges, and histograms with
-    cumulative ``_bucket{le=...}`` series)."""
-    lines: "list[str]" = []
-    for name in sorted(payload.get("counters", {})):
-        metric = prefix + _prom_name(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_prom_value(payload['counters'][name])}")
-    for name in sorted(payload.get("gauges", {})):
-        value = payload["gauges"][name]
-        if value is None:
-            continue
-        metric = prefix + _prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_prom_value(value)}")
-    for name in sorted(payload.get("histograms", {})):
-        data = payload["histograms"][name]
-        metric = prefix + _prom_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(data["bounds"], data["buckets"]):
-            cumulative += int(count)
-            lines.append(
-                f'{metric}_bucket{{le="{_prom_value(float(bound))}"}} '
-                f"{cumulative}")
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {int(data["count"])}')
-        lines.append(f"{metric}_sum {_prom_value(data['sum'])}")
-        lines.append(f"{metric}_count {int(data['count'])}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-class MetricsSnapshotter:
-    """Append periodic registry snapshots to a ``metrics.jsonl`` series."""
-
-    def __init__(self, registry: MetricsRegistry,
-                 path: "str | os.PathLike", *, interval: float = 1.0,
-                 clock: "Callable[[], float]" = time.monotonic,
-                 unix_clock: "Callable[[], float]" = time.time) -> None:
-        self.registry = registry
-        self.path = Path(path)
-        self.interval = float(interval)
-        self._clock = clock
-        self._unix_clock = unix_clock
-        self._seq = 0
-        self._last: "float | None" = None
-
-    def maybe_snapshot(self) -> bool:
-        """Snapshot if ``interval`` elapsed since the last one."""
-        now = self._clock()
-        if self._last is not None and now - self._last < self.interval:
-            return False
-        self.snapshot(now=now)
-        return True
-
-    def snapshot(self, *, now: "float | None" = None) -> None:
-        now = self._clock() if now is None else now
-        self._last = now
-        line = json.dumps({"seq": self._seq, "t": now,
-                           "unix": self._unix_clock(),
-                           "metrics": self.registry.to_dict()},
-                          sort_keys=True, separators=(",", ":"))
-        self._seq += 1
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-
-
-def load_metrics_series(run_dir: "str | os.PathLike") -> "list[dict]":
-    """The snapshot series of a run directory (empty if none written)."""
-    path = Path(run_dir) / "metrics.jsonl"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return []
-    series = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            series.append(json.loads(line))
-        except ValueError:
-            continue  # torn final line of a crashed run
-    return series
-
-
-def write_prometheus(run_dir: "str | os.PathLike",
-                     out: "str | os.PathLike | None" = None) -> Path:
-    """Export the *latest* metrics snapshot as a Prometheus textfile."""
-    run_dir = Path(run_dir)
-    out = Path(out) if out is not None else run_dir / "metrics.prom"
-    series = load_metrics_series(run_dir)
-    payload = series[-1]["metrics"] if series else {}
-    out.write_text(prometheus_text(payload))
-    return out
-
-
 # -- live progress ----------------------------------------------------------
 
 
@@ -507,8 +388,7 @@ def tail_run(run_dir: "str | os.PathLike", *, follow: bool = False,
 class RunTelemetry:
     """Everything one sweep run needs from the runtime plane.
 
-    Bundles the run's :class:`RuntimeRecorder`, a runtime
-    :class:`MetricsRegistry` (snapshotted periodically), and the
+    Bundles the run's :class:`RuntimeRecorder` and its
     :class:`ProgressTicker`.  Created by
     :func:`~repro.experiments.executor.sweep_envelope`, for serial and
     fabric runs alike, when the run asks for ``runtime_dir`` and/or
@@ -521,20 +401,14 @@ class RunTelemetry:
                  cache_hits: int = 0, progress: bool = False,
                  progress_stream: "TextIO | None" = None,
                  progress_interval: float = 0.5,
-                 snapshot_interval: float = 1.0,
                  clock: "Callable[[], float]" = time.monotonic) -> None:
         self.run_dir = Path(run_dir) if run_dir is not None else None
-        self.metrics = MetricsRegistry()
         self.recorder: "RuntimeRecorder | None" = None
-        self.snapshots: "MetricsSnapshotter | None" = None
         progress_path = None
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
             self.recorder = RuntimeRecorder(
                 self.run_dir / SPAN_FILE, role=role, clock=clock)
-            self.snapshots = MetricsSnapshotter(
-                self.metrics, self.run_dir / "metrics.jsonl",
-                interval=snapshot_interval, clock=clock)
             progress_path = self.run_dir / "progress.json"
         stream = None
         if progress:
@@ -563,32 +437,15 @@ class RunTelemetry:
              stragglers: int = 0, force: bool = False) -> None:
         self.progress.update(done, active_workers=active_workers,
                              stragglers=stragglers, force=force)
-        if self.snapshots is not None:
-            self.metrics.gauge("runtime.cells_done").set(done)
-            self.metrics.gauge("runtime.active_workers").set(active_workers)
-            self.metrics.gauge("runtime.stragglers").set(stragglers)
-            self.snapshots.maybe_snapshot()
 
     def finalize(self, *, done: "int | None" = None,
                  state: str = "done") -> None:
-        """Close out the run: final progress, final snapshot, and the
-        derived exports (Chrome fleet timeline, Prometheus textfile,
-        wall-time summary) inside the run directory."""
+        """Close out the run: the final progress, the ``run.done``
+        record, and the Chrome fleet timeline inside the run
+        directory."""
         self.progress.finish(done, state=state)
         self.event("run.done", state=state)
         if self.recorder is not None:
             self.recorder.close()
-        if self.run_dir is None:
-            return
-        if self.snapshots is not None:
-            if done is not None:
-                self.metrics.gauge("runtime.cells_done").set(done)
-            self.snapshots.snapshot()
-        write_prometheus(self.run_dir)
-        spans = load_spans(self.run_dir)
-        write_fleet_timeline(self.run_dir)
-        summary = {"schema": RUNTIME_SCHEMA, "state": state,
-                   "kinds": spans.kinds(), "wall": wall_summary(spans),
-                   "bad_lines": len(spans.bad_lines)}
-        (self.run_dir / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        if self.run_dir is not None:
+            write_fleet_timeline(self.run_dir)

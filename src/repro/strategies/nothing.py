@@ -6,8 +6,8 @@ data equally, and run every iteration on them regardless of external load.
 Under fault injection NOTHING cannot adapt either: a revoked active host
 stalls the whole application (the BSP barrier waits) until the host is
 returned, and every such stall is *declared* -- a ``fault.stall`` trace
-record per revocation -- so the TL007 lint rule can check that no
-revocation of an active host goes unaccounted.
+record per revocation -- so the trace accounts for every revocation of
+an active host.
 """
 
 from __future__ import annotations

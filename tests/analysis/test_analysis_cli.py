@@ -92,5 +92,5 @@ def test_rules_subcommand_json_is_sorted_and_unique(capsys):
     codes = [r["code"] for r in rows]
     assert codes == sorted(codes)
     assert len(codes) == len(set(codes))
-    assert len(codes) >= 12  # 3 SL + 2 SF + 7 TL
+    assert len(codes) == 11  # 3 SL + 2 SF + 6 TL
     assert all({"code", "name", "summary"} == set(r) for r in rows)

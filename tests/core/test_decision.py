@@ -489,3 +489,92 @@ def test_bounded_source_rejects_out_of_range_spare():
     with pytest.raises(PolicyError):
         decide_swaps([0], [-1], view, {0: 1e9}, 0.0, 0.01,
                      greedy_policy())
+
+
+# -- looser gates never take a move away -------------------------------------------
+#
+# decide_swaps builds one candidate batch and commits its longest accepted
+# prefix.  The batch does not depend on the payback or application
+# thresholds, and a higher process threshold only cuts it shorter; a
+# candidate the tighter gates accept, the looser ones accept too.  So the
+# tighter policy's moves are a prefix of the looser policy's, exactly:
+# the same hosts, gains and paybacks.
+
+_thresholds = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5))
+
+
+@st.composite
+def gate_pairs(draw):
+    """A looser policy and one with all three thresholds tightened
+    together (each by a step that may be zero), with the same cap."""
+    cap = draw(st.sampled_from([None, 1, 2]))
+    payback = draw(st.one_of(st.just(float("inf")),
+                             st.floats(min_value=0.05, max_value=20.0)))
+    process, app = draw(_thresholds), draw(_thresholds)
+    loose = PolicyParams(name="loose", payback_threshold=payback,
+                         min_process_improvement=process,
+                         min_app_improvement=app,
+                         max_swaps_per_decision=cap)
+    tight = PolicyParams(
+        name="tight",
+        payback_threshold=min(payback, draw(st.one_of(
+            st.just(float("inf")), st.floats(min_value=0.05,
+                                             max_value=20.0)))),
+        min_process_improvement=process + draw(_thresholds),
+        min_app_improvement=app + draw(_thresholds),
+        max_swaps_per_decision=cap)
+    return loose, tight
+
+
+@st.composite
+def gate_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    hosts = draw(st.permutations(range(n)))
+    n_active = draw(st.integers(min_value=1, max_value=n - 1))
+    active = list(hosts[:n_active])
+    return dict(
+        n=n, active=active, spares=list(hosts[n_active:]),
+        policies=draw(gate_pairs()),
+        chunks={h: draw(st.sampled_from([1e8, 3e8])) for h in active},
+        comm_time=draw(st.sampled_from([0.0, 1.0, 10.0])),
+        swap_cost=draw(st.sampled_from([0.01, 1.0, 10.0])))
+
+
+def _assert_tighter_moves_are_a_prefix(case, rates_for):
+    loose, tight = (
+        decide_swaps(case["active"], case["spares"], rates_for(), case["chunks"],
+                     case["comm_time"], case["swap_cost"], params)
+        for params in case["policies"])
+    assert tight.moves == loose.moves[:len(tight.moves)]
+
+
+@given(gate_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_looser_gates_never_take_a_move_away(case, data):
+    # Few distinct rates, so exact ties between hosts are common.
+    rates = dict(enumerate(data.draw(st.lists(
+        st.one_of(st.sampled_from([1e8, 1.5e8, 2e8, 3e8]),
+                  st.floats(min_value=5e7, max_value=4e8)),
+        min_size=case["n"], max_size=case["n"]))))
+    _assert_tighter_moves_are_a_prefix(case, lambda: rates)
+
+
+@given(gate_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_looser_gates_never_take_a_move_away_over_a_rate_view(case, data):
+    from repro.load.kernels import RateView
+
+    n = case["n"]
+    speeds = data.draw(st.lists(st.sampled_from([1e8, 2e8, 2.5e8, 3e8]),
+                                min_size=n, max_size=n))
+    segment_lists = data.draw(st.lists(_segments, min_size=n, max_size=n))
+    t = data.draw(st.sampled_from([12.5, 60.0, 133.0, 300.0]))
+    window = data.draw(st.sampled_from([2.0, 30.0, 60.0, 500.0]))
+
+    def rate_view():
+        view = _host_batch(speeds, segment_lists).rate_view(
+            t, window, case["active"])
+        assert type(view) is RateView
+        return view
+
+    _assert_tighter_moves_are_a_prefix(case, rate_view)

@@ -228,7 +228,7 @@ def test_fleet_never_outnumbers_the_pending_cells():
 
 
 def test_worker_crash_mid_lease_requeues_and_stays_identical(tmp_path):
-    from repro.obs.runtime import load_metrics_series
+    from repro.obs.runtime import load_spans
 
     config = FabricConfig(
         workers=2, transport="process", lease_size=2,
@@ -240,8 +240,10 @@ def test_worker_crash_mid_lease_requeues_and_stays_identical(tmp_path):
     assert stats.workers_lost == 1
     assert stats.requeued_cells >= 1
     assert stats.revoked_leases >= 1
-    counters = load_metrics_series(tmp_path)[-1]["metrics"]["counters"]
-    assert counters["runtime.leases_revoked_total"] == stats.revoked_leases
+    spans = load_spans(tmp_path)
+    assert len(spans.filter("lease.revoked")) == stats.revoked_leases
+    assert sum(r["requeued"] for r in spans.filter("lease.revoked")) \
+        == stats.requeued_cells
 
 
 def test_hard_process_kill_requeues_and_stays_identical():
@@ -371,7 +373,7 @@ def test_failing_cell_on_process_transport():
 
 def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics(tmp_path):
     from repro import obs
-    from repro.obs.runtime import load_metrics_series
+    from repro.obs.runtime import load_spans
 
     serial_session = obs.ObsSession()
     execute_sweep(TINY, seeds=2, obs_session=serial_session)
@@ -387,14 +389,15 @@ def test_fabric_trace_matches_pool_trace_and_counts_fabric_metrics(tmp_path):
     assert fabric_session.trace.records == serial_session.trace.records
     assert (json.dumps(fabric_session.metrics.to_dict(), sort_keys=True)
             == json.dumps(serial_session.metrics.to_dict(), sort_keys=True))
-    # The fabric's operational counters live on the runtime plane.
-    runtime = load_metrics_series(run_dir)[-1]["metrics"]
-    counters = runtime["counters"]
-    assert counters["runtime.leases_total"] == stats.leases
-    assert counters["runtime.workers_started_total"] == 2
-    assert counters["runtime.work_requests_total"] == stats.work_requests
-    lifetimes = runtime["histograms"]["runtime.worker_lifetime_seconds"]
-    assert lifetimes["count"] == 2
+    # The fabric's operations are spans on the runtime plane, one per
+    # lease, launch and worker exit, each lifetime the one in the stats.
+    spans = load_spans(run_dir)
+    assert len(spans.filter("lease.assign")) == stats.leases
+    assert len(spans.filter("worker.launch")) == stats.workers_started == 2
+    exits = spans.filter("worker.exit").records
+    assert {r["worker_id"]: r["lifetime_s"] for r in exits} \
+        == stats.worker_lifetimes
+    assert len(exits) == 2
 
 
 def test_process_run_telemetry_is_one_file_with_a_lane_per_worker(tmp_path):
@@ -407,8 +410,7 @@ def test_process_run_telemetry_is_one_file_with_a_lane_per_worker(tmp_path):
     _result, timing, _stats = execute_sweep_fabric(
         TINY, seeds=2, workers=2, transport="process", runtime_dir=run_dir)
     assert sorted(p.name for p in run_dir.iterdir()) == [
-        "metrics.jsonl", "metrics.prom", "progress.json", "spans.jsonl",
-        "summary.json", "timeline.trace.json"]
+        "progress.json", "spans.jsonl", "timeline.trace.json"]
     cells = load_spans(run_dir).filter("cell.compute").records
     assert len(cells) == timing.cells_computed == 6
     assert sorted((r["xi"], r["si"]) for r in cells) == [

@@ -557,9 +557,7 @@ def test_fake_clock_run_with_telemetry_is_byte_identical(tmp_path):
     assert json.dumps(plain.to_dict(), sort_keys=True) == \
         json.dumps(traced.to_dict(), sort_keys=True)
     names = {p.name for p in run_dir.iterdir()}
-    assert "spans.jsonl" in names
-    assert "timeline.trace.json" in names
-    assert "metrics.prom" in names
+    assert names == {"spans.jsonl", "timeline.trace.json", "progress.json"}
     doc = json.loads((run_dir / "timeline.trace.json").read_text())
     track_names = {e["args"]["name"] for e in doc["traceEvents"]
                    if e["ph"] == "M"}

@@ -226,7 +226,8 @@ def test_real_sweep_trace_lints_clean(fig4_session):
 
 
 def test_rule_table_covers_all_codes():
-    assert sorted(TRACE_RULES) == [f"TL00{i}" for i in range(1, 8)]
+    assert sorted(TRACE_RULES) == [
+        "TL001", "TL003", "TL004", "TL005", "TL006", "TL007"]
 
 
 def test_tl001_flags_time_regression():
@@ -247,14 +248,6 @@ def test_tl001_ignores_interleaved_rows():
     recorder.set_context(scenario="s", x=0.0, seed=0, series="b")
     recorder.emit("iteration", 3.0)
     assert lint(TraceSet.from_recorder(recorder)) == []
-
-
-def test_tl002_flags_swap_without_accepting_decision():
-    recorder = TraceRecorder()
-    recorder.set_context(scenario="s", x=0.0, seed=0, series="a")
-    recorder.emit("swap", 5.0, iteration=1, out_host=1, in_host=2)
-    findings = lint(TraceSet.from_recorder(recorder))
-    assert [f.code for f in findings] == ["TL002"]
 
 
 def test_tl003_flags_overlapping_slices_but_not_batches():
@@ -378,6 +371,19 @@ def test_tl007_resolution_must_match_host():
     assert [f.code for f in findings] == ["TL007"]
 
 
+def test_tl007_each_revocation_needs_its_own_resolution():
+    """A recovery after the host's next revocation covers only that one."""
+    recorder = TraceRecorder()
+    recorder.set_context(scenario="s", x=0.0, seed=0, series="a")
+    recorder.emit("fault.revocation", 5.0, host=3, until=60.0)
+    recorder.emit("fault.revocation", 70.0, host=3, until=90.0)
+    recorder.emit("fault.stall", 70.0, host=3, stalled=20.0,
+                  reason="no-spare")
+    findings = lint(TraceSet.from_recorder(recorder))
+    assert [f.code for f in findings] == ["TL007"]
+    assert "t=5" in findings[0].message
+
+
 def test_corrupted_sweep_trace_is_caught(fig4_session, tmp_path):
     """End to end: flip one byte of a real trace; the linter notices."""
     path = tmp_path / "trace.jsonl"
@@ -395,6 +401,7 @@ def test_corrupted_sweep_trace_is_caught(fig4_session, tmp_path):
 def test_finding_str_includes_cell_and_series():
     recorder = TraceRecorder()
     recorder.set_context(scenario="figX", x=0.25, seed=7, series="swap")
-    recorder.emit("swap", 5.0, iteration=1)
+    recorder.emit("iteration", 10.0)
+    recorder.emit("iteration", 4.0)
     finding = lint(TraceSet.from_recorder(recorder))[0]
-    assert str(finding).startswith("TL002 [figX x=0.25 seed=7 / swap]")
+    assert str(finding).startswith("TL001 [figX x=0.25 seed=7 / swap]")

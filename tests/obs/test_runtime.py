@@ -1,8 +1,8 @@
 """Tests for the runtime telemetry plane (:mod:`repro.obs.runtime`).
 
 Everything here is about the *wall-clock* plane, so the tests inject
-fake monotonic/unix clocks throughout -- the recorder, snapshotter, and
-progress ticker never sleep or read host time in this file.
+fake monotonic/unix clocks throughout -- the recorder and the progress
+ticker never sleep or read host time in this file.
 """
 
 import io
@@ -11,23 +11,19 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, percentile, wall_stats
+from repro.obs.metrics import percentile, wall_stats
 from repro.obs.runtime import (
     RUNTIME_SCHEMA,
-    MetricsSnapshotter,
     ProgressTicker,
     RunTelemetry,
     RuntimeRecorder,
     fleet_timeline,
     format_progress,
     lanes,
-    load_metrics_series,
     load_spans,
-    prometheus_text,
     tail_run,
     wall_summary,
     write_fleet_timeline,
-    write_prometheus,
 )
 
 
@@ -221,82 +217,6 @@ def test_wall_stats_and_summary(tmp_path):
                                         "p95": 0.5, "max": 0.5}}
 
 
-# -- Prometheus exposition --------------------------------------------------
-
-
-def test_prometheus_text_counters_gauges_histograms():
-    registry = MetricsRegistry()
-    registry.counter("runtime.cells_done_total").inc(6)
-    registry.gauge("runtime.active_workers").set(2)
-    hist = registry.histogram("runtime.worker_lifetime_seconds",
-                              (0.1, 1.0))
-    hist.observe(0.05)
-    hist.observe(0.5)
-    hist.observe(5.0)
-    text = prometheus_text(registry.to_dict())
-    lines = text.splitlines()
-    assert "# TYPE repro_runtime_cells_done_total counter" in lines
-    assert "repro_runtime_cells_done_total 6.0" in lines
-    assert "repro_runtime_active_workers 2.0" in lines
-    # Cumulative buckets plus the +Inf catch-all.
-    assert 'repro_runtime_worker_lifetime_seconds_bucket{le="0.1"} 1' \
-        in lines
-    assert 'repro_runtime_worker_lifetime_seconds_bucket{le="1.0"} 2' \
-        in lines
-    assert 'repro_runtime_worker_lifetime_seconds_bucket{le="+Inf"} 3' \
-        in lines
-    assert "repro_runtime_worker_lifetime_seconds_count 3" in lines
-    assert text.endswith("\n")
-
-
-def test_prometheus_text_handles_json_inf_spellings():
-    text = prometheus_text({"gauges": {"x": "inf", "y": "-inf"}})
-    assert "repro_x +Inf" in text
-    assert "repro_y -Inf" in text
-    assert prometheus_text({}) == ""
-
-
-# -- metrics snapshots ------------------------------------------------------
-
-
-def test_snapshotter_respects_interval_and_sequences(tmp_path):
-    clock = FakeClock(10.0)
-    registry = MetricsRegistry()
-    snap = MetricsSnapshotter(registry, tmp_path / "metrics.jsonl",
-                              interval=1.0, clock=clock,
-                              unix_clock=lambda: 777.0)
-    registry.counter("runtime.ticks").inc()
-    assert snap.maybe_snapshot() is True
-    assert snap.maybe_snapshot() is False  # interval not yet elapsed
-    clock.advance(0.5)
-    assert snap.maybe_snapshot() is False
-    clock.advance(0.5)
-    assert snap.maybe_snapshot() is True
-    series = load_metrics_series(tmp_path)
-    assert [s["seq"] for s in series] == [0, 1]
-    assert series[-1]["unix"] == 777.0
-    assert series[-1]["metrics"]["counters"]["runtime.ticks"] == 1.0
-
-
-def test_write_prometheus_exports_latest_snapshot(tmp_path):
-    clock = FakeClock()
-    registry = MetricsRegistry()
-    snap = MetricsSnapshotter(registry, tmp_path / "metrics.jsonl",
-                              clock=clock)
-    registry.counter("runtime.cells").inc(3)
-    snap.snapshot()
-    registry.counter("runtime.cells").inc(4)
-    clock.advance(5.0)
-    snap.snapshot()
-    out = write_prometheus(tmp_path)
-    assert "repro_runtime_cells 7.0" in out.read_text()
-
-
-def test_write_prometheus_without_series_writes_empty_file(tmp_path):
-    out = write_prometheus(tmp_path)
-    assert out.read_text() == ""
-
-
 # -- progress ---------------------------------------------------------------
 
 
@@ -415,19 +335,13 @@ def test_run_telemetry_finalize_writes_all_artifacts(tmp_path):
     tel.event("run.start", total=3)
     with tel.span("cell.compute", xi=0, si=0):
         clock.advance(0.1)
-    tel.metrics.counter("runtime.cells_computed_total").inc(3)
     tel.tick(3, active_workers=1, force=True)
     tel.finalize(done=3)
     names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"spans.jsonl", "metrics.jsonl",
-                     "metrics.prom", "progress.json", "summary.json",
-                     "timeline.trace.json"}
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["state"] == "done"
-    assert "cell.compute" in summary["kinds"]
-    assert summary["wall"]["cell.compute"]["count"] == 1
-    assert "repro_runtime_cells_computed_total 3.0" in \
-        (tmp_path / "metrics.prom").read_text()
+    assert names == {"spans.jsonl", "progress.json", "timeline.trace.json"}
+    spans = load_spans(tmp_path)
+    assert spans.filter("run.done").records[0]["state"] == "done"
+    assert wall_summary(spans)["cell.compute"]["count"] == 1
     progress = json.loads((tmp_path / "progress.json").read_text())
     assert progress["state"] == "done" and progress["done"] == 3
 
@@ -438,8 +352,8 @@ def test_run_telemetry_failed_state_is_recorded(tmp_path):
     tel.finalize(state="failed")
     progress = json.loads((tmp_path / "progress.json").read_text())
     assert progress["state"] == "failed"
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["state"] == "failed"
+    done = load_spans(tmp_path).filter("run.done").records
+    assert [r["state"] for r in done] == ["failed"]
     assert "failed" in format_progress(progress)
 
 
@@ -451,21 +365,15 @@ def _cli(*argv):
     return main(list(argv))
 
 
-def test_cli_timeline_and_runtime_metrics(tmp_path, capsys):
+def test_cli_timeline_summary_and_tail(tmp_path, capsys):
     tel = RunTelemetry(tmp_path, total_cells=1, clock=FakeClock())
-    tel.metrics.counter("runtime.cells_computed_total").inc()
     tel.tick(1, force=True)
     tel.finalize(done=1)
     (tmp_path / "timeline.trace.json").unlink()
-    (tmp_path / "metrics.prom").unlink()
 
     assert _cli("timeline", str(tmp_path)) == 0
     doc = json.loads((tmp_path / "timeline.trace.json").read_text())
     assert doc["traceEvents"]
-
-    assert _cli("runtime-metrics", str(tmp_path)) == 0
-    assert "repro_runtime_cells_computed_total" in \
-        (tmp_path / "metrics.prom").read_text()
 
     assert _cli("runtime-summary", str(tmp_path)) == 0
     out = capsys.readouterr().out
