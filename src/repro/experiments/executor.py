@@ -156,7 +156,7 @@ def compute_cell(spec: ExperimentSpec, x: float, seed: int, *,
                       iterations=iterations,
                       engine_events=(_engine.events_processed_total()
                                      - events_before),
-                      trace_events=(session.trace.rows
+                      trace_events=(session.trace.take()
                                     if session is not None else TraceRows()),
                       metrics=(session.metrics.to_dict()
                                if session is not None else {}))

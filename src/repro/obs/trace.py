@@ -12,12 +12,17 @@ interned key tuple (:func:`shape`) that every row of that shape shares.
 The ambient context (the executor's ``scenario``/``x``/``seed``/
 ``series``) is stored once per block of rows that share it, an ``end``
 equal to the record's ``t`` is not stored, and nested lists and dicts
-are tuples too (:func:`frozen`).  A row thus holds nothing mutable, so
-the cyclic GC untracks it at the first collection it survives.  The
-record dict is built only when something reads it: iterating the rows,
-:attr:`TraceRecorder.records` and the exports below.
+are tuples too (:func:`frozen`).  A row thus holds nothing mutable.
+Rows stay live tuples only while their block is open; a closed block is
+held packed, as one pickle of its rows and their count.  The record dict
+is built only when something reads it: iterating the rows (which
+unpacks one block at a time), :attr:`TraceRecorder.records` and the
+exports below.
 
-Two export formats:
+Two export formats, each written record by record through one
+per-record encoder that the ``to_*`` strings join and the ``write_*``
+methods stream to their file, so no whole document is built to write
+it:
 
 * **JSONL** -- one compact, key-sorted JSON object per record.  The
   canonical machine-readable decision log; byte-stable by construction.
@@ -33,6 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import pickle
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ObservabilityError
@@ -42,7 +48,8 @@ _US = 1e6  # simlint: disable=SL005 (unit conversion factor, not a byte/flop qua
 
 #: First item of a key tuple (a frozen mapping's or a row's).  No record
 #: value is ``bytes``, so a tuple led by a key tuple is never a frozen
-#: list.
+#: list.  Readers test its type, not its identity: a packed block
+#: unpacks to a new ``bytes`` object.
 _MAPPING = b"mapping"
 #: In a row's key tuple: where the block's context fields go.
 CONTEXT = None
@@ -131,7 +138,7 @@ def thawed(value: Any) -> Any:
     if type(value) is not tuple:
         return value
     head = value[0] if value else None
-    if type(head) is tuple and head and head[0] is _MAPPING:
+    if type(head) is tuple and head and type(head[0]) is bytes:
         return dict(zip(head[1:], map(thawed, value[1:])))
     return list(map(thawed, value))
 
@@ -201,41 +208,60 @@ def _layout(row_shape: tuple, context: tuple) -> "tuple[tuple, tuple]":
     return tuple(keys), tuple(picks)
 
 
+def _packed(context: dict, rows: "list[tuple]") -> "tuple[dict, int, bytes]":
+    """A closed block: its context, its row count, and its rows as one
+    pickle.  Rows hold only builtin scalars, ``bytes`` key markers and
+    tuples, so the pickle names no global and unpacks by plain opcodes."""
+    return context, len(rows), pickle.dumps(rows, 5)
+
+
+def _records(context: dict, rows: "Iterable[tuple]") -> "Iterator[dict]":
+    """The record dicts of one block's rows."""
+    keys = tuple(context)
+    tail = tuple(context.values())
+    seen: "dict[int, tuple[tuple, tuple]]" = {}
+    for row in rows:
+        layout = seen.get(id(row[0]))
+        if layout is None:
+            layout = seen[id(row[0])] = _layout(row[0], keys)
+        record = dict(zip(layout[0],
+                          map((row + tail).__getitem__, layout[1])))
+        for key, value in record.items():
+            if type(value) is tuple:
+                record[key] = thawed(value)
+        yield record
+
+
 class TraceRows:
     """Trace records held as rows, in blocks that share one context.
 
-    ``blocks`` is a list of ``(context, rows)`` pairs: the context dict
-    read into each of the block's records, and the block's rows.
-    Iterating yields each record as the dict the reference
-    :meth:`TraceRecorder.emit` describes (same keys, same order, lists
-    as lists), built afresh on every read.  A row store equals another,
-    or a list of dicts, when their records are equal.
+    ``blocks`` holds the closed blocks, each ``(context, count,
+    packed)``: the context dict read into each of the block's records,
+    its number of rows, and the rows as one pickle.  ``open`` is the
+    block still taking rows, ``(context, rows)`` with ``rows`` a list,
+    or ``None``; it always follows the closed blocks.  ``len`` reads the
+    counts.  Iterating unpacks one block at a time and yields each
+    record as the dict the reference :meth:`TraceRecorder.emit`
+    describes (same keys, same order, lists as lists), built afresh on
+    every read.  A row store equals another, or a list of dicts, when
+    their records are equal.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "open")
 
-    def __init__(self, blocks: "list[tuple[dict, list]] | None" = None,
-                 ) -> None:
-        self.blocks = [] if blocks is None else blocks
+    def __init__(self) -> None:
+        self.blocks: "list[tuple[dict, int, bytes]]" = []
+        self.open: "tuple[dict, list] | None" = None
 
     def __len__(self) -> int:
-        return sum(len(rows) for _context, rows in self.blocks)
+        held = sum(count for _context, count, _packed in self.blocks)
+        return held + (len(self.open[1]) if self.open is not None else 0)
 
     def __iter__(self) -> "Iterator[dict]":
-        for context, rows in self.blocks:
-            keys = tuple(context)
-            tail = tuple(context.values())
-            seen: "dict[int, tuple[tuple, tuple]]" = {}
-            for row in rows:
-                layout = seen.get(id(row[0]))
-                if layout is None:
-                    layout = seen[id(row[0])] = _layout(row[0], keys)
-                record = dict(zip(layout[0],
-                                  map((row + tail).__getitem__, layout[1])))
-                for key, value in record.items():
-                    if type(value) is tuple:
-                        record[key] = thawed(value)
-                yield record
+        for context, _count, packed in self.blocks:
+            yield from _records(context, pickle.loads(packed))
+        if self.open is not None:
+            yield from _records(*self.open)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TraceRows):
@@ -244,10 +270,25 @@ class TraceRows:
             return NotImplemented
         return list(self) == other
 
+    def close(self) -> None:
+        """Pack the open block into :attr:`blocks`; an empty one is
+        dropped."""
+        if self.open is not None and self.open[1]:
+            self.blocks.append(_packed(*self.open))
+        self.open = None
+
+    def closed(self) -> "list[tuple[dict, int, bytes]]":
+        """Every block, closed: :attr:`blocks`, then the open block
+        packed (this store is left as it is)."""
+        if self.open is None or not self.open[1]:
+            return self.blocks
+        return [*self.blocks, _packed(*self.open)]
+
     @classmethod
     def from_records(cls, records: "Iterable[dict]",
                      context: "tuple[str, ...]" = ()) -> "TraceRows":
-        """Rows of record dicts, such as a cell payload's.
+        """Rows of record dicts, such as a cell payload's, every block
+        closed.
 
         The ``context`` keys a record has are hoisted into its block;
         consecutive records whose context values are equal, of the same
@@ -255,19 +296,18 @@ class TraceRows:
         or ``t`` raises ``KeyError``.
         """
         rows = cls()
-        block_context: "dict | None" = None
-        block: "list[tuple]" = []
         for record in records:
             ctx = {k: record[k] for k in context if k in record}
-            if block_context is None or ctx != block_context or not all(
-                    map(_same_spelling, ctx.values(),
-                        block_context.values())):
-                block_context, block = ctx, []
-                rows.blocks.append((ctx, block))
-            block.append(make_row(
+            block = rows.open
+            if block is None or ctx != block[0] or not all(
+                    map(_same_spelling, ctx.values(), block[0].values())):
+                rows.close()
+                block = rows.open = (ctx, [])
+            block[1].append(make_row(
                 record["kind"], frozen(record["t"]),
                 {key: frozen(value) for key, value in record.items()
                  if key != "kind" and key != "t" and key not in ctx}))
+        rows.close()
         return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -278,13 +318,88 @@ def _same_spelling(a: Any, b: Any) -> bool:
     return type(a) is type(b) and repr(a) == repr(b)
 
 
+def _dumps(value: Any) -> str:
+    """The one JSON spelling of every export: compact, keys sorted."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _jsonl_chunks(records: "Iterable[dict]") -> "Iterator[str]":
+    """The JSONL export, one line per record."""
+    for record in records:
+        yield _dumps(record) + "\n"
+
+
+#: The Chrome document's ``otherData``.
+_CHROME_OTHER = {"tool": "repro.obs", "clock": "simulated-seconds"}
+
+
+def _chrome_events(records: "Iterable[dict]") -> "Iterator[dict]":
+    """The Chrome trace events of ``records``, in order.
+
+    Deterministic: pids/tids are assigned in order of first appearance,
+    which is itself deterministic because the record order is.
+    """
+    pids: "dict[str, int]" = {}
+    tids: "dict[tuple[str, str], int]" = {}
+    for record in records:
+        cell = (f"{record.get('scenario', 'run')}"
+                f" x={record.get('x', '-')} seed={record.get('seed', '-')}")
+        series = str(record.get("series", record.get("source", "trace")))
+        if cell not in pids:
+            pids[cell] = len(pids)
+            yield {"ph": "M", "name": "process_name", "pid": pids[cell],
+                   "tid": 0, "ts": 0, "args": {"name": cell}}
+        pid = pids[cell]
+        if (cell, series) not in tids:
+            tids[(cell, series)] = len(tids)
+            yield {"ph": "M", "name": "thread_name", "pid": pid,
+                   "tid": tids[(cell, series)], "ts": 0,
+                   "args": {"name": series}}
+        tid = tids[(cell, series)]
+        args = {k: v for k, v in record.items()
+                if k not in ("kind", "t", "start", "end",
+                             "scenario", "x", "seed", "series")}
+        name = record["kind"]
+        if "iteration" in record:
+            name = f"{record['kind']} {record['iteration']}"
+        start = record.get("start")
+        end = record.get("end")
+        if isinstance(start, (int, float)) and isinstance(end, (int, float)):
+            yield {"ph": "X", "name": name, "cat": record["kind"],
+                   "pid": pid, "tid": tid, "ts": start * _US,
+                   "dur": (end - start) * _US, "args": args}
+        else:
+            yield {"ph": "i", "s": "t", "name": name, "cat": record["kind"],
+                   "pid": pid, "tid": tid, "ts": record["t"] * _US,
+                   "args": args}
+
+
+def _chrome_chunks(records: "Iterable[dict]") -> "Iterator[str]":
+    """The Chrome trace document, streamed: the document is key-sorted,
+    so ``traceEvents`` comes last and everything before it is written
+    first; then one event at a time."""
+    head = _dumps({"displayTimeUnit": "ms", "otherData": _CHROME_OTHER})
+    yield head[:-1] + ',"traceEvents":['
+    sep = ""
+    for event in _chrome_events(records):
+        yield sep + _dumps(event)
+        sep = ","
+    yield "]}\n"
+
+
+def _write(path, chunks: "Iterable[str]") -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(chunks)
+
+
 class TraceRecorder:
     """Append-only store of structured trace records, held as rows.
 
     ``context`` holds fields stamped onto every subsequent record (the
     executor sets ``scenario``/``x``/``seed``/``series`` per variant so
-    strategies never need to know where they run); each
-    :meth:`set_context` opens a new block of :attr:`rows`.
+    strategies never need to know where they run).  New records go to
+    the open block of :attr:`rows`; each :meth:`set_context` and
+    :meth:`extend` closes it and opens a new one.
     """
 
     def __init__(self) -> None:
@@ -292,7 +407,7 @@ class TraceRecorder:
         self.context: "dict[str, Any]" = {}
         #: The open block's rows, where new records are appended.
         self.block: "list[tuple]" = []
-        self.rows.blocks.append((self.context, self.block))
+        self.rows.open = (self.context, self.block)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -302,15 +417,14 @@ class TraceRecorder:
         """Every record, as dicts built afresh (see :class:`TraceRows`)."""
         return list(self.rows)
 
-    def _open(self, blocks: "Iterable[tuple[dict, list]]" = ()) -> None:
-        """Append ``blocks``, then a new open block; an open block that
-        is still empty is dropped first."""
-        own = self.rows.blocks
-        if own and own[-1][1] is self.block and not self.block:
-            own.pop()
-        own.extend(blocks)
+    def _open(self, blocks: "Iterable[tuple[dict, int, bytes]]" = ()) -> None:
+        """Close the open block, append the closed ``blocks``, then open
+        a new block."""
+        own = self.rows
+        own.close()
+        own.blocks.extend(blocks)
         self.block = []
-        own.append((self.context, self.block))
+        own.open = (self.context, self.block)
 
     def set_context(self, **fields: Any) -> None:
         """Replace the ambient fields merged into every record."""
@@ -353,79 +467,42 @@ class TraceRecorder:
                       active=active)
 
     def extend(self, rows: TraceRows) -> None:
-        """Append another store's records by whole blocks: shared, not
-        copied, so that store must not grow afterwards."""
-        self._open(rows.blocks)
+        """Append another store's records by whole blocks: its closed
+        blocks are shared, not copied, and its open block is packed
+        (that store keeps it open, but must not grow afterwards)."""
+        self._open(rows.closed())
+
+    def take(self) -> TraceRows:
+        """Hand over every record so far, every block closed; the
+        recorder goes on, empty, in the same context."""
+        rows = self.rows
+        rows.close()
+        self.rows = TraceRows()
+        self._open()
+        return rows
 
     # -- exports ---------------------------------------------------------
 
     def to_jsonl(self) -> str:
         """One key-sorted compact JSON object per line (byte-stable)."""
-        lines = [json.dumps(r, sort_keys=True, separators=(",", ":"))
-                 for r in self.rows]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(_jsonl_chunks(self.rows))
 
     def write_jsonl(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text(self.to_jsonl())
+        """Write :meth:`to_jsonl`'s text, one record at a time."""
+        _write(path, _jsonl_chunks(self.rows))
 
     def to_chrome(self) -> dict:
-        """The records as a Chrome trace-event document.
-
-        Deterministic: pids/tids are assigned in order of first
-        appearance, which is itself deterministic because the record list
-        is.
-        """
-        events: "list[dict]" = []
-        pids: "dict[str, int]" = {}
-        tids: "dict[tuple[str, str], int]" = {}
-        for record in self.rows:
-            cell = (f"{record.get('scenario', 'run')}"
-                    f" x={record.get('x', '-')} seed={record.get('seed', '-')}")
-            series = str(record.get("series", record.get("source", "trace")))
-            if cell not in pids:
-                pids[cell] = len(pids)
-                events.append({"ph": "M", "name": "process_name",
-                               "pid": pids[cell], "tid": 0, "ts": 0,
-                               "args": {"name": cell}})
-            pid = pids[cell]
-            if (cell, series) not in tids:
-                tids[(cell, series)] = len(tids)
-                events.append({"ph": "M", "name": "thread_name",
-                               "pid": pid, "tid": tids[(cell, series)],
-                               "ts": 0, "args": {"name": series}})
-            tid = tids[(cell, series)]
-            args = {k: v for k, v in record.items()
-                    if k not in ("kind", "t", "start", "end",
-                                 "scenario", "x", "seed", "series")}
-            name = record["kind"]
-            if "iteration" in record:
-                name = f"{record['kind']} {record['iteration']}"
-            start = record.get("start")
-            end = record.get("end")
-            if (isinstance(start, (int, float))
-                    and isinstance(end, (int, float))):
-                events.append({"ph": "X", "name": name,
-                               "cat": record["kind"], "pid": pid, "tid": tid,
-                               "ts": start * _US,
-                               "dur": (end - start) * _US, "args": args})
-            else:
-                events.append({"ph": "i", "s": "t", "name": name,
-                               "cat": record["kind"], "pid": pid, "tid": tid,
-                               "ts": record["t"] * _US, "args": args})
-        return {"traceEvents": events, "displayTimeUnit": "ms",
-                "otherData": {"tool": "repro.obs",
-                              "clock": "simulated-seconds"}}
+        """The records as a Chrome trace-event document."""
+        return {"traceEvents": list(_chrome_events(self.rows)),
+                "displayTimeUnit": "ms", "otherData": dict(_CHROME_OTHER)}
 
     def to_chrome_json(self) -> str:
-        return json.dumps(self.to_chrome(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        """:meth:`to_chrome` as key-sorted compact JSON (byte-stable)."""
+        return "".join(_chrome_chunks(self.rows))
 
     def write_chrome(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text(self.to_chrome_json())
+        """Write :meth:`to_chrome_json`'s text, one event at a time."""
+        _write(path, _chrome_chunks(self.rows))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TraceRecorder {len(self)} records>"

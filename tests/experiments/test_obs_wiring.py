@@ -150,12 +150,18 @@ def test_metrics_count_epochs_and_iterations():
     session = _traced()
     counters = session.metrics.to_dict()["counters"]
     assert counters["strategy.iterations_total"] == 4 * 6 * 4
-    swap_epochs = counters["decision.epochs_total"]
-    rejected = counters.get("decision.epochs_rejected_total", 0.0)
-    moves = counters.get("decision.moves_total", 0.0)
-    assert swap_epochs >= 5 * 4
-    assert rejected <= swap_epochs
-    assert moves >= 0.0
+    # Each decision epoch is one ``decision`` record: the counters must
+    # equal what the records themselves say.
+    decisions = [r for r in session.trace.records
+                 if r["kind"] == "decision"]
+    moves = [len(r.get("moves", ())) for r in decisions]
+    # Some epoch commits more than one move, so counting epochs where
+    # moves are meant shows.
+    assert len(decisions) >= 5 * 4 and max(moves) > 1
+    assert counters["decision.epochs_total"] == len(decisions)
+    assert counters.get("decision.epochs_rejected_total", 0.0) == sum(
+        not r["accepted"] for r in decisions)
+    assert counters.get("decision.moves_total", 0.0) == sum(moves)
 
 
 def test_compute_cell_untraced_has_empty_obs_payloads():

@@ -13,6 +13,7 @@ only for an intended trace change, with::
 """
 
 import json
+import tempfile
 from hashlib import sha256
 from pathlib import Path
 
@@ -26,28 +27,35 @@ GOLDEN = Path(__file__).parent / "goldens" / "trace-digests.json"
 SCENARIOS = ("ext-faults", "fig7")
 
 
-def _digest(text: str) -> str:
-    return sha256(text.encode()).hexdigest()
+def _digest(path: Path) -> str:
+    return sha256(path.read_bytes()).hexdigest()
 
 
-def trace_digests(name: str) -> dict:
-    """The digests of one scenario's ``--seeds 2`` traced sweep."""
+def trace_digests(name: str, out: Path) -> dict:
+    """The digests of the files one scenario's ``--seeds 2`` traced
+    sweep writes into directory ``out``."""
     session = obs.ObsSession()
     execute_sweep(get_scenario(name), seeds=2, obs_session=session)
+    jsonl, chrome, metrics = (out / f"{name}.{suffix}" for suffix in
+                              ("trace.jsonl", "trace.json", "metrics.json"))
+    session.trace.write_jsonl(jsonl)
+    session.trace.write_chrome(chrome)
+    session.metrics.write_json(metrics)
     return {"records": len(session.trace),
-            "jsonl_sha256": _digest(session.trace.to_jsonl()),
-            "chrome_sha256": _digest(session.trace.to_chrome_json()),
-            "metrics_sha256": _digest(session.metrics.to_json())}
+            "jsonl_sha256": _digest(jsonl),
+            "chrome_sha256": _digest(chrome),
+            "metrics_sha256": _digest(metrics)}
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_traced_sweep_matches_committed_digests(name):
+def test_traced_sweep_matches_committed_digests(name, tmp_path):
     want = json.loads(GOLDEN.read_text())[name]
-    assert trace_digests(name) == want, (
+    assert trace_digests(name, tmp_path) == want, (
         f"{name}: traced exports drifted from the committed digests")
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: trace_digests(name)
-                                  for name in SCENARIOS},
-                                 sort_keys=True, indent=2) + "\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN.write_text(json.dumps(
+            {name: trace_digests(name, Path(scratch)) for name in SCENARIOS},
+            sort_keys=True, indent=2) + "\n")

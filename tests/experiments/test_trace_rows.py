@@ -1,10 +1,11 @@
-"""A traced cell holds its records as rows the cyclic GC stops walking,
-and every way a cell travels -- the cache, a fabric worker's frame, the
-unlowered reference -- gives back the same records and export bytes."""
+"""A traced cell holds each finished block of its records as one packed
+bytes object, and every way a cell travels -- the cache, a fabric
+worker's frame, the unlowered reference -- gives back the same records
+and export bytes."""
 
-import gc
 import json
 import pickle
+import pickletools
 
 import pytest
 
@@ -18,16 +19,17 @@ from repro.simkernel.plan import disable_lowering
 SPEC = get_scenario("ext-faults")
 #: The grid's most faulted point: every record kind the strategies emit.
 X = SPEC.x_values[-1]
+#: Packed bytes per record, at most.  A packed row of this cell takes
+#: about 57 bytes; the live row it replaces, about 300.
+PACKED_BYTES_PER_RECORD = 80
+#: Opcodes that name or call an object: a packed block must need none.
+IMPORTING_OPCODES = {"GLOBAL", "STACK_GLOBAL", "REDUCE", "INST", "OBJ",
+                     "NEWOBJ", "NEWOBJ_EX", "BUILD"}
 
 
 @pytest.fixture(scope="module")
 def cell() -> CellResult:
     return compute_cell(SPEC, X, 0, instrument=True)
-
-
-def _rows(cell: CellResult) -> list:
-    return [row for _context, rows in cell.trace_events.blocks
-            for row in rows]
 
 
 def _exports(cell: CellResult) -> "tuple[str, str]":
@@ -36,20 +38,27 @@ def _exports(cell: CellResult) -> "tuple[str, str]":
     return recorder.to_jsonl(), recorder.to_chrome_json()
 
 
-def test_traced_cell_rows_are_untracked_by_the_gc():
-    rows = _rows(compute_cell(SPEC, X, 0, instrument=True))
-    kinds = {row[1] for row in rows}
+def test_traced_cell_blocks_are_packed():
+    rows = compute_cell(SPEC, X, 0, instrument=True).trace_events
+    # Every block is closed: its context, its count and one bytes
+    # object; no block is open and no row tuple is held.
+    assert rows.open is None and rows.blocks
+    assert all([type(v) for v in block] == [dict, int, bytes]
+               for block in rows.blocks)
+    unpacked = [pickle.loads(packed) for _ctx, _n, packed in rows.blocks]
+    assert [len(block) for block in unpacked] == [
+        n for _ctx, n, _packed in rows.blocks]
+    assert len(rows) == sum(map(len, unpacked))
+    kinds = {row[1] for block in unpacked for row in block}
     assert {"iteration", "decision", "rebalance", "fault.revocation",
             "fault.recovery"} <= kinds
-    # A row holds scalars and tuples of scalars only, so one full
-    # collection untracks everything a row holds.  CPython untracks a
-    # tuple only once its items are untracked, and that collection may
-    # reach a row before a tuple the row built last, so the row itself
-    # goes at the next one; after that the GC never walks it again.
-    gc.collect()
-    assert not any(gc.is_tracked(value) for row in rows for value in row)
-    gc.collect()
-    assert not any(map(gc.is_tracked, rows))
+    # The pickles hold builtin values only: nothing is imported or
+    # called to unpack them.
+    for _ctx, _n, packed in rows.blocks:
+        ops = {op.name for op, _arg, _pos in pickletools.genops(packed)}
+        assert not ops & IMPORTING_OPCODES
+    packed_bytes = sum(len(packed) for _ctx, _n, packed in rows.blocks)
+    assert packed_bytes < PACKED_BYTES_PER_RECORD * len(rows)
 
 
 def test_records_survive_the_cache_the_wire_and_the_reference(cell,
@@ -81,6 +90,9 @@ def test_records_survive_the_cache_the_wire_and_the_reference(cell,
                                                         cell.metrics)
     assert list(reference.trace_events) == records
     assert _exports(reference) == _exports(cell)
-    # Loaded rows hold the context once per block, as computed ones do.
-    assert len(cached.trace_events.blocks) == len(
-        [b for b in cell.trace_events.blocks if b[1]])
+    # Loaded rows hold the context once per block, as computed ones do,
+    # every block packed.
+    for other in (cached, wired, reference):
+        assert other.trace_events.open is None
+        assert [n for _ctx, n, _packed in other.trace_events.blocks] == [
+            n for _ctx, n, _packed in cell.trace_events.blocks]

@@ -1,11 +1,16 @@
 """Tests for the trace recorder and its JSONL / Chrome exports."""
 
 import json
+import math
+import pickle
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
-from repro.obs.trace import TraceRecorder, jsonable
+from repro.obs.trace import TraceRecorder, TraceRows, frozen, jsonable, thawed
 
 
 # -- jsonable -------------------------------------------------------------------
@@ -83,6 +88,7 @@ def test_write_jsonl(tmp_path):
     path = tmp_path / "trace.jsonl"
     recorder.write_jsonl(path)
     assert json.loads(path.read_text())["kind"] == "e"
+    assert path.read_text() == recorder.to_jsonl()
 
 
 # -- Chrome export --------------------------------------------------------------
@@ -133,6 +139,13 @@ def test_chrome_json_is_valid_and_byte_stable(tmp_path):
     recorder.write_chrome(path)
     doc = json.loads(path.read_text())
     assert "traceEvents" in doc and doc["displayTimeUnit"] == "ms"
+    assert path.read_text() == recorder.to_chrome_json()
+
+
+@pytest.mark.parametrize("recorder", [TraceRecorder(), _sample_recorder()])
+def test_streamed_chrome_json_is_the_whole_documents_dump(recorder):
+    assert recorder.to_chrome_json() == json.dumps(
+        recorder.to_chrome(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- the loop's iteration record ---------------------------------------------
@@ -165,3 +178,66 @@ def test_emit_iteration_shares_the_callers_active_tuple():
     first, second = rec.block
     assert first[-1] is second[-1] is active
     assert [r["active"] for r in rec.records] == [[0, 2], [0, 2]]
+
+
+# -- packed blocks --------------------------------------------------------------
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                    st.floats(), st.text(max_size=6))
+values = st.recursive(scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=16)
+
+
+def _json_form(value):
+    """What a record value exports as, spelled out independently."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, dict):
+        return {key: _json_form(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_form(v) for v in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=values)
+def test_frozen_values_survive_packing(value):
+    got = thawed(pickle.loads(pickle.dumps(frozen(value), 5)))
+    # Same values, same dict key order.
+    assert json.dumps(got) == json.dumps(_json_form(value))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def records(draw):
+    t = draw(finite)
+    record = {"kind": draw(st.sampled_from(["iteration", "decision"])),
+              "t": t, "series": draw(st.sampled_from(["swap", "cr"]))}
+    if draw(st.booleans()):
+        record["end"] = draw(st.one_of(st.just(t), finite))
+    record["v"] = draw(values)
+    return record
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=st.lists(records(), max_size=12))
+def test_trace_rows_equal_their_unpacked_records(trace):
+    rows = TraceRows.from_records(trace, ("series",))
+    assert rows.open is None
+    assert all(type(packed) is bytes for _ctx, _n, packed in rows.blocks)
+    with mock.patch.object(pickle, "loads",
+                           side_effect=AssertionError("len decoded")):
+        assert len(rows) == len(trace)
+    assert rows == [_json_form(record) for record in trace]
+    # Iteration unpacks one block at a time.
+    with mock.patch.object(pickle, "loads", wraps=pickle.loads) as loads:
+        next(iter(rows), None)
+    assert loads.call_count == min(len(rows.blocks), 1)
