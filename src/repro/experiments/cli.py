@@ -236,13 +236,14 @@ def _execute(args, spec, session, config):
 
 
 def _make_session(args):
-    """An ObsSession when --trace/--metrics-json/--report asked for one."""
-    if args.trace is None and args.metrics_json is None \
-            and args.report is None:
+    """An ObsSession when --trace/--metrics-json/--report asked for one;
+    one that keeps no records when only metrics are written."""
+    records = args.trace is not None or args.report is not None
+    if not records and args.metrics_json is None:
         return None
     from repro import obs
 
-    return obs.ObsSession()
+    return obs.ObsSession(records=records)
 
 
 def _write_obs(args, session) -> None:

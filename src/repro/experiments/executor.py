@@ -595,7 +595,8 @@ class SweepFold:
                 cell.makespans[label])
             self._events.setdefault(label, []).append(cell.events[label])
         if self.obs_session is not None:
-            self.obs_session.trace.extend(cell.trace_events)
+            if self.obs_session.trace is not None:
+                self.obs_session.trace.extend(cell.trace_events)
             self.obs_session.metrics.merge_dict(cell.metrics)
         if (self.folded + 1) % len(self.seed_list):
             return

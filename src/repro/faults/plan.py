@@ -32,6 +32,7 @@ Three fault classes are modelled:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -51,7 +52,7 @@ class _IntervalStream:
     """
 
     __slots__ = ("rng", "mean_up", "mean_down", "min_down",
-                 "starts", "ends", "known_until")
+                 "starts", "ends", "known_until", "lo", "hi", "down")
 
     def __init__(self, rng, mean_up: float, mean_down: float,
                  min_down: float) -> None:
@@ -62,15 +63,42 @@ class _IntervalStream:
         self.starts: "list[float]" = []
         self.ends: "list[float]" = []
         self.known_until = 0.0
+        #: The state window of the last :meth:`window` query: over
+        #: ``[lo, hi)`` the state is constant, ``down`` or up.  Empty
+        #: until the first query.
+        self.lo = self.hi = 0.0
+        self.down = False
+
+    def _draw(self) -> None:
+        gap = float(self.rng.exponential(self.mean_up))
+        start = self.known_until + gap
+        down = max(self.min_down, float(self.rng.exponential(self.mean_down)))
+        self.starts.append(start)
+        self.ends.append(start + down)
+        self.known_until = start + down
 
     def _ensure(self, t: float) -> None:
         while self.known_until < t:
-            gap = float(self.rng.exponential(self.mean_up))
-            start = self.known_until + gap
-            down = max(self.min_down, float(self.rng.exponential(self.mean_down)))
-            self.starts.append(start)
-            self.ends.append(start + down)
-            self.known_until = start + down
+            self._draw()
+
+    def window(self, t: float) -> None:
+        """Move the state window to the one holding ``t``: a down
+        interval ``[start, end)``, or the up gap from the previous end
+        (``-inf`` before the first onset) to the next onset, drawn if
+        need be.  Readers test ``lo <= t < hi`` and call this only when
+        ``t`` has left the window, so a query inside it costs no bisect.
+        """
+        self._ensure(t)
+        starts = self.starts
+        k = bisect_right(starts, t) - 1
+        if k >= 0 and t < self.ends[k]:
+            self.lo, self.hi, self.down = starts[k], self.ends[k], True
+            return
+        if k + 1 == len(starts):
+            self._draw()
+        self.lo = self.ends[k] if k >= 0 else -math.inf
+        self.hi = starts[k + 1]
+        self.down = False
 
     def down_at(self, t: float) -> bool:
         self._ensure(t)
@@ -171,6 +199,17 @@ class FaultPlan:
     Host revocation intervals are half-open ``[start, end)``: a host is
     revoked at its onset and back at its return time.  All queries are
     exact interval walks -- no time stepping.
+
+    The batch queries (:meth:`alive`, :meth:`revoked_at`,
+    :meth:`earliest_onset`, :meth:`revocations_in` and
+    :meth:`repro.load.kernels.HostBatch.compute_end`) read each host's
+    *state window* (:meth:`_IntervalStream.window`): the interval over
+    which its up/down state is constant, ending at its next onset when
+    up and at its return when down.  A run's queries move forward in
+    time, so most land in the window of the last one and cost no
+    bisect.  :meth:`is_revoked`, :meth:`next_onset` and
+    :meth:`advance_paused` bisect on every call: they are the per-host
+    oracle the windowed readers are tested against.
     """
 
     def __init__(self, model: FaultModel, registry: RngRegistry,
@@ -224,18 +263,17 @@ class FaultPlan:
 
     def _partition(self, hosts, t: float) -> "tuple[list[int], list[int]]":
         """``hosts`` split into (up, revoked) at ``t``, in input order:
-        :meth:`is_revoked` as one loop over the interval streams' lists
-        instead of a method chain per host."""
+        :meth:`is_revoked` read off each host's state window, which is
+        moved (one bisect) only when ``t`` has left it."""
         streams = self._revocations
         up: "list[int]" = []
         down: "list[int]" = []
         for h in hosts:
             stream = streams.get(h)
             if stream is not None:
-                if stream.known_until < t:
-                    stream._ensure(t)
-                k = bisect_right(stream.starts, t) - 1
-                if k >= 0 and t < stream.ends[k]:
+                if not stream.lo <= t < stream.hi:
+                    stream.window(t)
+                if stream.down:
                     down.append(h)
                     continue
             up.append(h)
@@ -272,13 +310,17 @@ class FaultPlan:
             stream = streams.get(h)
             if stream is None:
                 continue
-            if stream.known_until < t1:
-                stream._ensure(t1)
-            starts = stream.starts
-            k = bisect_right(starts, t0)
-            if k == len(starts) or starts[k] > t1:
-                continue
-            onset = starts[k]
+            if not stream.lo <= t0 < stream.hi:
+                stream.window(t0)
+            if stream.down:
+                # The next onset lies past the window's return.
+                onset = stream.next_start(t0, t1)
+                if onset is None:
+                    continue
+            else:
+                onset = stream.hi
+                if onset > t1:
+                    continue
             if best is None or onset < best:
                 best, victims = onset, [h]
             elif onset == best:
@@ -292,6 +334,11 @@ class FaultPlan:
             raise FaultError(f"empty window [{t0}, {t1}]")
         stream = self._revocations.get(host)
         if stream is None:
+            return []
+        if not stream.lo <= t0 < stream.hi:
+            stream.window(t0)
+        if not stream.down and stream.lo < t0 and t1 < stream.hi:
+            # Up over all of [t0, t1], no interval ending at t0.
             return []
         stream._ensure(t1)
         out = []

@@ -601,8 +601,9 @@ class HostBatch:
         walk of :meth:`~repro.faults.plan.FaultPlan.advance_paused`,
         operation for operation: skip to the end of a down interval,
         advance, stop at the next onset, subtract ``I(onset) - I(t)``
-        from the demand and repeat -- on the kernel table and cursor
-        hints instead of the per-host call chain.
+        from the demand and repeat -- on the kernel table, cursor hints
+        and the plan's state windows (see :class:`~repro.faults.plan.
+        FaultPlan`) instead of the per-host call chain.
         """
         if t0 < 0:
             raise LoadModelError(f"negative start time {t0}")
@@ -638,11 +639,10 @@ class HostBatch:
             while True:
                 if stream is not None:
                     # Down at ``t``: nothing runs until the host returns.
-                    if stream.known_until < t:
-                        stream._ensure(t)
-                    k = bisect_right(stream.starts, t) - 1
-                    if k >= 0 and t < stream.ends[k]:
-                        t = stream.ends[k]
+                    if not stream.lo <= t < stream.hi:
+                        stream.window(t)
+                    if stream.down:
+                        t = stream.hi
                     if demand == 0:
                         # Clamped to nothing left: advance_work's early
                         # return, and no onset follows.
@@ -692,15 +692,20 @@ class HostBatch:
                 # fault-free path gets it from ``best = t0``.
                 if not finish > t:
                     finish = t
-                if stream.known_until < finish:
-                    stream._ensure(finish)
                 # The first onset in ``(t, finish)``: one at ``finish``
-                # itself interrupts nothing.
-                starts = stream.starts
-                k = bisect_right(starts, t)
-                if k == len(starts) or starts[k] >= finish:
+                # itself interrupts nothing.  Up at ``t``, it is the
+                # window's end; down (a return that is the next onset),
+                # the one after.
+                if not stream.lo <= t < stream.hi:
+                    stream.window(t)
+                if stream.down:
+                    onset = stream.next_start(t, finish)
+                    if onset is None:
+                        break
+                else:
+                    onset = stream.hi
+                if onset >= finish:
                     break
-                onset = starts[k]
                 # Revoked mid-phase: keep the work done up to the onset.
                 trace = traces[i]
                 if onset >= trace._horizon:

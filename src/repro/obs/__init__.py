@@ -48,6 +48,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.errors import ObservabilityError
 from repro.obs.hooks import SimHooks, TraceHooks
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.trace import (CONTEXT, TraceRecorder, exact, jsonable,
@@ -67,14 +68,19 @@ PAYBACK_BUCKETS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 class ObsSession:
-    """One trace recorder plus one metrics registry."""
+    """One trace recorder plus one metrics registry.
 
-    def __init__(self) -> None:
-        self.trace = TraceRecorder()
+    ``records=False`` makes a session that holds metrics only: its
+    ``trace`` is ``None``, so a sweep folded into it keeps no records.
+    Such a session is a fold target; :func:`observing` refuses it.
+    """
+
+    def __init__(self, records: bool = True) -> None:
+        self.trace = TraceRecorder() if records else None
         self.metrics = MetricsRegistry()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<ObsSession {len(self.trace)} records, "
+        return (f"<ObsSession {len(self.trace or ())} records, "
                 f"{len(self.metrics)} metrics>")
 
 
@@ -98,6 +104,8 @@ def observing(session: ObsSession) -> Iterator[ObsSession]:
     """Activate ``session`` for the duration of the block (re-entrant:
     the previous session, if any, is restored on exit)."""
     global _ACTIVE
+    if session.trace is None:
+        raise ObservabilityError("a metrics-only session cannot be observed")
     previous = _ACTIVE
     # The ambient session is per-process by design: each executor worker
     # activates its own session inside its own interpreter, and the
@@ -312,16 +320,21 @@ class SessionSink(RecordSink):
     one pass, as one row with :meth:`TraceRecorder.emit`'s keys, and
     appended to the session's recorder.
 
-    A record whose values are all exact (see
-    :func:`~repro.obs.trace.exact`: finite floats, ints, strs, bools,
-    ``None`` and tuples of them, with ``t`` a float; host lists are
-    copied into tuples first) keeps them as given.  Any other record is
-    appended by :meth:`TraceRecorder.emit`, the reference, from the same
-    fields.  Either way the record reads back equal to the one ``emit``
-    appends, advances :func:`emitted_total` by one, and the counts match
-    the reference's.  The recorder and registry are bound once per run
-    and each counter on first use (so a metric appears only once
-    counted, as with the reference).
+    The ``decision``, ``check`` and ``rebalance`` builders append their
+    values as given (host sequences copied into tuples, ``t`` made a
+    ``float``); the block's packer checks them once, when the block
+    closes, and freezes a block holding any value that is not of an
+    exact builtin type (see :func:`repro.obs.trace._packed`).  A value
+    ``emit`` would reject thus raises
+    :class:`~repro.errors.ObservabilityError` by the time the block is
+    closed or read, not when it is appended.  The ``iteration`` and
+    ``record`` builders check their values as they build the row, and
+    hand any record that is not exact to :meth:`TraceRecorder.emit`,
+    the reference.  Either way the record reads back equal to the one
+    ``emit`` appends, advances :func:`emitted_total` by one, and the
+    counts match the reference's.  The recorder and registry are bound
+    once per run and each counter on first use (so a metric appears
+    only once counted, as with the reference).
     """
 
     __slots__ = ("_trace", "_emit_iteration", "_counts", "_histogram",
@@ -347,7 +360,6 @@ class SessionSink(RecordSink):
 
     def decision(self, t, source, iteration, policy, decision, active,
                  spares):
-        trace = self._trace
         moves = decision.moves
         gates = decision.gates
         active = tuple(active)
@@ -355,27 +367,15 @@ class SessionSink(RecordSink):
         old = decision.old_iteration_time
         new = decision.new_iteration_time
         reason = decision.rejected_reason
+        if type(t) is not float:
+            t = float(t)
         # A move's record and a gate's are its fields, in order (the
         # reference spells them out; tests/obs/test_sink.py pins this),
         # so each is frozen as its fields' key tuple and its values.
-        if type(t) is float \
-                and exact((t, source, iteration, policy, active, spares,
-                           old, new, reason)) \
-                and all(map(exact, moves)) and all(map(exact, gates)):
-            trace.block.append((
-                _DECISION, "decision", t, source, iteration, policy, active,
-                spares, old, new, bool(moves), reason,
-                _mappings(moves), _mappings(gates)))
-        else:
-            moved = [{"out_host": m.out_host, "in_host": m.in_host,
-                      "process_improvement": m.process_improvement,
-                      "app_improvement": m.app_improvement,
-                      "payback": m.payback} for m in moves]
-            trace.emit("decision", t, source=source, iteration=iteration,
-                       policy=policy, active=active, spares=spares,
-                       old_iteration_time=old, new_iteration_time=new,
-                       accepted=bool(moves), rejected_reason=reason,
-                       moves=moved, gates=[g.to_record() for g in gates])
+        self._trace.block.append((
+            _DECISION, "decision", t, source, iteration, policy, active,
+            spares, old, new, bool(moves), reason,
+            _mappings(moves), _mappings(gates)))
         # Per-process diagnostics counter, never read by sim logic.
         _EMITTED_TOTAL[0] += 1
         counts = self._counts
@@ -392,24 +392,17 @@ class SessionSink(RecordSink):
 
     def check(self, t, source, iteration, policy, check, cost, active,
               candidate):
-        trace = self._trace
         active = tuple(active)
         candidate = tuple(candidate)
         accepted = check.accepted
         reason = check.reason
         gain = check.app_improvement
         payback = check.payback
-        if type(t) is float \
-                and exact((t, source, iteration, policy, active, candidate,
-                           cost, accepted, reason, gain, payback)):
-            trace.block.append((
-                _CHECK, "decision", t, source, iteration, policy, active,
-                candidate, cost, accepted, reason, gain, payback))
-        else:
-            trace.emit("decision", t, source=source, iteration=iteration,
-                       policy=policy, active=active, candidate=candidate,
-                       cost=cost, accepted=accepted, rejected_reason=reason,
-                       app_improvement=gain, payback=payback)
+        if type(t) is not float:
+            t = float(t)
+        self._trace.block.append((
+            _CHECK, "decision", t, source, iteration, policy, active,
+            candidate, cost, accepted, reason, gain, payback))
         # Per-process diagnostics counter, never read by sim logic.
         _EMITTED_TOTAL[0] += 1
         counts = self._counts
@@ -421,21 +414,17 @@ class SessionSink(RecordSink):
             counts["decision.epochs_rejected_total"].value += 1.0
 
     def rebalance(self, t, source, iteration, active, chunks, rates):
-        trace = self._trace
         if active != self._keys_for:
             self._keys = shape(tuple(map(str, active)))
             self._keys_for = list(active)
         keys = self._keys
         shares = tuple(map(chunks.__getitem__, active))
         speeds = tuple(map(rates.__getitem__, active))
-        if type(t) is float \
-                and exact((t, source, iteration, *shares, *speeds)):
-            trace.block.append((_REBALANCE, "rebalance", t, source,
-                                iteration, (keys, *shares), (keys, *speeds)))
-        else:
-            trace.emit("rebalance", t, source=source, iteration=iteration,
-                       chunks={str(h): chunks[h] for h in active},
-                       rates={str(h): rates[h] for h in active})
+        if type(t) is not float:
+            t = float(t)
+        self._trace.block.append((_REBALANCE, "rebalance", t, source,
+                                  iteration, (keys, *shares),
+                                  (keys, *speeds)))
         # Per-process diagnostics counter, never read by sim logic.
         _EMITTED_TOTAL[0] += 1
         self._counts["dlb.rebalances_total"].value += 1.0

@@ -14,7 +14,9 @@ The ambient context (the executor's ``scenario``/``x``/``seed``/
 equal to the record's ``t`` is not stored, and nested lists and dicts
 are tuples too (:func:`frozen`).  A row thus holds nothing mutable.
 Rows stay live tuples only while their block is open; a closed block is
-held packed, as one pickle of its rows and their count.  The record dict
+held packed, as one pickle of its rows and their count, and packing is
+where the values of the one-pass builders' rows are checked
+(:func:`_packed`).  The record dict
 is built only when something reads it: iterating the rows (which
 unpacks one block at a time), :attr:`TraceRecorder.records` and the
 exports below.
@@ -87,6 +89,8 @@ def frozen(value: Any) -> Any:
     # Exact-type fast path for what records mostly carry: finite floats,
     # scalars and host-index lists.  Subclasses (numpy scalars,
     # NamedTuples) and non-finite floats take the general chain below.
+    # A frozen value is returned as it is (frozen mappings included), so
+    # a row can be frozen again.
     tp = type(value)
     if tp is float:
         if value - value == 0.0:
@@ -100,18 +104,31 @@ def frozen(value: Any) -> Any:
         else:
             return value if tp is tuple else tuple(value)
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
+        if not math.isfinite(value):
+            return _spelled(value)
         return float(value)
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     if isinstance(value, dict):
         return (shape(tuple(map(str, value))), *map(frozen, value.values()))
+    if tp is tuple and _is_mapping(value):
+        return (value[0], *map(frozen, value[1:]))
     if isinstance(value, (list, tuple)):
         return tuple(map(frozen, value))
     raise ObservabilityError(f"cannot serialize trace value {value!r}")
+
+
+def _spelled(value: float) -> str:
+    """The string a non-finite float is spelled as in a record."""
+    if math.isnan(value):
+        return "nan"
+    return "inf" if value > 0 else "-inf"
+
+
+def _is_mapping(value: tuple) -> bool:
+    """Whether a tuple is a frozen mapping: led by a key tuple."""
+    head = value[0] if value else None
+    return type(head) is tuple and bool(head) and type(head[0]) is bytes
 
 
 def exact(values: "Iterable[Any]") -> bool:
@@ -119,8 +136,9 @@ def exact(values: "Iterable[Any]") -> bool:
     unchanged: each is a finite ``float``, an ``int``, a ``str``, a
     ``bool``, ``None``, or a ``tuple`` of such values (recursively).  A
     list, a dict, a subclass or a non-finite float is not exact: the
-    one-pass builders check their values with this and hand any record
-    that fails to :meth:`TraceRecorder.emit`."""
+    one-pass :meth:`repro.obs.SessionSink.record` builder checks its
+    values with this and hands any record that fails to
+    :meth:`TraceRecorder.emit`."""
     for v in values:
         tp = type(v)
         if tp is float:
@@ -134,12 +152,16 @@ def exact(values: "Iterable[Any]") -> bool:
 
 def thawed(value: Any) -> Any:
     """The JSON form of a :func:`frozen` value: tuples back to lists,
-    frozen mappings back to dicts."""
-    if type(value) is not tuple:
+    frozen mappings back to dicts.  A non-finite float, which a packed
+    block may hold (see :func:`_packed`), is spelled as :func:`frozen`
+    spells it."""
+    tp = type(value)
+    if tp is not tuple:
+        if tp is float and value - value != 0.0:
+            return _spelled(value)
         return value
-    head = value[0] if value else None
-    if type(head) is tuple and head and type(head[0]) is bytes:
-        return dict(zip(head[1:], map(thawed, value[1:])))
+    if _is_mapping(value):
+        return dict(zip(value[0][1:], map(thawed, value[1:])))
     return list(map(thawed, value))
 
 
@@ -208,11 +230,54 @@ def _layout(row_shape: tuple, context: tuple) -> "tuple[tuple, tuple]":
     return tuple(keys), tuple(picks)
 
 
+class _Inexact(Exception):
+    """A row value that is not of an exact builtin type."""
+
+
+class _ExactPickler(pickle.Pickler):
+    """Pickles rows whose values are all of exact builtin types, and
+    raises :class:`_Inexact` on any other value.
+
+    CPython consults :meth:`reducer_override` only for a value that is
+    not ``None``, a ``bool``, or an exact ``int``, ``float``, ``bytes``,
+    ``str``, ``tuple``, ``list``, ``dict``, ``set`` or ``frozenset``, so
+    checking a block of exact rows costs nothing beyond pickling it.
+    """
+
+    def reducer_override(self, obj: Any) -> Any:
+        raise _Inexact
+
+
+class _Output(bytearray):
+    """An in-memory file for :class:`_ExactPickler`."""
+
+    write = bytearray.extend
+
+
+def _normal(row: tuple) -> tuple:
+    """A row with every value :func:`frozen`."""
+    return (row[0], *map(frozen, row[1:]))
+
+
 def _packed(context: dict, rows: "list[tuple]") -> "tuple[dict, int, bytes]":
     """A closed block: its context, its row count, and its rows as one
-    pickle.  Rows hold only builtin scalars, ``bytes`` key markers and
-    tuples, so the pickle names no global and unpacks by plain opcodes."""
-    return context, len(rows), pickle.dumps(rows, 5)
+    pickle.
+
+    This is where rows are checked.  The one-pass builders of
+    :class:`repro.obs.SessionSink` append their values as given; a
+    block whose values are all of exact builtin types is pickled as it
+    is, and any other block is :func:`frozen` first (a value ``frozen``
+    rejects raises :class:`~repro.errors.ObservabilityError` here).  So
+    the pickle names no global and unpacks by plain opcodes.  A
+    non-finite float is an exact ``float`` and stays one; readers spell
+    it (see :func:`thawed`).
+    """
+    output = _Output()
+    try:
+        _ExactPickler(output, 5).dump(rows)
+    except _Inexact:
+        return context, len(rows), pickle.dumps(list(map(_normal, rows)), 5)
+    return context, len(rows), bytes(output)
 
 
 def _records(context: dict, rows: "Iterable[tuple]") -> "Iterator[dict]":
@@ -227,8 +292,11 @@ def _records(context: dict, rows: "Iterable[tuple]") -> "Iterator[dict]":
         record = dict(zip(layout[0],
                           map((row + tail).__getitem__, layout[1])))
         for key, value in record.items():
-            if type(value) is tuple:
+            tp = type(value)
+            if tp is tuple:
                 record[key] = thawed(value)
+            elif tp is float and value - value != 0.0:
+                record[key] = _spelled(value)
         yield record
 
 
@@ -261,7 +329,9 @@ class TraceRows:
         for context, _count, packed in self.blocks:
             yield from _records(context, pickle.loads(packed))
         if self.open is not None:
-            yield from _records(*self.open)
+            # Not yet checked (see _packed): frozen as it is read.
+            context, rows = self.open
+            yield from _records(context, map(_normal, rows))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TraceRows):
@@ -450,10 +520,9 @@ class TraceRecorder:
         The strategy loop emits one per iteration, the bulk of a traced
         cell's records.  ``active`` must already be frozen (a tuple of
         ints); the row keeps it as given, so the caller may share one
-        tuple across the records of one active set.  As with the other
-        one-pass builders, only finite ``float`` times are kept as
-        given; any other time (non-finite, ``int``, a numpy scalar)
-        takes :meth:`emit`, which converts it.
+        tuple across the records of one active set.  Only finite
+        ``float`` times are kept as given; any other time (non-finite,
+        ``int``, a numpy scalar) takes :meth:`emit`, which converts it.
         """
         if type(t) is float and type(start) is float \
                 and type(compute_end) is float and t - t == 0.0 \

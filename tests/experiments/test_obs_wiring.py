@@ -7,10 +7,13 @@ an untraced sweep emits exactly zero records.
 
 import json
 
+import pytest
+
 from repro import obs
 from repro.obs.analyze import TraceSet, lint
 from repro.app.workloads import paper_application
 from repro.contracts.strategy import ContractSwapStrategy
+from repro.errors import ObservabilityError
 from repro.core.policy import greedy_policy
 from repro.experiments import cli
 from repro.experiments.executor import cell_digest, compute_cell, execute_sweep
@@ -254,3 +257,25 @@ def test_cli_report_flag_alone_makes_a_session():
         report = "report-dir"
 
     assert cli._make_session(Args()) is not None
+
+
+def test_cli_metrics_json_alone_keeps_no_records(tmp_path, monkeypatch):
+    class Args:
+        trace = None
+        metrics_json = "metrics.json"
+        report = None
+
+    session = cli._make_session(Args())
+    assert session is not None and session.trace is None
+    with pytest.raises(ObservabilityError):
+        with obs.observing(session):
+            pass
+    # The metrics are those of a run that also writes the trace.
+    monkeypatch.chdir(tmp_path)
+    alone, traced = tmp_path / "alone.json", tmp_path / "traced.json"
+    assert cli.main(["ext-faults", "--seeds", "1", "--no-cache",
+                     "--no-bench", "--metrics-json", str(alone)]) == 0
+    assert cli.main(["ext-faults", "--seeds", "1", "--no-cache",
+                     "--no-bench", "--metrics-json", str(traced),
+                     "--trace", str(tmp_path / "trace.jsonl")]) == 0
+    assert alone.read_bytes() == traced.read_bytes()

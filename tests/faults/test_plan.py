@@ -1,11 +1,18 @@
 """Tests for FaultModel / FaultPlan: validation, determinism, queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FaultError
+from repro.faults import recovery
 from repro.faults.plan import FaultModel, FaultPlan
 from repro.load.base import ConstantLoadModel, LoadTrace
+from repro.load.kernels import HostBatch
+from repro.load.onoff import OnOffLoadModel
+from repro.platform.cluster import make_platform
 from repro.simkernel.rng import RngRegistry
+from repro.units import HOUR
 
 
 def make_plan(seed=7, n_hosts=4, **model_kwargs) -> FaultPlan:
@@ -155,6 +162,90 @@ def test_membership_queries_match_per_host_chain():
         assert plan.revoked_at(t0, hosts) == revoked
         assert plan.alive(hosts, t0) == [h for h in hosts
                                          if h not in revoked]
+
+
+def _oracle_intervals(plan, host, horizon):
+    """``host``'s revocation intervals with an onset up to ``horizon``,
+    found by the per-host oracle alone (next_onset, return_time)."""
+    out = []
+    t = -1.0
+    while (onset := plan.next_onset(host, t, horizon)) is not None:
+        out.append((onset, plan.return_time(host, onset)))
+        t = onset
+    return out
+
+
+QUERIES = ("alive", "revoked_at", "earliest_onset", "revocations_in",
+           "compute_end")
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_hosts=st.integers(1, 5),
+       rate=st.floats(0.5, 20.0), mean_down=st.floats(1.0, 900.0),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_state_windows_match_the_per_host_oracle(seed, n_hosts, rate,
+                                                 mean_down, data):
+    """The windowed readers answer what the per-host oracle does for any
+    query order, with hosts outside the plan, and at interval edges;
+    ``compute_end`` on the same plan equals ``max(compute_finish)`` on
+    an identically seeded twin."""
+    model = FaultModel(revocation_rate=rate, mean_downtime=mean_down)
+    fast, ref = [make_platform(n_hosts, OnOffLoadModel(0.3, 0.3), seed=seed,
+                               horizon=50.0, fault_model=model)
+                 for _ in range(2)]
+    plan, oracle = fast.faults, ref.faults
+    batch = HostBatch(fast.hosts, plan)
+    span = 2 * HOUR
+    intervals = {h: _oracle_intervals(oracle, h, 2 * span)
+                 for h in range(n_hosts)}
+    # Every interval edge up to ``span`` and a point between each two:
+    # walking them in order puts a query in a window, then one on its
+    # edge.
+    edges = sorted({0.0, span, *(t for ivs in intervals.values()
+                                 for iv in ivs for t in iv if t <= span)})
+    points = sorted({*edges, *((a + b) / 2 for a, b in zip(edges,
+                                                             edges[1:]))})
+    hosts = [*range(n_hosts), n_hosts, n_hosts + 7]  # two outside the plan
+    # Runs of consecutive points, the runs in any order, each query's
+    # ``t1`` one to three points ahead; then a few random times.
+    runs = data.draw(st.lists(st.tuples(
+        st.integers(0, len(points) - 1), st.integers(1, 8),
+        st.integers(1, 3)), min_size=1, max_size=6))
+    times = [(points[i], points[min(i + ahead, len(points) - 1)])
+             for first, length, ahead in runs
+             for i in range(first, min(first + length, len(points)))]
+    times += data.draw(st.lists(st.tuples(st.floats(0.0, span),
+                                          st.floats(0.0, span)),
+                                max_size=4))
+    queries = [(data.draw(st.sampled_from(QUERIES)), a, b,
+                data.draw(st.permutations(hosts))) for a, b in times]
+    for query, a, b, order in queries:
+        t0, t1 = min(a, b), max(a, b)
+        revoked = [h for h in order if oracle.is_revoked(h, t0)]
+        if query == "alive":
+            assert plan.alive(order, t0) == [h for h in order
+                                             if h not in revoked]
+        elif query == "revoked_at":
+            assert plan.revoked_at(t0, order) == revoked
+        elif query == "earliest_onset":
+            onsets = {h: oracle.next_onset(h, t0, t1) for h in order}
+            found = [t for t in onsets.values() if t is not None]
+            want = None if not found else (
+                min(found), [h for h in order if onsets[h] == min(found)])
+            assert plan.earliest_onset(order, t0, t1) == want
+        elif query == "revocations_in":
+            for h in order:
+                assert plan.revocations_in(h, t0, t1) == [
+                    (s, e) for s, e in intervals.get(h, ())
+                    if s <= t1 and e >= t0]
+        else:
+            flops = data.draw(st.lists(st.floats(0.0, 5e10),
+                                       min_size=n_hosts, max_size=n_hosts))
+            chunks = dict(enumerate(flops))
+            assert batch.compute_end(chunks, t0) == max(
+                recovery.compute_finish(ref, h, t0, f)
+                for h, f in chunks.items())
+
 
 def test_revoked_seconds_matches_intervals():
     plan = make_plan(seed=5, revocation_rate=8.0)

@@ -5,6 +5,7 @@ order, same values) and counts what :class:`repro.obs.RecordSink`
 counts through ``obs.emit``/``obs.count``."""
 
 import json
+import pickletools
 from typing import NamedTuple
 
 import numpy as np
@@ -244,6 +245,81 @@ def test_builders_reject_what_emit_rejects():
         sink.record("fault.stall", 1.0, "nothing", 1, {"host": object()})
 
 
+# -- rows checked once per block, by the packer ----------------------------
+
+class Real(float):
+    """A float subclass, as a caller's own numeric type might be."""
+
+
+#: Values that are not exact, for the builders to hand to the packer.
+#: ``np.int64`` is no ``int``: ``emit`` rejects it.
+PLANTED = (float("inf"), float("-inf"), float("nan"), np.float64(2.5),
+           np.float64("-inf"), np.int64(3), Real(1.5), Real("nan"),
+           Hosts(4, 5, 6))
+
+
+def _emit_planted(sink, v):
+    """One decision, one check and one rebalance, each carrying some of
+    the twelve values ``v`` (none where a histogram observes it)."""
+    decision = SwapDecision(
+        (SwapMove(1, 9, v[0], v[1], 2.0),), v[2], v[3], "",
+        (GateOutcome(1, 9, "accepted", True, "", v[4], v[5], v[6]),))
+    sink.decision(1.0, "swap-greedy", 1, "greedy", decision, [1, 2], [9])
+    sink.check(2.0, "cr", 2, "greedy",
+               ReconfigurationCheck(False, v[7], v[8], "gain"), v[9],
+               [1, 2], [3])
+    sink.rebalance(3.0, "dlb", 3, [1, 2], {1: v[10], 2: 0.5},
+                   {1: 1.0, 2: v[11]})
+
+
+def _exports(recorder):
+    return recorder.to_jsonl(), recorder.to_chrome_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(finite, min_size=12, max_size=12),
+       planted=st.dictionaries(st.integers(0, 11), st.sampled_from(PLANTED),
+                               min_size=1, max_size=4))
+def test_packer_freezes_what_the_builders_append(values, planted):
+    for at, value in planted.items():
+        values[at] = value
+    fast, slow = obs.ObsSession(), obs.ObsSession()
+    for session in (fast, slow):
+        session.trace.set_context(**CONTEXT)
+    _emit_planted(obs.SessionSink(fast), values)
+    try:
+        with obs.observing(slow):
+            _emit_planted(obs.RecordSink(), values)
+    except ObservabilityError:
+        # emit rejects the value at once; the builders' rows when their
+        # block is read or closed.
+        with pytest.raises(ObservabilityError):
+            fast.trace.to_jsonl()
+        with pytest.raises(ObservabilityError):
+            fast.trace.take()
+        return
+    want = _exports(slow.trace)
+    assert _exports(fast.trace) == want  # read from the open block
+    rows = fast.trace.take()
+    for _context, _count, packed in rows.blocks:
+        opcodes = {op.name for op, _arg, _at in pickletools.genops(packed)}
+        assert not opcodes & {"GLOBAL", "STACK_GLOBAL", "REDUCE"}
+    closed = TraceRecorder()
+    closed.extend(rows)
+    assert _exports(closed) == want  # read from the packed block
+
+
+def test_a_gate_value_emit_rejects_raises_by_take():
+    decision = SwapDecision((), 1.0, 1.0, "process", (
+        GateOutcome(1, 9, "process", False, "below threshold", object()),))
+    session = obs.ObsSession()
+    session.trace.set_context(**CONTEXT)
+    obs.SessionSink(session).decision(1.0, "swap-greedy", 1, "greedy",
+                                      decision, [1], [9])
+    with pytest.raises(ObservabilityError):
+        session.trace.take()
+
+
 # -- frozen ----------------------------------------------------------------
 
 json_values = st.recursive(
@@ -270,6 +346,7 @@ def test_frozen_holds_nothing_mutable_and_thaws_to_json(value):
     # as the JSON value jsonable spells, byte for byte.
     held = frozen(value)
     assert not _mutable(held)
+    assert frozen(held) == held  # a packed block may be frozen again
     assert thawed(held) == jsonable(value)
     assert json.dumps(thawed(held)) == json.dumps(jsonable(value))
     assert json.loads(json.dumps(thawed(held))) == thawed(held)
